@@ -25,16 +25,7 @@ from .detection import (
     Classification,
     detect,
 )
-from .errors import (
-    DenominatorZeroError,
-    EmptyWindowError,
-    FileFormatError,
-    InvalidCoshError,
-    InvalidParameterError,
-    OutOfWindowError,
-    SingularRuleError,
-    TooShortError,
-)
+from .errors import FileFormatError, InputError, NumericalError
 from .expspace import Frequency, FrequencyVector, sample
 from .operators import (
     IntegerStep,
@@ -50,14 +41,6 @@ EXIT_INPUT = 2
 EXIT_INCONSISTENT = 3
 EXIT_NUMERICAL = 4
 
-_INPUT_ERRORS = (FileFormatError, OutOfWindowError, EmptyWindowError, TooShortError)
-_NUMERICAL_ERRORS = (
-    DenominatorZeroError,
-    InvalidCoshError,
-    SingularRuleError,
-    InvalidParameterError,
-)
-
 
 def _read(path: str) -> str:
     try:
@@ -66,15 +49,15 @@ def _read(path: str) -> str:
         raise FileFormatError(f"cannot read {path}: {exc.strerror}") from exc
 
 
-def _parse_rate(token: str) -> complex:
+def _parse_rate(token: str) -> Frequency:
     """One frequency component: '0.8' is real, '0.3i' (or '0.3j') imaginary."""
     token = token.strip()
     try:
         if token.endswith(("i", "j")):
-            return complex(0.0, float(token[:-1] if token[:-1] else "1"))
-        return complex(float(token), 0.0)
+            return Frequency(complex(0.0, float(token[:-1] if token[:-1] else "1")))
+        return Frequency(complex(float(token), 0.0))
     except ValueError as exc:
-        raise FileFormatError(f"cannot parse frequency component {token!r}") from exc
+        raise InputError(f"cannot parse frequency component {token!r}: {exc}") from exc
 
 
 def _pair_json(v: complex) -> str:
@@ -83,7 +66,10 @@ def _pair_json(v: complex) -> str:
 
 def cmd_sample(args) -> int:
     f = jsonio.load_sum(_read(args.sumfile))
-    grid = sample(f, args.level, tuple(args.origin), args.width, args.height)
+    try:
+        grid = sample(f, args.level, tuple(args.origin), args.width, args.height)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
     print(jsonio.dump_grid(grid))
     return EXIT_OK
 
@@ -164,7 +150,7 @@ def cmd_annihilate(args) -> int:
 def cmd_refine(args) -> int:
     values, level, origin = jsonio.load_series(_read(args.datafile))
     if args.gamma is not None:
-        g = Frequency(_parse_rate(args.gamma))
+        g = _parse_rate(args.gamma)
         data = values
         p = LevelParameter.from_frequency(g, level)
         for _ in range(args.rounds):
@@ -258,10 +244,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _INPUT_ERRORS as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except _NUMERICAL_ERRORS as exc:
+    except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -6,7 +6,8 @@ component along axis e (at the grid's physical step).  When a step tv makes
 the denominator vanish, the next step from a fixed fallback list is tried;
 if every step fails, a five-point constancy probe decides whether the data
 is flat along that axis (frequency component zero) or simply not in the
-model space.
+model space.  ``_six_point`` computes D and the quotient at every base point
+at once; every mode and the probe read their entries from it.
 """
 
 from __future__ import annotations
@@ -14,11 +15,17 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from statistics import median
+
+import numpy as np
 
 from .errors import DenominatorZeroError, InvalidCoshError, OutOfWindowError
 from .expspace import Frequency, FrequencyVector, GridSamples
-from .operators import IntegerStep, grid_residual, reduced_chain_for_symmetric_set
+from .operators import (
+    IntegerStep,
+    _window_shift,
+    grid_residual,
+    reduced_chain_for_symmetric_set,
+)
 
 __all__ = [
     "BUTTERFLY_UNION_OFFSETS",
@@ -120,8 +127,73 @@ class DetectionReport:
     reason: str = ""
 
 
-def _plain_difference(s: GridSamples, beta: tuple[int, int], step: IntegerStep) -> complex:
-    return s.value_at((beta[0] + step.dx, beta[1] + step.dy)) - s.value_at(beta)
+def _six_point(s: GridSamples, e: tuple[int, int], step: IntegerStep):
+    """The six-point quotient at every base point, for axis e and one step.
+
+    Returns ``(origin, d, num, den)``: D(b) = S(b + step) - S(b) at every b
+    where both samples exist, then D(a + 2e) + D(a) and D(a + e) at every a
+    whose six samples exist.  All three arrays start at grid index origin.
+    """
+    shifted, base, (c, r) = _window_shift(s.values, step.dx, step.dy)
+    d = shifted - base
+    d2, d0, _ = _window_shift(d, 2 * e[0], 2 * e[1])
+    d1 = d[e[1] : e[1] + d0.shape[0], e[0] : e[0] + d0.shape[1]]
+    return (s.origin[0] + c, s.origin[1] + r), d, d2 + d0, d1
+
+
+def _entry(arr: np.ndarray, origin, p) -> complex:
+    i, j = p[0] - origin[0], p[1] - origin[1]
+    if not (0 <= i < arr.shape[1] and 0 <= j < arr.shape[0]):
+        raise OutOfWindowError(f"the stencil at {tuple(p)} leaves the sample window")
+    return complex(arr[j, i])
+
+
+def _estimate(kernel, alpha, e, step, tol: float) -> CoshEstimate | None:
+    """The quotient at alpha, or None when |D(alpha + e)| <= tol."""
+    origin, _, num, den = kernel
+    d1 = _entry(den, origin, alpha)
+    if abs(d1) <= tol:
+        return None
+    return CoshEstimate(e, _entry(num, origin, alpha) / (2.0 * d1), alpha, step, abs(d1))
+
+
+def _is_constant(kernels, alpha, e, tol: float) -> bool:
+    """True when |D(alpha + e)| <= tol for every step, tested in step order."""
+    p = (alpha[0] + e[0], alpha[1] + e[1])
+    return all(abs(_entry(d, origin, p)) <= tol for origin, d, _, _ in kernels)
+
+
+def _real_quotients(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """Real parts of num / (2.0 * den), rounded as CPython's complex division
+    rounds them (numpy's differs in the last bit): scale by the divisor part of
+    larger magnitude, the real part on a tie; swapping parts swaps branches."""
+    b = 2.0 * den
+    br, bi, ar, ai = b.real, b.imag, num.real, num.imag
+    out = np.empty(br.shape)
+    m = np.abs(br) >= np.abs(bi)
+    for k, p, q, x, y in ((m, br, bi, ar, ai), (~m, bi, br, ai, ar)):
+        ratio = q[k] / p[k]
+        out[k] = (x[k] + y[k] * ratio) / (p[k] + q[k] * ratio)
+    return out
+
+
+def _median(x: np.ndarray) -> float:
+    """The middle entry, or the mean of the two middle ones; np.median would
+    import numpy.ma, a megabyte of resident memory, on its first call."""
+    k = x.size // 2
+    p = np.partition(x, [k] if x.size % 2 else [k - 1, k])
+    return float(p[k]) if x.size % 2 else (float(p[k - 1]) + float(p[k])) / 2
+
+
+def _robust_estimate(kernels, alpha, e, steps, tol: float) -> CoshEstimate | None:
+    """Median of the quotient over every admissible base point and step."""
+    num, den = (np.concatenate([k[i].ravel() for k in kernels]) for i in (2, 3))
+    mags = np.abs(den)
+    keep = mags > tol
+    if not keep.any():
+        return None
+    value = complex(_median(_real_quotients(num[keep], den[keep])), 0.0)
+    return CoshEstimate(e, value, alpha, steps[0], _median(mags[keep]))
 
 
 def cosh_from_stencil(
@@ -141,21 +213,13 @@ def cosh_from_stencil(
     e = (int(e[0]), int(e[1]))
     if e not in (_AXIS_X, _AXIS_Y):
         raise ValueError("axis must be (1, 0) or (0, 1)")
-    d0 = _plain_difference(s, alpha, step)
-    d1 = _plain_difference(s, (alpha[0] + e[0], alpha[1] + e[1]), step)
-    d2 = _plain_difference(s, (alpha[0] + 2 * e[0], alpha[1] + 2 * e[1]), step)
-    den_mag = abs(d1)
-    if den_mag <= tol_den * s.max_abs():
+    alpha = (int(alpha[0]), int(alpha[1]))
+    est = _estimate(_six_point(s, e, step), alpha, e, step, tol_den * s.max_abs())
+    if est is None:
         raise DenominatorZeroError(
             f"plain difference vanishes at {tuple(alpha)} + {e} for step {step.as_tuple()}"
         )
-    return CoshEstimate(
-        axis=e,
-        value=(d2 + d0) / (2.0 * d1),
-        base=(int(alpha[0]), int(alpha[1])),
-        step_used=step,
-        denominator_magnitude=den_mag,
-    )
+    return est
 
 
 def classify_constant(
@@ -171,12 +235,8 @@ def classify_constant(
     every fallback step of the axis; within the model space this certifies
     a constant function, i.e. frequency zero.
     """
-    base = (alpha[0] + e[0], alpha[1] + e[1])
-    tol = tol_den * s.max_abs()
-    return all(
-        abs(_plain_difference(s, base, step)) <= tol
-        for step in stencils.for_axis(e)
-    )
+    kernels = [_six_point(s, e, step) for step in stencils.for_axis(e)]
+    return _is_constant(kernels, alpha, e, tol_den * s.max_abs())
 
 
 def cosh_to_frequency(
@@ -194,7 +254,10 @@ def cosh_to_frequency(
         raise InvalidCoshError(f"cosh estimate {c} has a non-real part")
     x = c.real
     if x >= 1.0:
-        return Frequency(math.acosh(x) / scale)
+        rate = math.acosh(x) / scale
+        if rate == math.inf:
+            raise InvalidCoshError(f"real rate from estimate {x} overflows")
+        return Frequency(rate)
     if x > -1.0:
         rate = math.acos(x) / scale
         if rate >= math.pi:
@@ -203,52 +266,6 @@ def cosh_to_frequency(
             )
         return Frequency(complex(0.0, rate))
     raise InvalidCoshError(f"cosh estimate {x} is not above -1")
-
-
-def _axis_single(s, alpha, e, steps, tol_den) -> CoshEstimate | None:
-    for step in steps:
-        try:
-            return cosh_from_stencil(s, alpha, e, step, tol_den)
-        except DenominatorZeroError:
-            continue
-    return None
-
-
-def _stencil_fits(s: GridSamples, alpha, e, step) -> bool:
-    for mu in (0, 1, 2):
-        for lam in (0, 1):
-            p = (
-                alpha[0] + mu * e[0] + lam * step.dx,
-                alpha[1] + mu * e[1] + lam * step.dy,
-            )
-            if not s.contains(p):
-                return False
-    return True
-
-
-def _axis_robust(s, alpha, e, steps, tol_den) -> CoshEstimate | None:
-    """Median-of-estimates sweep over every admissible base point and step."""
-    values: list[float] = []
-    dens: list[float] = []
-    for step in steps:
-        for base in s.indices():
-            if not _stencil_fits(s, base, e, step):
-                continue
-            try:
-                est = cosh_from_stencil(s, base, e, step, tol_den)
-            except DenominatorZeroError:
-                continue
-            values.append(est.value.real)
-            dens.append(est.denominator_magnitude)
-    if not values:
-        return None
-    return CoshEstimate(
-        axis=tuple(e),
-        value=complex(median(values), 0.0),
-        base=(int(alpha[0]), int(alpha[1])),
-        step_used=steps[0],
-        denominator_magnitude=median(dens),
-    )
 
 
 def detect(
@@ -273,58 +290,53 @@ def detect(
     """
     if mode not in ("single", "robust"):
         raise ValueError(f"unknown mode {mode!r}")
-    axis_fn = _axis_single if mode == "single" else _axis_robust
     alpha = (int(alpha[0]), int(alpha[1]))
-
+    tol = tol_den * s.max_abs()
     estimates: list[CoshEstimate] = []
     components: list[Frequency] = []
     extras: list[IntegerStep] = []
-    constant_axes = 0
-    scale = s.spacing
+
+    def inconsistent(residual: float, reason: str) -> DetectionReport:
+        return DetectionReport(
+            Classification.INCONSISTENT, None, tuple(estimates), residual, reason
+        )
+
     for e in (_AXIS_X, _AXIS_Y):
         steps = stencils.for_axis(e)
-        est = axis_fn(s, alpha, e, steps, tol_den)
+        if mode == "single":
+            tried = (_estimate(_six_point(s, e, st), alpha, e, st, tol) for st in steps)
+            est = next((t for t in tried if t is not None), None)
+        else:
+            kernels = [_six_point(s, e, st) for st in steps]
+            est = _robust_estimate(kernels, alpha, e, steps, tol)
         if est is None:
-            if not classify_constant(s, alpha, e, tol_den, stencils):
-                return DetectionReport(
-                    Classification.INCONSISTENT,
-                    None,
-                    tuple(estimates),
-                    math.nan,
-                    reason=f"axis {e}: all denominators vanish but data is not constant",
+            # In single mode every step's |D(alpha + e)| has just failed the
+            # probe's own test, so only robust mode needs to run it.
+            if mode == "robust" and not _is_constant(kernels, alpha, e, tol):
+                return inconsistent(
+                    math.nan, f"axis {e}: all denominators vanish but data is not constant"
                 )
-            constant_axes += 1
             components.append(Frequency(0.0))
             extras.append(steps[0])
-        else:
-            estimates.append(est)
-            extras.append(est.step_used)
-            try:
-                components.append(cosh_to_frequency(est.value, scale, tol_im))
-            except InvalidCoshError as exc:
-                return DetectionReport(
-                    Classification.INCONSISTENT,
-                    None,
-                    tuple(estimates),
-                    math.nan,
-                    reason=f"axis {e}: {exc}",
-                )
+            continue
+        estimates.append(est)
+        extras.append(est.step_used)
+        try:
+            components.append(cosh_to_frequency(est.value, s.spacing, tol_im))
+        except InvalidCoshError as exc:
+            return inconsistent(math.nan, f"axis {e}: {exc}")
 
     g = FrequencyVector(components[0], components[1])
     residual = max(
         grid_residual(reduced_chain_for_symmetric_set(g, e, extra), s)
         for e, extra in zip((_AXIS_X, _AXIS_Y), extras)
     )
-    if residual > tol_res:
-        return DetectionReport(
-            Classification.INCONSISTENT,
-            None,
-            tuple(estimates),
-            residual,
-            reason=f"annihilator residual {residual:.3e} exceeds {tol_res:.3e}",
+    if not residual <= tol_res:  # a NaN residual is not accepted either
+        return inconsistent(
+            residual, f"annihilator residual {residual:.3e} exceeds {tol_res:.3e}"
         )
-    if constant_axes == 2:
-        return DetectionReport(Classification.CONSTANT, None, tuple(estimates), residual)
+    if not estimates:
+        return DetectionReport(Classification.CONSTANT, None, (), residual)
     return DetectionReport(Classification.FREQUENCY, g, tuple(estimates), residual)
 
 

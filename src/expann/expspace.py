@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import OutOfWindowError
+from .errors import OutOfWindowError, RangeOverflowError
 
 __all__ = [
     "Frequency",
@@ -27,6 +27,9 @@ __all__ = [
     "sample",
     "symmetric_set",
 ]
+
+# Beyond this level the grid step 2^-level rounds to zero.
+MAX_LEVEL = 1074
 
 
 def _clean(value: complex) -> complex:
@@ -45,6 +48,8 @@ class Frequency:
     def __post_init__(self) -> None:
         v = _clean(complex(self.value))
         object.__setattr__(self, "value", v)
+        if not cmath.isfinite(v):
+            raise ValueError(f"frequency must be finite, got {v}")
         if v.imag != 0.0:
             if v.real != 0.0:
                 raise ValueError(f"frequency must be real or purely imaginary, got {v}")
@@ -242,8 +247,8 @@ class GridSamples:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.level < 0:
-            raise ValueError("level must be non-negative")
+        if not 0 <= self.level <= MAX_LEVEL:
+            raise ValueError(f"level must lie in 0..{MAX_LEVEL}, got {self.level}")
         if self.width < 1 or self.height < 1:
             raise ValueError("window must be at least 1x1")
         arr = np.asarray(self.values, dtype=np.complex128)
@@ -302,10 +307,15 @@ def sample(
         raise ValueError("window must be at least 1x1")
     h = math.ldexp(1.0, -level)
     vals = np.empty((height, width), dtype=np.complex128)
-    for j in range(height):
-        z2 = (origin[1] + j) * h
-        for i in range(width):
-            vals[j, i] = f.evaluate(((origin[0] + i) * h, z2))
+    try:
+        for j in range(height):
+            z2 = (origin[1] + j) * h
+            for i in range(width):
+                vals[j, i] = f.evaluate(((origin[0] + i) * h, z2))
+    except OverflowError as exc:  # from cmath.exp
+        raise RangeOverflowError("an exponential overflows the floating-point range") from exc
+    if not np.isfinite(vals).all():
+        raise RangeOverflowError("a sample overflows the floating-point range")
     return GridSamples(level, (int(origin[0]), int(origin[1])), width, height, vals)
 
 

@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 
 import numpy as np
 
 from .errors import FileFormatError
-from .expspace import ExponentialSum, FrequencyVector, GridSamples
+from .expspace import MAX_LEVEL, ExponentialSum, FrequencyVector, GridSamples
 
 __all__ = [
     "format_float",
@@ -29,6 +30,8 @@ __all__ = [
     "load_series",
     "dump_series",
 ]
+
+_FLOAT_MAX = sys.float_info.max
 
 
 def format_float(x: float) -> str:
@@ -43,16 +46,17 @@ def _format_value(v: complex) -> str:
     return f"[{format_float(v.real)}, {format_float(v.imag)}]"
 
 
+def _is_number(x) -> bool:
+    # NaN, the infinities and integers beyond the float range fail the bound
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= _FLOAT_MAX
+
+
 def _parse_value(raw, where: str) -> complex:
-    if isinstance(raw, (int, float)) and not isinstance(raw, bool):
-        return complex(raw)
-    if (
-        isinstance(raw, list)
-        and len(raw) == 2
-        and all(isinstance(p, (int, float)) and not isinstance(p, bool) for p in raw)
-    ):
+    if isinstance(raw, (int, float)) and not isinstance(raw, bool) and abs(raw) <= _FLOAT_MAX:
+        return complex(raw)  # the common case, inlined: grids hold many values
+    if isinstance(raw, list) and len(raw) == 2 and _is_number(raw[0]) and _is_number(raw[1]):
         return complex(raw[0], raw[1])
-    raise FileFormatError(f"{where}: expected a number or [re, im] pair, got {raw!r}")
+    raise FileFormatError(f"{where}: expected a finite number or [re, im] pair, got {raw!r}")
 
 
 def _parse_json(text: str, what: str) -> dict:
@@ -148,6 +152,8 @@ def load_series(text: str) -> tuple[np.ndarray, int, int]:
     """Returns (values, level, origin); origin defaults to 0."""
     doc = _parse_json(text, "series file")
     level = _require_int(doc, "level", "series file")
+    if not 0 <= level <= MAX_LEVEL:
+        raise FileFormatError(f"series file: level must lie in 0..{MAX_LEVEL}")
     origin = doc.get("origin", 0)
     if not isinstance(origin, int) or isinstance(origin, bool):
         raise FileFormatError("series file: field 'origin' must be an integer")

@@ -187,6 +187,20 @@ def delta_apply_sum(
     return f.map_coefficients(lambda c, m: c * _delta_weight(gamma, m, sx, sy))
 
 
+def _window_shift(values, dx: int, dy: int):
+    """Views of ``values`` (rows along the second index) at alpha + (dx, dy)
+    and at alpha over every alpha where both exist, possibly none, and the
+    (column, row) offset of that window in ``values``."""
+    h, w = values.shape
+    rows, cols = h - abs(dy), w - abs(dx)
+    if rows < 1 or cols < 1:
+        rows = cols = 0
+    r1, c1 = (-dy if dy < 0 else 0), (-dx if dx < 0 else 0)
+    shifted = values[r1 + dy : r1 + dy + rows, c1 + dx : c1 + dx + cols]
+    base = values[r1 : r1 + rows, c1 : c1 + cols]
+    return shifted, base, (c1, r1)
+
+
 def delta_apply_grid(
     gamma: FrequencyVector, step: IntegerStep, s: GridSamples
 ) -> GridSamples:
@@ -197,18 +211,14 @@ def delta_apply_grid(
     """
     step = _as_step(step)
     dx, dy = step.dx, step.dy
-    new_w = s.width - abs(dx)
-    new_h = s.height - abs(dy)
-    if new_w < 1 or new_h < 1:
+    shifted, base, (c1, r1) = _window_shift(s.values, dx, dy)
+    if shifted.size == 0:
         raise EmptyWindowError(
             f"step ({dx}, {dy}) exhausts a {s.width}x{s.height} window"
         )
     h = s.spacing
     weight = cmath.exp(gamma.dot(dx * h, dy * h))
-    r0, c0 = max(0, dy), max(0, dx)      # rows index the second coordinate
-    r1, c1 = max(0, -dy), max(0, -dx)
-    shifted = s.values[r0 : r0 + new_h, c0 : c0 + new_w]
-    base = s.values[r1 : r1 + new_h, c1 : c1 + new_w]
+    new_h, new_w = shifted.shape
     new_origin = (s.origin[0] + c1, s.origin[1] + r1)
     return GridSamples(s.level, new_origin, new_w, new_h, shifted - weight * base)
 

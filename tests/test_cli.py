@@ -254,3 +254,49 @@ class TestFileFormats:
         )
         assert grid.value_at((0, 0)) == 1.5
         assert grid.value_at((1, 0)) == 2j
+
+
+def _grid_text(level=0, bad=None):
+    f = ExponentialSum(tuple((1.0, m) for m in symmetric_set(FrequencyVector.of(0.8, 0.3))))
+    doc = json.loads(dump_grid(sample(f, 0, (-3, -3), 9, 9)))
+    doc["level"] = level
+    if bad is not None:
+        doc["values"][80] = bad  # a corner that the default stencils never read
+    return json.dumps(doc)
+
+
+_SUM = '{"terms": [{"coeff": [%s, 0], "freq": [[%s, 0], [0, 0]]}]}'
+_SAMPLE = ("sample", "@", "--width", "3", "--height", "3")
+
+
+# Each input once ended in a traceback (exit 1) or, for the NaN grid in
+# single mode, in exit 0 with a "Frequency" report and a null residual.
+@pytest.mark.parametrize(
+    "text, argv, code",
+    [
+        (_grid_text(bad=math.nan), ("detect", "@"), 2),
+        (_grid_text(bad=math.nan), ("detect", "@", "--mode", "robust"), 2),
+        (_grid_text(bad=math.inf), ("annihilate", "@", "--gamma", "0.8", "0.3",
+                                    "--axis", "x"), 2),
+        (_grid_text(), ("annihilate", "@", "--gamma", "nan", "0", "--axis", "x"), 2),
+        (_grid_text(), ("annihilate", "@", "--gamma", "5i", "0", "--axis", "y"), 2),
+        (_grid_text(level=2000), ("detect", "@"), 2),
+        (_SUM % ("NaN", 0.5), (*_SAMPLE, "--level", "0"), 2),
+        (_SUM % (1, 0.5), (*_SAMPLE, "--level", "-1"), 2),
+        (_SUM % (1, 0.5), ("sample", "@", "--level", "0", "--width", "0",
+                           "--height", "3"), 2),
+        (_SUM % (1, 800), (*_SAMPLE, "--level", "0"), 4),
+        ('{"level": 0, "values": [1, 2, Infinity, 8, 16]}', ("refine", "@", "--auto"), 2),
+        ('{"level": 2000, "values": [1, 2, 4, 8, 16]}', ("refine", "@", "--auto"), 2),
+    ],
+    ids=[
+        "nan-grid-single", "nan-grid-robust", "inf-grid-annihilate", "nan-gamma",
+        "gamma-beyond-pi", "grid-level-2000", "nan-coefficient", "sample-level-minus-1",
+        "sample-width-0", "sample-overflow", "inf-series", "series-level-2000",
+    ],
+)
+def test_bad_input_exit_code(tmp_path, capsys, text, argv, code):
+    path = write(tmp_path, "input.json", text)
+    got, out, err = run(capsys, *(path if a == "@" else a for a in argv))
+    assert (got, out) == (code, "")
+    assert err.startswith("error: " if code == 2 else "numerical failure: ")

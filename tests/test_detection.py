@@ -1,12 +1,19 @@
 import math
+import statistics
 
 import numpy as np
 import pytest
 
 from expann.detection import (
     BUTTERFLY_UNION_OFFSETS,
+    DEFAULT_STENCILS,
+    DEFAULT_TOL_DEN,
+    DEFAULT_TOL_RES,
     Classification,
+    CoshEstimate,
     StencilDirectionSet,
+    _real_quotients,
+    _six_point,
     classify_constant,
     cosh_from_stencil,
     cosh_to_frequency,
@@ -26,8 +33,12 @@ from expann.expspace import (
     sample,
     symmetric_set,
 )
-from expann.operators import IntegerStep
-from expann.oracle import RandomSpec, SplitMix64, random_symmetric_sum
+from expann.operators import (
+    IntegerStep,
+    grid_residual,
+    reduced_chain_for_symmetric_set,
+)
+from expann.oracle import RandomSpec, SplitMix64, random_instance, random_symmetric_sum
 
 SPEC = RandomSpec(seed=0)
 
@@ -323,3 +334,141 @@ class TestDetectUnivariate:
         s = sample(f, 0, (-2, -2), 6, 6)
         est = cosh_from_stencil(s, (0, 0), (1, 0), IntegerStep(1, 1))
         assert abs(est.value.real - math.cosh(g_uni.value.real)) <= 1e-10
+
+
+class TestNonFiniteResidual:
+    def test_nan_outside_the_stencils_is_inconsistent(self):
+        g = FrequencyVector.of(0.8, 0.3)
+        f = ExponentialSum(tuple((1.0, m) for m in symmetric_set(g)))
+        s = sample(f, 0, (-3, -3), 9, 9)
+        vals = s.values.copy()
+        vals[8, 8] = math.nan  # a corner no default stencil at (0, 0) reads
+        rep = detect(GridSamples(0, s.origin, 9, 9, vals.ravel()), (0, 0))
+        assert rep.classification is Classification.INCONSISTENT
+        assert math.isnan(rep.residual)
+
+
+# --- scalar per-point reference for the array kernel ----------------------
+#
+# detect() as it was computed one point at a time before the array kernel:
+# the quotient from value_at, the fallback loop, the per-point robust loop
+# and the five-point constancy probe.
+
+
+def _ref_diff(s, b, step):
+    return s.value_at((b[0] + step.dx, b[1] + step.dy)) - s.value_at(b)
+
+
+def _ref_estimate(s, a, e, step, tol):
+    d0, d1, d2 = (_ref_diff(s, (a[0] + k * e[0], a[1] + k * e[1]), step) for k in range(3))
+    if abs(d1) <= tol:
+        return None
+    return CoshEstimate(e, (d2 + d0) / (2.0 * d1), a, step, abs(d1))
+
+
+def _ref_robust(s, alpha, e, steps, tol):
+    ests = []
+    for step in steps:
+        for b in s.indices():
+            try:
+                est = _ref_estimate(s, b, e, step, tol)
+            except OutOfWindowError:
+                continue
+            if est is not None:
+                ests.append(est)
+    if not ests:
+        return None, 0
+    value = statistics.median(est.value.real for est in ests)
+    mag = statistics.median(est.denominator_magnitude for est in ests)
+    return CoshEstimate(e, complex(value, 0.0), alpha, steps[0], mag), len(ests)
+
+
+def _ref_detect(s, alpha, mode):
+    tol = DEFAULT_TOL_DEN * s.max_abs()
+    estimates, comps, extras, counts = [], [], [], []
+    for e in ((1, 0), (0, 1)):
+        steps = DEFAULT_STENCILS.for_axis(e)
+        if mode == "single":
+            tried = (_ref_estimate(s, alpha, e, st, tol) for st in steps)
+            est = next((t for t in tried if t is not None), None)
+        else:
+            est, count = _ref_robust(s, alpha, e, steps, tol)
+            counts.append(count)
+        if est is None:
+            probe = (alpha[0] + e[0], alpha[1] + e[1])
+            if not all(abs(_ref_diff(s, probe, st)) <= tol for st in steps):
+                return Classification.INCONSISTENT, None, estimates, math.nan, counts
+            comps.append(Frequency(0.0))
+            extras.append(steps[0])
+            continue
+        estimates.append(est)
+        extras.append(est.step_used)
+        try:
+            comps.append(cosh_to_frequency(est.value, s.spacing))
+        except InvalidCoshError:
+            return Classification.INCONSISTENT, None, estimates, math.nan, counts
+    g = FrequencyVector(*comps)
+    residual = max(
+        grid_residual(reduced_chain_for_symmetric_set(g, e, x), s)
+        for e, x in zip(((1, 0), (0, 1)), extras)
+    )
+    if not residual <= DEFAULT_TOL_RES:
+        return Classification.INCONSISTENT, None, estimates, residual, counts
+    if not estimates:
+        return Classification.CONSTANT, None, estimates, residual, counts
+    return Classification.FREQUENCY, g, estimates, residual, counts
+
+
+def _kernel_cases():
+    for seed in range(300):
+        yield random_instance(RandomSpec(seed=seed))[2]
+    rng = SplitMix64(5)
+    for n in (24, 32, 40):
+        g = FrequencyVector.of(rng.uniform(0.1, 0.6), 1j * rng.uniform(0.1, 1.0))
+        yield sample(random_symmetric_sum(rng, SPEC, g), 3, (-n // 2, -n // 2), n, n)
+
+
+def _bits(x: float) -> str:
+    return float(x).hex()
+
+
+def _est_bits(est):
+    v = est.value
+    return est.axis, est.base, est.step_used, _bits(v.real), _bits(v.imag), _bits(
+        est.denominator_magnitude
+    )
+
+
+@pytest.mark.parametrize("mode", ["single", "robust"])
+def test_detect_matches_scalar_reference_bitwise(mode):
+    classes = set()
+    for s in _kernel_cases():
+        alpha = (s.origin[0] + s.width // 2 - 1, s.origin[1] + s.height // 2 - 1)
+        rep = detect(s, alpha, mode=mode)
+        cls, freq, ests, residual, counts = _ref_detect(s, alpha, mode)
+        classes.add(cls)
+        assert rep.classification is cls
+        assert rep.frequency == freq
+        assert [_est_bits(x) for x in rep.estimates] == [_est_bits(x) for x in ests]
+        assert _bits(rep.residual) == _bits(residual)
+        tol = DEFAULT_TOL_DEN * s.max_abs()
+        for e, count in zip(((1, 0), (0, 1)), counts):
+            kernels = [_six_point(s, e, st) for st in DEFAULT_STENCILS.for_axis(e)]
+            assert sum(int(np.sum(np.abs(k[3]) > tol)) for k in kernels) == count
+    assert Classification.FREQUENCY in classes
+
+
+def test_real_quotients_round_like_python():
+    rng = np.random.default_rng(3)
+    scale = lambda n: rng.standard_normal(n) * 2.0 ** rng.integers(-40, 40, n)
+    num = scale(20000) + 1j * scale(20000)
+    den = scale(20000) + 1j * scale(20000)
+    special = [0.0, -0.0, 1.0, -2.5]
+    pairs = [complex(a, b) for a in special for b in special]
+    num = np.concatenate([num, np.repeat(pairs, len(pairs))])
+    den = np.concatenate([den, np.tile(pairs, len(pairs))])
+    keep = den != 0
+    num, den = num[keep], den[keep]
+    got = _real_quotients(num, den)
+    want = [(complex(a) / (2.0 * complex(b))).real for a, b in zip(num, den)]
+    assert [_bits(x) for x in got] == [_bits(x) for x in want]

@@ -40,7 +40,11 @@ class TestFrequency:
     def test_imaginary_accepted(self):
         assert Frequency(0.5j).value == 0.5j
 
-    @pytest.mark.parametrize("bad", [1 + 1j, complex(0, math.pi), complex(0, -math.pi), 2j * math.pi])
+    @pytest.mark.parametrize(
+        "bad",
+        [1 + 1j, complex(0, math.pi), complex(0, -math.pi), 2j * math.pi,
+         math.nan, math.inf, -math.inf, complex(0, math.nan)],
+    )
     def test_rejects_outside_domain(self, bad):
         with pytest.raises(ValueError):
             Frequency(bad)
