@@ -192,9 +192,7 @@ def _window_shift(values, dx: int, dy: int):
     and at alpha over every alpha where both exist, possibly none, and the
     (column, row) offset of that window in ``values``."""
     h, w = values.shape
-    rows, cols = h - abs(dy), w - abs(dx)
-    if rows < 1 or cols < 1:
-        rows = cols = 0
+    rows, cols = max(h - abs(dy), 0), max(w - abs(dx), 0)
     r1, c1 = (-dy if dy < 0 else 0), (-dx if dx < 0 else 0)
     shifted = values[r1 + dy : r1 + dy + rows, c1 + dx : c1 + dx + cols]
     base = values[r1 : r1 + rows, c1 : c1 + cols]
