@@ -12,7 +12,6 @@ Exit codes: 0 success, 2 input error, 3 detection inconsistency,
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from pathlib import Path
@@ -60,10 +59,6 @@ def _parse_rate(token: str) -> Frequency:
         raise InputError(f"cannot parse frequency component {token!r}: {exc}") from exc
 
 
-def _pair_json(v: complex) -> str:
-    return f"[{jsonio.format_float(v.real)}, {jsonio.format_float(v.imag)}]"
-
-
 def cmd_sample(args) -> int:
     f = jsonio.load_sum(_read(args.sumfile))
     try:
@@ -74,32 +69,23 @@ def cmd_sample(args) -> int:
     return EXIT_OK
 
 
-def _report_json(report, mode: str) -> str:
-    by_axis = {est.axis: est for est in report.estimates}
-    axis_parts = []
-    for name, axis in (("x", (1, 0)), ("y", (0, 1))):
-        est = by_axis.get(axis)
-        if est is None:
-            axis_parts.append(f'"{name}": {{"cosh": null, "step": null}}')
-        else:
-            axis_parts.append(
-                f'"{name}": {{"cosh": {_pair_json(est.value)}, '
-                f'"step": [{est.step_used.dx}, {est.step_used.dy}]}}'
-            )
-    gamma = (
-        "null"
-        if report.frequency is None
-        else f"[{_pair_json(report.frequency.g1.value)}, {_pair_json(report.frequency.g2.value)}]"
-    )
-    residual = (
-        "null" if math.isnan(report.residual) else jsonio.format_float(report.residual)
-    )
-    reason = f', "reason": {json.dumps(report.reason)}' if report.reason else ""
-    return (
-        f'{{"classification": "{report.classification.value}", "gamma": {gamma}, '
-        f'"axes": {{{", ".join(axis_parts)}}}, "residual": {residual}, '
-        f'"mode": "{mode}"{reason}}}'
-    )
+def _report_doc(report, mode: str) -> dict:
+    axes = {name: {"cosh": None, "step": None} for name in ("x", "y")}
+    for est in report.estimates:
+        step = [est.step_used.dx, est.step_used.dy]
+        axes["x" if est.axis == (1, 0) else "y"] = {"cosh": est.value, "step": step}
+    g = report.frequency
+    doc = {
+        "classification": report.classification.value,
+        "gamma": None if g is None else [g.g1.value, g.g2.value],
+        "axes": axes,
+        # a NaN residual is the sentinel of a report that never got that far
+        "residual": None if math.isnan(report.residual) else report.residual,
+        "mode": mode,
+    }
+    if report.reason:
+        doc["reason"] = report.reason
+    return doc
 
 
 def cmd_detect(args) -> int:
@@ -119,7 +105,7 @@ def cmd_detect(args) -> int:
         tol_res=args.tol_res,
         tol_im=args.tol_im,
     )
-    print(_report_json(report, args.mode))
+    print(jsonio.dumps(_report_doc(report, args.mode)))
     if report.classification is Classification.INCONSISTENT:
         return EXIT_INCONSISTENT
     return EXIT_OK
@@ -133,17 +119,18 @@ def cmd_annihilate(args) -> int:
     chain = reduced_chain_for_symmetric_set(g, axis, extra)
     residual = grid_residual(chain, grid)
     out_grid = chain_apply(chain, grid)
-    grid_json = jsonio.dump_grid(out_grid)
+    doc = {
+        "residual": residual,
+        "axis": args.axis,
+        "gamma": [g.g1.value, g.g2.value],
+        "extra_step": [extra.dx, extra.dy],
+    }
     if args.output:
-        Path(args.output).write_text(grid_json + "\n", encoding="utf-8")
-        tail = f'"output": {json.dumps(args.output)}'
+        Path(args.output).write_text(jsonio.dump_grid(out_grid) + "\n", encoding="utf-8")
+        doc["output"] = args.output
     else:
-        tail = f'"residual_grid": {grid_json}'
-    print(
-        f'{{"residual": {jsonio.format_float(residual)}, "axis": "{args.axis}", '
-        f'"gamma": [{_pair_json(g.g1.value)}, {_pair_json(g.g2.value)}], '
-        f'"extra_step": [{extra.dx}, {extra.dy}], {tail}}}'
-    )
+        doc["residual_grid"] = jsonio.grid_doc(out_grid)
+    print(jsonio.dumps(doc))
     return EXIT_OK
 
 
@@ -158,10 +145,7 @@ def cmd_refine(args) -> int:
             p = refine_parameter(p)
     else:
         data, g = auto_refine(values, level, args.rounds)
-        print(
-            f"detected frequency: {_pair_json(g.value)}",
-            file=sys.stderr,
-        )
+        print(f"detected frequency: {jsonio.dumps(g.value)}", file=sys.stderr)
     # each round keeps [origin+1, origin+n-2] and doubles the index scale
     for _ in range(args.rounds):
         origin = 2 * (origin + 1)
@@ -172,12 +156,12 @@ def cmd_refine(args) -> int:
 def cmd_generate(args) -> int:
     spec = RandomSpec(seed=args.seed)
     g, f, grid = random_instance(spec)
-    print(
-        f'{{"seed": {args.seed}, '
-        f'"frequency": [{_pair_json(g.g1.value)}, {_pair_json(g.g2.value)}], '
-        f'"sum": {jsonio.dump_sum(f)}, '
-        f'"grid": {jsonio.dump_grid(grid)}}}'
-    )
+    print(jsonio.dumps({
+        "seed": args.seed,
+        "frequency": [g.g1.value, g.g2.value],
+        "sum": jsonio.sum_doc(f),
+        "grid": jsonio.grid_doc(grid),
+    }))
     return EXIT_OK
 
 

@@ -6,8 +6,8 @@ Sum files:    {"terms": [{"coeff": [re, im], "freq": [[re, im], [re, im]]}]}
 Series files: {"level": k, "origin": i, "values": [...]}
 
 A value is a plain number or an [re, im] pair; everything is normalized to
-complex on load.  All floats are written with 17 significant digits so a
-rerun reproduces files byte for byte.
+complex on load.  Every byte expann writes comes from ``dumps``: floats
+carry 17 significant digits, so a rerun reproduces files byte for byte.
 """
 
 from __future__ import annotations
@@ -18,11 +18,13 @@ import sys
 
 import numpy as np
 
-from .errors import FileFormatError
+from .errors import FileFormatError, RangeOverflowError
 from .expspace import MAX_LEVEL, ExponentialSum, FrequencyVector, GridSamples
 
 __all__ = [
-    "format_float",
+    "dumps",
+    "grid_doc",
+    "sum_doc",
     "load_grid",
     "dump_grid",
     "load_sum",
@@ -34,16 +36,32 @@ __all__ = [
 _FLOAT_MAX = sys.float_info.max
 
 
-def format_float(x: float) -> str:
-    if not math.isfinite(x):
-        raise ValueError(f"cannot serialize {x}")
-    return f"{x:.17g}"
+def dumps(obj) -> str:
+    """JSON text of the types the outputs use: a complex is always written
+    as [re, im], and a float with 17 significant digits."""
+    if isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise RangeOverflowError(f"cannot write the non-finite number {obj}")
+        return f"{obj:.17g}"
+    if isinstance(obj, complex):
+        return f"[{dumps(obj.real)}, {dumps(obj.imag)}]"
+    if isinstance(obj, list):
+        return f"[{', '.join(map(dumps, obj))}]"
+    if isinstance(obj, dict):
+        return "{" + ", ".join(f"{json.dumps(k)}: {dumps(v)}" for k, v in obj.items()) + "}"
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, int) and not isinstance(obj, bool):
+        return str(obj)
+    if obj is None:
+        return "null"
+    raise TypeError(f"cannot write {type(obj).__name__} as JSON")
 
 
-def _format_value(v: complex) -> str:
-    if v.imag == 0.0:
-        return format_float(v.real)
-    return f"[{format_float(v.real)}, {format_float(v.imag)}]"
+def _plain_values(values) -> list:
+    """Grid and series values; one with a zero imaginary part is a plain number."""
+    flat = np.asarray(values, dtype=np.complex128).ravel().tolist()
+    return [v.real if v.imag == 0.0 else v for v in flat]
 
 
 def _is_number(x) -> bool:
@@ -104,12 +122,13 @@ def load_grid(text: str) -> GridSamples:
         raise FileFormatError(f"grid file: {exc}") from exc
 
 
+def grid_doc(s: GridSamples) -> dict:
+    return {"level": s.level, "origin": list(s.origin), "width": s.width,
+            "height": s.height, "values": _plain_values(s.values)}
+
+
 def dump_grid(s: GridSamples) -> str:
-    vals = ", ".join(_format_value(complex(v)) for v in s.values.ravel())
-    return (
-        f'{{"level": {s.level}, "origin": [{s.origin[0]}, {s.origin[1]}], '
-        f'"width": {s.width}, "height": {s.height}, "values": [{vals}]}}'
-    )
+    return dumps(grid_doc(s))
 
 
 def load_sum(text: str) -> ExponentialSum:
@@ -135,17 +154,12 @@ def load_sum(text: str) -> ExponentialSum:
     return ExponentialSum(tuple(terms))
 
 
-def _format_pair(v: complex) -> str:
-    return f"[{format_float(v.real)}, {format_float(v.imag)}]"
+def sum_doc(f: ExponentialSum) -> dict:
+    return {"terms": [{"coeff": c, "freq": [g.g1.value, g.g2.value]} for c, g in f.terms]}
 
 
 def dump_sum(f: ExponentialSum) -> str:
-    terms = ", ".join(
-        f'{{"coeff": {_format_pair(c)}, '
-        f'"freq": [{_format_pair(g.g1.value)}, {_format_pair(g.g2.value)}]}}'
-        for c, g in f.terms
-    )
-    return f'{{"terms": [{terms}]}}'
+    return dumps(sum_doc(f))
 
 
 def load_series(text: str) -> tuple[np.ndarray, int, int]:
@@ -165,5 +179,4 @@ def load_series(text: str) -> tuple[np.ndarray, int, int]:
 
 
 def dump_series(values, level: int, origin: int = 0) -> str:
-    vals = ", ".join(_format_value(complex(v)) for v in values)
-    return f'{{"level": {level}, "origin": {origin}, "values": [{vals}]}}'
+    return dumps({"level": level, "origin": origin, "values": _plain_values(values)})
