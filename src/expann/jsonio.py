@@ -69,12 +69,29 @@ def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= _FLOAT_MAX
 
 
-def _parse_value(raw, where: str) -> complex:
-    if isinstance(raw, (int, float)) and not isinstance(raw, bool) and abs(raw) <= _FLOAT_MAX:
-        return complex(raw)  # the common case, inlined: grids hold many values
+def _parse_value(raw) -> complex | None:
+    """A finite number or [re, im] pair as complex; None for anything else."""
+    if _is_number(raw):
+        return complex(raw)
     if isinstance(raw, list) and len(raw) == 2 and _is_number(raw[0]) and _is_number(raw[1]):
         return complex(raw[0], raw[1])
-    raise FileFormatError(f"{where}: expected a finite number or [re, im] pair, got {raw!r}")
+    return None
+
+
+def _require_value(raw, where: str) -> complex:
+    value = _parse_value(raw)
+    if value is None:
+        raise FileFormatError(f"{where}: expected a finite number or [re, im] pair, got {raw!r}")
+    return value
+
+
+def _parse_values(raw: list, what: str) -> list[complex]:
+    # the location label is built only for a bad value, not for every value
+    values = list(map(_parse_value, raw))
+    if None in values:
+        i = values.index(None)
+        _require_value(raw[i], f"{what}: values[{i}]")  # raises
+    return values
 
 
 def _parse_json(text: str, what: str) -> dict:
@@ -115,7 +132,7 @@ def load_grid(text: str) -> GridSamples:
         raise FileFormatError(
             f"grid file: expected {width * height} values, got {len(raw)}"
         )
-    values = [_parse_value(v, f"grid file: values[{i}]") for i, v in enumerate(raw)]
+    values = _parse_values(raw, "grid file")
     try:
         return GridSamples(level, (origin[0], origin[1]), width, height, values)
     except ValueError as exc:
@@ -141,11 +158,11 @@ def load_sum(text: str) -> ExponentialSum:
         where = f"sum file: terms[{i}]"
         if not isinstance(t, dict):
             raise FileFormatError(f"{where}: must be an object")
-        coeff = _parse_value(t.get("coeff"), f"{where}.coeff")
+        coeff = _require_value(t.get("coeff"), f"{where}.coeff")
         freq = t.get("freq")
         if not isinstance(freq, list) or len(freq) != 2:
             raise FileFormatError(f"{where}.freq: must be [[re, im], [re, im]]")
-        comps = [_parse_value(c, f"{where}.freq[{j}]") for j, c in enumerate(freq)]
+        comps = [_require_value(c, f"{where}.freq[{j}]") for j, c in enumerate(freq)]
         try:
             fv = FrequencyVector.of(*comps)
         except ValueError as exc:
@@ -174,7 +191,7 @@ def load_series(text: str) -> tuple[np.ndarray, int, int]:
     raw = doc.get("values")
     if not isinstance(raw, list) or not raw:
         raise FileFormatError("series file: field 'values' must be a non-empty array")
-    values = [_parse_value(v, f"series file: values[{i}]") for i, v in enumerate(raw)]
+    values = _parse_values(raw, "series file")
     return np.asarray(values, dtype=np.complex128), level, origin
 
 
