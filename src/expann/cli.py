@@ -25,7 +25,7 @@ from .detection import (
     detect,
 )
 from .errors import FileFormatError, InputError, NumericalError
-from .expspace import Frequency, FrequencyVector, sample
+from .expspace import MAX_LEVEL, Frequency, FrequencyVector, sample
 from .operators import (
     IntegerStep,
     chain_apply,
@@ -115,7 +115,10 @@ def cmd_annihilate(args) -> int:
     grid = jsonio.load_grid(_read(args.gridfile))
     g = FrequencyVector.of(_parse_rate(args.gamma[0]), _parse_rate(args.gamma[1]))
     axis = (1, 0) if args.axis == "x" else (0, 1)
-    extra = IntegerStep(args.extra_step[0], args.extra_step[1])
+    try:
+        extra = IntegerStep(args.extra_step[0], args.extra_step[1])
+    except ValueError as exc:
+        raise InputError(f"--extra-step: {exc}") from exc
     chain = reduced_chain_for_symmetric_set(g, axis, extra)
     residual = grid_residual(chain, grid)
     out_grid = chain_apply(chain, grid)
@@ -136,6 +139,9 @@ def cmd_annihilate(args) -> int:
 
 def cmd_refine(args) -> int:
     values, level, origin = jsonio.load_series(_read(args.datafile))
+    # the output level, level + rounds, must stay loadable
+    if not 0 <= args.rounds <= MAX_LEVEL - level:
+        raise InputError(f"--rounds must lie in 0..{MAX_LEVEL - level} at level {level}")
     if args.gamma is not None:
         g = _parse_rate(args.gamma)
         data = values
@@ -145,11 +151,13 @@ def cmd_refine(args) -> int:
             p = refine_parameter(p)
     else:
         data, g = auto_refine(values, level, args.rounds)
-        print(f"detected frequency: {jsonio.dumps(g.value)}", file=sys.stderr)
     # each round keeps [origin+1, origin+n-2] and doubles the index scale
     for _ in range(args.rounds):
         origin = 2 * (origin + 1)
-    print(jsonio.dump_series(data, level + args.rounds, origin))
+    text = jsonio.dump_series(data, level + args.rounds, origin)  # may fail: write nothing before
+    if args.auto:
+        print(f"detected frequency: {jsonio.dumps(g.value)}", file=sys.stderr)
+    print(text)
     return EXIT_OK
 
 

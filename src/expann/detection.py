@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DenominatorZeroError, InvalidCoshError, OutOfWindowError
+from .errors import DenominatorZeroError, InputError, InvalidCoshError, OutOfWindowError
 from .expspace import Frequency, FrequencyVector, GridSamples
 from .operators import (
     IntegerStep,
@@ -290,6 +290,11 @@ def detect(
     """
     if mode not in ("single", "robust"):
         raise ValueError(f"unknown mode {mode!r}")
+    if not 0.0 <= tol_den < math.inf:  # inf * sup|S| is NaN on an all-zero grid
+        raise InputError(f"tol_den must be a finite non-negative number, got {tol_den}")
+    for name, tol in (("tol_res", tol_res), ("tol_im", tol_im)):
+        if not tol >= 0.0:  # NaN fails too; inf accepts everything
+            raise InputError(f"{name} must be a non-negative number, got {tol}")
     alpha = (int(alpha[0]), int(alpha[1]))
     tol = tol_den * s.max_abs()
     estimates: list[CoshEstimate] = []

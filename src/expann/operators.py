@@ -15,7 +15,7 @@ import math
 import operator as _op
 from dataclasses import dataclass
 
-from .errors import EmptyWindowError
+from .errors import EmptyWindowError, RangeOverflowError
 from .expspace import (
     ExponentialSum,
     FrequencySet,
@@ -215,7 +215,10 @@ def delta_apply_grid(
             f"step ({dx}, {dy}) exhausts a {s.width}x{s.height} window"
         )
     h = s.spacing
-    weight = cmath.exp(gamma.dot(dx * h, dy * h))
+    try:
+        weight = cmath.exp(gamma.dot(dx * h, dy * h))
+    except OverflowError as exc:
+        raise RangeOverflowError("a difference weight overflows the floating-point range") from exc
     new_h, new_w = shifted.shape
     new_origin = (s.origin[0] + c1, s.origin[1] + r1)
     return GridSamples(s.level, new_origin, new_w, new_h, shifted - weight * base)

@@ -16,7 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detection import detect_univariate
-from .errors import InvalidParameterError, SingularRuleError, TooShortError
+from .errors import (
+    InvalidParameterError,
+    RangeOverflowError,
+    SingularRuleError,
+    TooShortError,
+)
 from .expspace import Frequency
 
 __all__ = [
@@ -39,7 +44,10 @@ class LevelParameter:
     @classmethod
     def from_frequency(cls, g: Frequency | complex, level: int) -> "LevelParameter":
         rate = g.value if isinstance(g, Frequency) else complex(g)
-        return cls(level, cmath.cosh(math.ldexp(1.0, -level) * rate))
+        try:
+            return cls(level, cmath.cosh(math.ldexp(1.0, -level) * rate))
+        except OverflowError as exc:
+            raise RangeOverflowError(f"cosh of rate {rate} overflows at level {level}") from exc
 
 
 @dataclass(frozen=True)

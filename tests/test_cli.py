@@ -265,12 +265,25 @@ def _grid_text(level=0, bad=None):
     return json.dumps(doc)
 
 
+def _grid_9x9(row_value):
+    values = [row_value(i // 9) for i in range(81)]
+    return json.dumps({"level": 0, "origin": [0, 0], "width": 9, "height": 9, "values": values})
+
+
 _SUM = '{"terms": [{"coeff": [%s, 0], "freq": [[%s, 0], [0, 0]]}]}'
 _SAMPLE = ("sample", "@", "--width", "3", "--height", "3")
+_HUGE_ROWS = _grid_9x9(lambda j: (-1) ** j * 1e308)  # differences overflow to NaN
+_CONSTANT = _grid_9x9(lambda j: 2.5)
+_HUGE_SERIES = '{"level": 0, "values": [1e308, 1e308, 1e308, 1e308, 1e308, 1e308]}'
+_SERIES = '{"level": 0, "values": [1, 2, 4, 8, 16, 32]}'
+_ANNIHILATE_X = ("annihilate", "@", "--gamma", "0.5", "0", "--axis", "x")
 
 
-# Each input once ended in a traceback (exit 1) or, for the NaN grid in
-# single mode, in exit 0 with a "Frequency" report and a null residual.
+# Each input once ended in a traceback (exit 1); or in exit 0 with a
+# "Frequency" report and a null residual (the NaN grid in single mode), a
+# series file expann cannot read back (--rounds -1), or a report that
+# ignored the tolerance (--tol-res nan always Inconsistent, --tol-im nan
+# accepting any imaginary part).
 @pytest.mark.parametrize(
     "text, argv, code",
     [
@@ -288,11 +301,32 @@ _SAMPLE = ("sample", "@", "--width", "3", "--height", "3")
         (_SUM % (1, 800), (*_SAMPLE, "--level", "0"), 4),
         ('{"level": 0, "values": [1, 2, Infinity, 8, 16]}', ("refine", "@", "--auto"), 2),
         ('{"level": 2000, "values": [1, 2, 4, 8, 16]}', ("refine", "@", "--auto"), 2),
+        (_HUGE_ROWS, ("detect", "@"), 4),
+        (_HUGE_ROWS, ("detect", "@", "--mode", "robust"), 4),
+        (_HUGE_ROWS, _ANNIHILATE_X, 4),
+        (_HUGE_SERIES, ("refine", "@", "--gamma", "0.5"), 4),
+        (_HUGE_SERIES, ("refine", "@", "--auto"), 4),
+        (_CONSTANT, (*_ANNIHILATE_X, "--extra-step", "0", "0"), 2),
+        (_CONSTANT, ("annihilate", "@", "--gamma", "1e308", "0", "--axis", "x"), 4),
+        (_CONSTANT, ("detect", "@", "--tol-den", "-1"), 2),
+        (_CONSTANT, ("detect", "@", "--tol-den", "-1", "--mode", "robust"), 2),
+        (_CONSTANT, ("detect", "@", "--tol-den", "nan"), 2),
+        (_CONSTANT, ("detect", "@", "--tol-den", "nan", "--mode", "robust"), 2),
+        (_grid_9x9(lambda j: 0.0), ("detect", "@", "--tol-den", "inf"), 2),
+        (_CONSTANT, ("detect", "@", "--tol-res", "nan"), 2),
+        (_CONSTANT, ("detect", "@", "--tol-im", "nan"), 2),
+        (_SERIES, ("refine", "@", "--gamma", "0.5", "--rounds", "-1"), 2),
+        (_SERIES, ("refine", "@", "--gamma", "800"), 4),
     ],
     ids=[
         "nan-grid-single", "nan-grid-robust", "inf-grid-annihilate", "nan-gamma",
         "gamma-beyond-pi", "grid-level-2000", "nan-coefficient", "sample-level-minus-1",
         "sample-width-0", "sample-overflow", "inf-series", "series-level-2000",
+        "nan-report-single", "nan-report-robust", "nan-annihilate-residual",
+        "nan-refine-gamma", "nan-refine-auto", "extra-step-0-0", "weight-overflow",
+        "tol-den-negative-single", "tol-den-negative-robust", "tol-den-nan-single",
+        "tol-den-nan-robust", "tol-den-inf-zero-grid", "tol-res-nan", "tol-im-nan",
+        "rounds-minus-1", "gamma-800-cosh-overflow",
     ],
 )
 def test_bad_input_exit_code(tmp_path, capsys, text, argv, code):
