@@ -154,7 +154,8 @@ def cmd_refine(args) -> int:
     # each round keeps [origin+1, origin+n-2] and doubles the index scale
     for _ in range(args.rounds):
         origin = 2 * (origin + 1)
-    text = jsonio.dump_series(data, level + args.rounds, origin)  # may fail: write nothing before
+    # serialize before printing anything, so a failing run prints only the failure
+    text = jsonio.dump_series(data, level + args.rounds, origin)
     if args.auto:
         print(f"detected frequency: {jsonio.dumps(g.value)}", file=sys.stderr)
     print(text)

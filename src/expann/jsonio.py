@@ -86,7 +86,7 @@ def _require_value(raw, where: str) -> complex:
 
 
 def _parse_values(raw: list, what: str) -> list[complex]:
-    # the location label is built only for a bad value, not for every value
+    # label only a bad value: a label per value costs more than parsing the value
     values = list(map(_parse_value, raw))
     if None in values:
         i = values.index(None)

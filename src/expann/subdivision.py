@@ -45,9 +45,10 @@ class LevelParameter:
     def from_frequency(cls, g: Frequency | complex, level: int) -> "LevelParameter":
         rate = g.value if isinstance(g, Frequency) else complex(g)
         try:
-            return cls(level, cmath.cosh(math.ldexp(1.0, -level) * rate))
+            c = cmath.cosh(math.ldexp(1.0, -level) * rate)
         except OverflowError as exc:
             raise RangeOverflowError(f"cosh of rate {rate} overflows at level {level}") from exc
+        return cls(level, c)
 
 
 @dataclass(frozen=True)
