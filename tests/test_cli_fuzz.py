@@ -53,11 +53,6 @@ def _mutated(draw, doc: dict) -> dict:
     return doc
 
 
-def _exponential(rate: float, count: int, offset: int = 0) -> list:
-    return [1.0 + math.exp(rate * (z + offset)) + math.exp(-rate * (z + offset))
-            for z in range(count)]
-
-
 @st.composite
 def grid_docs(draw) -> dict:
     w, h = draw(st.integers(1, MAX_SIDE)), draw(st.integers(1, MAX_SIDE))
@@ -97,7 +92,8 @@ def sum_docs(draw) -> dict:
 def series_docs(draw) -> dict:
     n = draw(st.integers(1, 10))
     if draw(st.booleans()):
-        values = _exponential(draw(st.floats(0.0, 2.0)), n, draw(st.integers(-3, 3)))
+        rate = draw(st.floats(0.0, 2.0))
+        values = [1.0 + math.exp(rate * z) + math.exp(-rate * z) for z in range(-3, n - 3)]
     else:
         values = draw(st.lists(_value, min_size=n, max_size=n))
     doc = {"level": draw(st.integers(0, 3)), "origin": draw(st.integers(-3, 3)),
