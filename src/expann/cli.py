@@ -16,6 +16,8 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import jsonio
 from .detection import (
     DEFAULT_TOL_DEN,
@@ -236,7 +238,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # a non-finite result already ends in exit 3 or 4; numpy's warnings add nothing
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import OutOfWindowError, RangeOverflowError
+from .errors import InputError, OutOfWindowError, RangeOverflowError
 
 __all__ = [
     "Frequency",
@@ -204,8 +204,9 @@ class ExponentialSum:
         return tuple(f for _, f in self.terms)
 
     def evaluate(self, z) -> complex:
-        z1, z2 = float(z[0]), float(z[1])
-        return sum((c * cmath.exp(f.dot(z1, z2)) for c, f in self.terms), 0j)
+        """Value at the real point z; one point of the kernel ``sample`` uses."""
+        x, y = np.array([float(z[0])]), np.array([float(z[1])])
+        return complex(_exp_sum(self.terms, x, y)[0, 0])
 
     def map_coefficients(self, fn) -> "ExponentialSum":
         """New sum with coefficient c of frequency g replaced by fn(c, g)."""
@@ -298,25 +299,76 @@ def evaluate(f: ExponentialSum, z) -> complex:
     return f.evaluate(z)
 
 
+# Real parts where cmath.exp rounds differently from np.exp: above
+# log(DBL_MAX / 4) ~ 708.4 it takes exp(re - 1) * e, and past ~710.2 both
+# overflow.  The band is wide enough to hold that interval.
+_RESCALED = (708.0, 711.0)
+
+
+def _cmath_exp(z: complex) -> complex:
+    try:
+        return cmath.exp(z)
+    except OverflowError:
+        return complex(math.inf, math.inf)
+
+
+def _exp_sum(terms, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The sum of c * exp(g1 x + g2 y) over ``terms`` at every point of the
+    grid ``(x[i], y[j])``, as a ``(len(y), len(x))`` array.
+
+    Every value is bitwise what CPython computes for
+    ``sum(c * cmath.exp(g1 * x + g2 * y) for ..., 0j)``: complex products are
+    done in real arithmetic in CPython's operand order, where numpy's complex
+    multiply differs in the last bit, and terms accumulate in order from
+    0j.  A non-finite value raises ``RangeOverflowError``.
+    """
+    acc = np.zeros((y.size, x.size), dtype=np.complex128)
+    arg = np.empty_like(acc)
+    with np.errstate(all="ignore"):
+        for c, f in terms:
+            g1, g2 = f.as_pair()
+            # complex * float as CPython does it: (g.re t - g.im 0, g.re 0 + g.im t)
+            np.add((g1.real * x - g1.imag * 0.0)[None, :],
+                   (g2.real * y - g2.imag * 0.0)[:, None], out=arg.real)
+            np.add((g1.real * 0.0 + g1.imag * x)[None, :],
+                   (g2.real * 0.0 + g2.imag * y)[:, None], out=arg.imag)
+            e = np.exp(arg)
+            # a NaN exponent fails the test, but it makes the sum non-finite anyway
+            if arg.real.max() > _RESCALED[0]:
+                band = (arg.real > _RESCALED[0]) & (arg.real < _RESCALED[1])
+                e[band] = [_cmath_exp(z) for z in arg[band].tolist()]
+            acc.real += c.real * e.real - c.imag * e.imag
+            acc.imag += c.real * e.imag + c.imag * e.real
+    if not np.isfinite(acc).all():
+        raise RangeOverflowError("a sample overflows the floating-point range")
+    return acc
+
+
 def sample(
     f: ExponentialSum, level: int, origin: tuple[int, int], width: int, height: int
 ) -> GridSamples:
     """Sample f on the index window [origin, origin + (width, height)) at
-    the given dyadic level; entry alpha holds f(2^-level * alpha)."""
+    the given dyadic level; entry alpha holds f(2^-level * alpha).
+
+    Raises ``ValueError`` for an empty window or a level outside
+    0..MAX_LEVEL, ``RangeOverflowError`` when a sample overflows, and
+    ``InputError`` when the window does not fit in memory.
+    """
     if width < 1 or height < 1:
         raise ValueError("window must be at least 1x1")
+    if not 0 <= level <= MAX_LEVEL:
+        raise ValueError(f"level must lie in 0..{MAX_LEVEL}, got {level}")
     h = math.ldexp(1.0, -level)
-    vals = np.empty((height, width), dtype=np.complex128)
+    o1, o2 = int(origin[0]), int(origin[1])
     try:
-        for j in range(height):
-            z2 = (origin[1] + j) * h
-            for i in range(width):
-                vals[j, i] = f.evaluate(((origin[0] + i) * h, z2))
-    except OverflowError as exc:  # from cmath.exp
-        raise RangeOverflowError("an exponential overflows the floating-point range") from exc
-    if not np.isfinite(vals).all():
-        raise RangeOverflowError("a sample overflows the floating-point range")
-    return GridSamples(level, (int(origin[0]), int(origin[1])), width, height, vals)
+        # float(index) * h, each index rounded once as Python rounds an int
+        x = np.array(range(o1, o1 + width), dtype=np.float64) * h
+        y = np.array(range(o2, o2 + height), dtype=np.float64) * h
+        return GridSamples(level, (o1, o2), width, height, _exp_sum(f.terms, x, y))
+    except OverflowError as exc:  # an index beyond the float range
+        raise RangeOverflowError("a sample overflows the floating-point range") from exc
+    except MemoryError as exc:
+        raise InputError(f"a {width}x{height} window does not fit in memory") from exc
 
 
 def symmetric_set(g: FrequencyVector) -> FrequencySet:

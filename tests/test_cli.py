@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -299,6 +303,7 @@ _ANNIHILATE_X = ("annihilate", "@", "--gamma", "0.5", "0", "--axis", "x")
         (_SUM % (1, 0.5), ("sample", "@", "--level", "0", "--width", "0",
                            "--height", "3"), 2),
         (_SUM % (1, 800), (*_SAMPLE, "--level", "0"), 4),
+        (_SUM % (1, 0.5), (*_SAMPLE, "--level", "-5000"), 2),
         ('{"level": 0, "values": [1, 2, Infinity, 8, 16]}', ("refine", "@", "--auto"), 2),
         ('{"level": 2000, "values": [1, 2, 4, 8, 16]}', ("refine", "@", "--auto"), 2),
         (_HUGE_ROWS, ("detect", "@"), 4),
@@ -321,7 +326,7 @@ _ANNIHILATE_X = ("annihilate", "@", "--gamma", "0.5", "0", "--axis", "x")
     ids=[
         "nan-grid-single", "nan-grid-robust", "inf-grid-annihilate", "nan-gamma",
         "gamma-beyond-pi", "grid-level-2000", "nan-coefficient", "sample-level-minus-1",
-        "sample-width-0", "sample-overflow", "inf-series", "series-level-2000",
+        "sample-width-0", "sample-overflow", "sample-level-minus-5000", "inf-series", "series-level-2000",
         "nan-report-single", "nan-report-robust", "nan-annihilate-residual",
         "nan-refine-gamma", "nan-refine-auto", "extra-step-0-0", "weight-overflow",
         "tol-den-negative-single", "tol-den-negative-robust", "tol-den-nan-single",
@@ -334,3 +339,35 @@ def test_bad_input_exit_code(tmp_path, capsys, text, argv, code):
     got, out, err = run(capsys, *(path if a == "@" else a for a in argv))
     assert (got, out) == (code, "")
     assert err.startswith("error: " if code == 2 else "numerical failure: ")
+
+
+def run_process(*argv, preexec_fn=None):
+    """expann as its own process; its stderr shows what pytest would capture."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
+    return subprocess.run([sys.executable, "-m", "expann.cli", *argv], env=env,
+                          capture_output=True, text=True, preexec_fn=preexec_fn,
+                          timeout=60)
+
+
+def test_numpy_warnings_stay_off_stderr(tmp_path):
+    # refinement overflows in numpy before the emitter rejects the NaN
+    path = write(tmp_path, "series.json", _HUGE_SERIES)
+    done = run_process("refine", path, "--auto")
+    assert (done.returncode, done.stdout) == (4, "")
+    [line] = done.stderr.splitlines()
+    assert line.startswith("numerical failure: ")
+
+
+def test_window_beyond_memory_exits_2(tmp_path):
+    resource = pytest.importorskip("resource")
+    cap = 1536 * 2**20  # far below the 6.4 GB window, so nothing is allocated
+
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    path = write(tmp_path, "sum.json", _SUM % (1, 0.5))
+    done = run_process("sample", path, "--level", "0", "--width", "20000",
+                       "--height", "20000", preexec_fn=limit_address_space)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == "error: a 20000x20000 window does not fit in memory\n"

@@ -1,10 +1,12 @@
+import cmath
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from expann.errors import OutOfWindowError
+from expann.errors import OutOfWindowError, RangeOverflowError
 from expann.expspace import (
     ExponentialSum,
     Frequency,
@@ -132,6 +134,16 @@ class TestEvaluate:
         v = evaluate(f, (0.0, 1.0))
         assert abs(v - 1j) < 1e-15
 
+    def test_overflow_raises_typed_error(self):
+        # the exponential itself overflows, once bare OverflowError from cmath.exp
+        f = ExponentialSum.single(1.0, FrequencyVector.of(800.0, 0.0))
+        with pytest.raises(RangeOverflowError):
+            evaluate(f, (1.0, 0.0))
+        # the exponential fits but the product with the coefficient does not
+        f = ExponentialSum.single(1e308, FrequencyVector.of(1.0, 0.0))
+        with pytest.raises(RangeOverflowError):
+            evaluate(f, (1.0, 0.0))
+
     @given(
         fvec_strategy(),
         fvec_strategy(),
@@ -193,6 +205,85 @@ class TestSample:
         s = sample(f, 2, (-1, -1), 4, 4)
         for alpha in s.indices():
             assert s.value_at(alpha) == evaluate(f, s.position(alpha))
+
+    def test_index_beyond_float_range_raises(self):
+        f = ExponentialSum.single(1.0, FrequencyVector.of(0.0, 0.0))
+        with pytest.raises(RangeOverflowError):
+            sample(f, 0, (10**400, 0), 1, 1)
+
+    def test_matches_scalar_reference_bitwise(self):
+        rng = np.random.default_rng(5)
+        outcomes = Counter()
+        for _ in range(400):
+            f = _random_sum(rng)
+            level = int(rng.integers(0, 9))
+            origin = (int(rng.integers(-200, 201)), int(rng.integers(-200, 201)))
+            size = (int(rng.integers(1, 9)), int(rng.integers(1, 9)))
+            outcomes[_compare(f, level, origin, size)] += 1
+        assert outcomes["equal"] > 300 and outcomes["raised"] > 0
+
+    def test_matches_scalar_reference_where_cmath_rescales(self):
+        # cmath.exp takes exp(re - 1) * e above re = log(DBL_MAX / 4) ~ 708.4
+        rng = np.random.default_rng(6)
+        outcomes = Counter()
+        for _ in range(400):
+            rate = rng.uniform(0.5, 3.0)
+            level = int(rng.integers(0, 9))
+            target = rng.uniform(705.0, 712.0) / (rate * math.ldexp(1.0, -level))
+            terms = [(_random_coefficient(rng) * 0.5, (rate, _random_component(rng)))]
+            terms += _random_sum(rng).terms[:2]
+            f = ExponentialSum(tuple(terms))
+            origin = (int(target), int(rng.integers(-4, 5)))
+            size = (int(rng.integers(1, 4)), int(rng.integers(1, 4)))
+            outcomes[_compare(f, level, origin, size)] += 1
+        assert outcomes["equal"] > 100 and outcomes["raised"] > 100
+
+
+def _random_component(rng) -> complex:
+    kind = rng.integers(3)
+    if kind == 0:
+        return 0.0
+    # real rates up to 8 overflow on some windows at levels 0..2
+    return rng.uniform(-8.0, 8.0) if kind == 1 else 1j * rng.uniform(-3.1, 3.1)
+
+
+def _random_coefficient(rng) -> complex:
+    re, im = rng.uniform(-2.0, 2.0, 2)
+    return [complex(re, im), complex(re, 0.0), complex(0.0, im)][rng.integers(3)]
+
+
+def _random_sum(rng) -> ExponentialSum:
+    return ExponentialSum(tuple(
+        (_random_coefficient(rng), (_random_component(rng), _random_component(rng)))
+        for _ in range(rng.integers(1, 7))
+    ))
+
+
+def _scalar_reference(f, level, origin, width, height) -> np.ndarray:
+    """The per-point loop the array kernel replaced: one cmath.exp per term
+    and point, summed in term order from 0j."""
+    h = math.ldexp(1.0, -level)
+    vals = np.empty((height, width), dtype=np.complex128)
+    for j in range(height):
+        for i in range(width):
+            z1, z2 = (origin[0] + i) * h, (origin[1] + j) * h
+            vals[j, i] = sum((c * cmath.exp(g.dot(z1, z2)) for c, g in f.terms), 0j)
+    if not np.isfinite(vals).all():
+        raise OverflowError("a sample overflows")
+    return vals
+
+
+def _compare(f, level, origin, size) -> str:
+    """Assert that sample and the reference agree bit for bit, or both raise."""
+    try:
+        want = _scalar_reference(f, level, origin, *size)
+    except OverflowError:
+        with pytest.raises(RangeOverflowError):
+            sample(f, level, origin, *size)
+        return "raised"
+    got = sample(f, level, origin, *size).values
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (f, level, origin)
+    return "equal"
 
 
 class TestGridSamples:
