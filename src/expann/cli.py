@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -35,7 +36,7 @@ from .operators import (
     reduced_chain_for_symmetric_set,
 )
 from .oracle import RandomSpec, random_instance
-from .subdivision import LevelParameter, auto_refine, refine, refine_parameter
+from .subdivision import auto_refine, refine_rounds
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -145,17 +146,12 @@ def cmd_refine(args) -> int:
     if not 0 <= args.rounds <= MAX_LEVEL - level:
         raise InputError(f"--rounds must lie in 0..{MAX_LEVEL - level} at level {level}")
     if args.gamma is not None:
-        g = _parse_rate(args.gamma)
-        data = values
-        p = LevelParameter.from_frequency(g, level)
-        for _ in range(args.rounds):
-            data = refine(data, p)
-            p = refine_parameter(p)
+        data = refine_rounds(values, _parse_rate(args.gamma), level, args.rounds)
     else:
         data, g = auto_refine(values, level, args.rounds)
-    # each round keeps [origin+1, origin+n-2] and doubles the index scale
-    for _ in range(args.rounds):
-        origin = 2 * (origin + 1)
+    # each round keeps [origin+1, origin+n-2] and doubles the index scale,
+    # origin -> 2 (origin + 1), so origin + 2 doubles per round
+    origin = (origin + 2) * 2**args.rounds - 2
     # serialize before printing anything, so a failing run prints only the failure
     text = jsonio.dump_series(data, level + args.rounds, origin)
     if args.auto:
@@ -176,8 +172,15 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):  # subparsers inherit the class
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # read -0.3i, a negative imaginary rate, as a value, as argparse reads -0.3
+        self._negative_number_matcher = re.compile(r"^-\d*\.?\d+([eE][+-]?\d+)?[ij]?$")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="expann",
         description="Annihilation operators for exponential spaces: "
         "sampling, frequency detection, and refinement demos.",

@@ -7,7 +7,9 @@ the denominator vanish, the next step from a fixed fallback list is tried;
 if every step fails, a five-point constancy probe decides whether the data
 is flat along that axis (frequency component zero) or simply not in the
 model space.  ``_six_point`` computes D and the quotient at every base point
-at once; every mode and the probe read their entries from it.
+at once; every mode and the probe read their entries from it.  The 1-D
+detector ``detect_univariate`` is a view over the same kernel: a series is
+a grid of one row, and its four-term relation is the quotient along x.
 """
 
 from __future__ import annotations
@@ -227,7 +229,6 @@ def classify_constant(
     alpha: tuple[int, int],
     e: tuple[int, int],
     tol_den: float = DEFAULT_TOL_DEN,
-    stencils: StencilDirectionSet = DEFAULT_STENCILS,
 ) -> bool:
     """Probe the five triangle-pair points around alpha + e for constancy.
 
@@ -235,7 +236,7 @@ def classify_constant(
     every fallback step of the axis; within the model space this certifies
     a constant function, i.e. frequency zero.
     """
-    kernels = [_six_point(s, e, step) for step in stencils.for_axis(e)]
+    kernels = [_six_point(s, e, step) for step in DEFAULT_STENCILS.for_axis(e)]
     return _is_constant(kernels, alpha, e, tol_den * s.max_abs())
 
 
@@ -275,7 +276,6 @@ def detect(
     tol_den: float = DEFAULT_TOL_DEN,
     tol_res: float = DEFAULT_TOL_RES,
     tol_im: float = DEFAULT_TOL_IM,
-    stencils: StencilDirectionSet = DEFAULT_STENCILS,
 ) -> DetectionReport:
     """Identify the frequency pair of grid data assumed to lie in a
     symmetric exponential family.
@@ -307,7 +307,7 @@ def detect(
         )
 
     for e in (_AXIS_X, _AXIS_Y):
-        steps = stencils.for_axis(e)
+        steps = DEFAULT_STENCILS.for_axis(e)
         if mode == "single":
             tried = (_estimate(_six_point(s, e, st), alpha, e, st, tol) for st in steps)
             est = next((t for t in tried if t is not None), None)
@@ -355,25 +355,19 @@ def detect_univariate(
     """Recover the rate of 1-D data in span{1, exp(g z), exp(-g z)} from the
     four consecutive samples alpha-1 .. alpha+2.
 
-    Solves the four-term relation for c = cosh(2^-level * g):
-    (2c + 1) (f(a+1) - f(a)) = f(a+2) - f(a-1).  Constant data maps to rate
-    zero; a vanishing denominator on non-constant data is an error.
+    A 1-D view of the grid quotient: the samples form a 1xn grid, and the
+    four-term relation (2c + 1) (f(a+1) - f(a)) = f(a+2) - f(a-1) is the
+    six-point quotient along x with step (1, 0) at base alpha - 1, which
+    gives c = cosh(2^-level * g).  Constant data maps to rate zero; a
+    vanishing denominator on non-constant data is an error.
     """
-    vals = [complex(v) for v in samples]
-    n = len(vals)
-    if not (0 <= alpha - 1 and alpha + 2 < n):
-        raise OutOfWindowError(
-            f"need indices {alpha - 1}..{alpha + 2} inside 0..{n - 1}"
-        )
-    sup = max(abs(v) for v in vals)
-    window = vals[alpha - 1 : alpha + 3]
-    den = window[2] - window[1]
-    if abs(den) <= tol_den * sup:
-        spread = max(abs(w - window[0]) for w in window)
-        if spread <= tol_den * sup:
-            return Frequency(0.0)
-        raise DenominatorZeroError(
-            f"f({alpha + 1}) - f({alpha}) vanishes on non-constant data"
-        )
-    c = ((window[3] - window[0]) / den - 1.0) / 2.0
-    return cosh_to_frequency(c, math.ldexp(1.0, -level), tol_im)
+    vals = np.asarray(samples, dtype=np.complex128)
+    row = GridSamples(level, (0, 0), vals.size, 1, vals)
+    tol, step = tol_den * row.max_abs(), IntegerStep(*_AXIS_X)
+    est = _estimate(_six_point(row, _AXIS_X, step), (alpha - 1, 0), _AXIS_X, step, tol)
+    if est is not None:
+        return cosh_to_frequency(est.value, row.spacing, tol_im)
+    window = row.values[0, alpha - 1 : alpha + 3]
+    if np.max(np.abs(window - window[0])) <= tol:
+        return Frequency(0.0)
+    raise DenominatorZeroError(f"f({alpha + 1}) - f({alpha}) vanishes on non-constant data")

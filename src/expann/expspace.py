@@ -56,14 +56,6 @@ class Frequency:
             if not -math.pi < v.imag < math.pi:
                 raise ValueError(f"imaginary frequency must lie in i(-pi, pi), got {v}")
 
-    @property
-    def is_real(self) -> bool:
-        return self.value.imag == 0.0
-
-    @property
-    def is_imaginary(self) -> bool:
-        return self.value.real == 0.0 and self.value.imag != 0.0
-
     def in_restricted_domain(self) -> bool:
         """True for the non-redundant half: real >= 0, or imaginary in i(0, pi)."""
         v = self.value
@@ -199,9 +191,6 @@ class ExponentialSum:
 
     def max_coefficient(self) -> float:
         return max((abs(c) for c, _ in self.terms), default=0.0)
-
-    def frequencies(self) -> tuple[FrequencyVector, ...]:
-        return tuple(f for _, f in self.terms)
 
     def evaluate(self, z) -> complex:
         """Value at the real point z; one point of the kernel ``sample`` uses."""

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 import operator as _op
 from dataclasses import dataclass
 
@@ -141,17 +142,17 @@ class AnnihilatorChain:
     def over_set(cls, gamma_set: FrequencySet, steps) -> "AnnihilatorChain":
         """Discrete chain with one factor per member of ``gamma_set``.
 
-        ``steps`` is either a single step applied to every factor or a
-        sequence of steps matching the set's length.
+        ``steps`` is either a single step (an ``IntegerStep`` or a pair of
+        ints) applied to every factor or a sequence of steps matching the
+        set's length.
         """
-        if isinstance(steps, (IntegerStep, tuple)) and not isinstance(steps, list):
+        if isinstance(steps, IntegerStep) or (
+            len(steps) == 2 and all(isinstance(k, numbers.Integral) for k in steps)
+        ):
             steps = [steps] * len(gamma_set)
         if len(steps) != len(gamma_set):
             raise ValueError("need one step per frequency")
         return cls.discrete(tuple(zip(gamma_set, steps)))
-
-    def is_discrete(self) -> bool:
-        return all(isinstance(s, IntegerStep) for _, s in self.factors)
 
 
 def diff_apply(

@@ -4,7 +4,8 @@ Refinement rules for exponential data must change with the level: the
 quantity that drives them is c_k = cosh(2^-k * g), which obeys the
 half-argument recursion c_{k+1} = sqrt((c_k + 1) / 2).  The inserted-point
 weights follow from two exactness conditions (constants and the symmetric
-exponential pair), solved as a linear system per level.
+exponential pair), whose solution has the closed form w = -1/(8c(c + 1)),
+u = 1/2 - w per level (Dyn, Levin & Luzzatto, Found. Comput. Math. 3, 2003).
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ __all__ = [
     "refine_parameter",
     "synthesize_rule",
     "refine",
+    "refine_rounds",
     "auto_refine",
 ]
 
@@ -81,17 +83,15 @@ def synthesize_rule(c_half: complex) -> InsertionRule:
 
     Exactness demands 2w + 2u = 1 and 2w*cosh(3x) + 2u*cosh(x) = 1 with
     c = cosh(x).  The second condition minus c times the first shares a
-    factor (c - 1) with its right-hand side; cancelling it leaves the
-    system below, regular through the polynomial limit c = 1 and singular
-    only at c in {0, -1}.
+    factor (c - 1) with its right-hand side; cancelling it leaves
+    8c(c + 1) w = -1, so w = -1/(8c(c + 1)) and u = 1/2 - w, exact through
+    the polynomial limit c = 1 and singular only at c in {0, -1}.
     """
     c = complex(c_half)
     if abs(c) <= 1e-12 or abs(c + 1.0) <= 1e-12:
         raise SingularRuleError(f"insertion weights undefined at cosh value {c}")
-    a = np.array([[2.0, 2.0], [8.0 * c * (c + 1.0), 0.0]], dtype=np.complex128)
-    b = np.array([1.0, -1.0], dtype=np.complex128)
-    w, u = np.linalg.solve(a, b)
-    return InsertionRule(outer=complex(w), inner=complex(u))
+    w = -1.0 / (8.0 * c * (c + 1.0))
+    return InsertionRule(outer=w, inner=0.5 - w)
 
 
 def refine(values, p: LevelParameter) -> np.ndarray:
@@ -115,19 +115,20 @@ def refine(values, p: LevelParameter) -> np.ndarray:
     return out
 
 
-def auto_refine(values, level: int, rounds: int) -> tuple[np.ndarray, Frequency]:
-    """Detect the rate of the data, then refine it ``rounds`` times.
+def refine_rounds(values, g: Frequency | complex, level: int, rounds: int):
+    """Refine data at ``level`` ``rounds`` times with the rules of rate g."""
+    p = LevelParameter.from_frequency(g, level)
+    for _ in range(rounds):
+        values = refine(values, p)
+        p = refine_parameter(p)
+    return values
 
-    Detection reads the leftmost full interior stencil (base index 1); the
-    rule parameter is advanced between rounds.  Returns the refined data
-    and the detected level-0 rate.
-    """
+
+def auto_refine(values, level: int, rounds: int) -> tuple[np.ndarray, Frequency]:
+    """Detect the rate of the data at its leftmost full stencil (base index
+    1), then refine it ``rounds`` times; returns the data and the level-0 rate."""
     f = np.asarray(values, dtype=np.complex128)
     if f.size < 4:
         raise TooShortError(f"need at least 4 samples, got {f.size}")
     g = detect_univariate(f, level, alpha=1)
-    p = LevelParameter.from_frequency(g, level)
-    for _ in range(rounds):
-        f = refine(f, p)
-        p = refine_parameter(p)
-    return f, g
+    return refine_rounds(f, g, level, rounds), g

@@ -157,6 +157,17 @@ class TestAnnihilate:
         assert doc["residual"] <= 1e-11
         assert "residual_grid" in doc
 
+    def test_negative_imaginary_gamma_token(self, tmp_path, capsys):
+        path, f = symmetric_sum_file(tmp_path, FrequencyVector.of(0.5, 0.3j))
+        grid_path = write(tmp_path, "grid.json", dump_grid(sample(f, 0, (-3, -3), 9, 9)))
+        code, out, _ = run(
+            capsys, "annihilate", grid_path, "--gamma", "0.5", "-0.3i", "--axis", "x",
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["gamma"] == [[0.5, 0], [0, -0.3]]
+        assert doc["residual"] <= 1e-11
+
     def test_wrong_gamma_large_residual(self, tmp_path, capsys):
         path, f = symmetric_sum_file(tmp_path, FrequencyVector.of(0.8, 0.3))
         grid = sample(f, 0, (-3, -3), 9, 9)
@@ -196,6 +207,14 @@ class TestRefine:
         for i, v in enumerate(doc["values"]):
             z = (doc["origin"] + i) * 0.5
             assert abs(v - f(z)) <= 1e-10 * max(abs(f(z)), 0.1)
+
+    def test_negative_imaginary_gamma_token(self, tmp_path, capsys):
+        vals = [1 + 2 * math.cos(0.5 * z) for z in range(10)]
+        path = write(tmp_path, "series.json", dump_series(vals, 0, 0))
+        code, out, err = run(capsys, "refine", path, "--gamma", "-0.5i")
+        assert (code, err) == (0, "")
+        assert (code, out, err) == run(capsys, "refine", path, "--gamma=-0.5i")
+        assert (code, out, err) == run(capsys, "refine", path, "--gamma", "-5e-1i")
 
     def test_short_series_exits_2(self, tmp_path, capsys):
         path = write(tmp_path, "series.json", dump_series([1.0, 2.0, 3.0], 0, 0))

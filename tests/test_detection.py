@@ -322,8 +322,28 @@ class TestDetectUnivariate:
             detect_univariate(f, 0, 1)
 
     def test_matches_bivariate_cosh(self):
-        vals = [1 + math.exp(0.6 * z) + math.exp(-0.6 * z) for z in range(-2, 4)]
-        g_uni = detect_univariate(vals, 0, 1)
+        # the 1-D detector is the grid quotient on a 1xn row, with the
+        # difference step along the axis at base alpha - 1: bit for bit
+        rng = np.random.default_rng(3)
+        inputs = [
+            ([1 + math.exp(0.6 * z) + math.exp(-0.6 * z) for z in range(-2, 4)], 0, 1),
+            ([1 + 2 * math.cos(0.5 * z * 0.25) for z in range(-3, 9)], 2, 5),
+            ([3 - 2j * math.cosh(0.8 * z / 64) for z in range(40)], 6, 1),
+        ]
+        for k in range(40):  # random spans, real and imaginary rates, levels 0..6
+            g = rng.uniform(0.05, 3.0) * (1j if k % 2 else 1)
+            c = rng.uniform(-2, 2, 3) + 1j * rng.uniform(-2, 2, 3) * (k % 3 == 0)
+            z = np.arange(-8, 8) * 2.0 ** -(k % 7)
+            vals = list(c[0] + c[1] * np.exp(g * z) + c[2] * np.exp(-g * z))
+            inputs.append((vals, k % 7, 1 + k % 13))
+        for vals, level, a in inputs:
+            row = GridSamples(level, (0, 0), len(vals), 1, vals)
+            g_uni = detect_univariate(vals, level, a)
+            est = cosh_from_stencil(row, (a - 1, 0), (1, 0), IntegerStep(1, 0))
+            g_grid = cosh_to_frequency(est.value, row.spacing)
+            assert g_uni.value.real.hex() == g_grid.value.real.hex()
+            assert g_uni.value.imag.hex() == g_grid.value.imag.hex()
+        # and it agrees with a diagonal stencil on the sampled 2-D function
         f = ExponentialSum(
             (
                 (1.0, FrequencyVector.zero()),
@@ -331,8 +351,8 @@ class TestDetectUnivariate:
                 (1.0, FrequencyVector.of(-0.6, 0.0)),
             )
         )
-        s = sample(f, 0, (-2, -2), 6, 6)
-        est = cosh_from_stencil(s, (0, 0), (1, 0), IntegerStep(1, 1))
+        est = cosh_from_stencil(sample(f, 0, (-2, -2), 6, 6), (0, 0), (1, 0), IntegerStep(1, 1))
+        g_uni = detect_univariate(inputs[0][0], 0, 1)
         assert abs(est.value.real - math.cosh(g_uni.value.real)) <= 1e-10
 
 

@@ -222,14 +222,14 @@ class TestChains:
         f = ExponentialSum.single(1.0, mu)
         steps = [IntegerStep(1, 0), IntegerStep(0, 1), IntegerStep(1, 1),
                  IntegerStep(-1, 1), IntegerStep(2, 1)]
-        chain = AnnihilatorChain.over_set(gam, steps)
-        out = chain_apply(chain, f)
         expected = 1.0
         for g, s in zip(gam, steps):
             expected *= cmath.exp(mu.dot(s.dx, s.dy)) - cmath.exp(g.dot(s.dx, s.dy))
-        assert len(out.terms) == 1
-        assert out.terms[0][0] == pytest.approx(expected, rel=1e-13)
         assert abs(expected) > 1e-6
+        for container in (list, tuple):  # any sequence of steps, not only a list
+            out = chain_apply(AnnihilatorChain.over_set(gam, container(steps)), f)
+            assert len(out.terms) == 1
+            assert out.terms[0][0] == pytest.approx(expected, rel=1e-13)
 
     def test_grid_matches_sum_route(self):
         # applying the chain to samples equals sampling the chained sum

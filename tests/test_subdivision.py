@@ -87,6 +87,21 @@ class TestSynthesizeRule:
         got = rule.insert(f(-1.0), f(0.0), f(1.0), f(2.0))
         assert got.real == pytest.approx(f(0.5), rel=1e-13)
 
+    def test_exactness_conditions_hold_to_a_few_ulp(self):
+        # 2w + 2u = 1 and 2w cosh(3x) + 2u cosh(x) = 1, cosh(3x) = 4c^3 - 3c,
+        # over 12,000 level parameters c = cosh(x), real and imaginary rates;
+        # each error is in ulps of the largest term it sums
+        rng = np.random.default_rng(11)
+        eps = 2.0**-52
+        for k in range(12000):
+            rate = rng.uniform(0.0, 6.0) if k % 2 else 1j * rng.uniform(0.0, math.pi)
+            c = LevelParameter.from_frequency(rate, int(rng.integers(1, 14))).cosh_value
+            rule = synthesize_rule(c)
+            w, u = 2 * rule.outer, 2 * rule.inner
+            assert abs(w + u - 1) <= 4 * eps * max(abs(w), abs(u))
+            wc3, uc = w * c * (4 * c * c - 3), u * c
+            assert abs(wc3 + uc - 1) <= 4 * eps * max(abs(wc3), abs(uc))
+
     def test_weight_sum_validated(self):
         with pytest.raises(ValueError):
             InsertionRule(outer=0.3, inner=0.3)
