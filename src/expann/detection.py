@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DenominatorZeroError, InputError, InvalidCoshError, OutOfWindowError
-from .expspace import Frequency, FrequencyVector, GridSamples
+from .expspace import Frequency, FrequencyVector, GridSamples, _check_window
 from .operators import (
     IntegerStep,
     _window_shift,
@@ -59,6 +59,7 @@ BUTTERFLY_UNION_OFFSETS: frozenset[tuple[int, int]] = frozenset(
 
 _AXIS_X = (1, 0)
 _AXIS_Y = (0, 1)
+_STEP_X = IntegerStep(*_AXIS_X)
 
 
 def _steps(*pairs) -> tuple[IntegerStep, ...]:
@@ -129,18 +130,19 @@ class DetectionReport:
     reason: str = ""
 
 
-def _six_point(s: GridSamples, e: tuple[int, int], step: IntegerStep):
+def _six_point(values: np.ndarray, origin, e: tuple[int, int], step: IntegerStep):
     """The six-point quotient at every base point, for axis e and one step.
 
     Returns ``(origin, d, num, den)``: D(b) = S(b + step) - S(b) at every b
     where both samples exist, then D(a + 2e) + D(a) and D(a + e) at every a
-    whose six samples exist.  All three arrays start at grid index origin.
+    whose six samples exist.  Given values[0, 0] at grid index origin, all
+    three arrays start at the grid index returned.
     """
-    shifted, base, (c, r) = _window_shift(s.values, step.dx, step.dy)
+    shifted, base, (c, r) = _window_shift(values, step.dx, step.dy)
     d = shifted - base
     d2, d0, _ = _window_shift(d, 2 * e[0], 2 * e[1])
     d1 = d[e[1] : e[1] + d0.shape[0], e[0] : e[0] + d0.shape[1]]
-    return (s.origin[0] + c, s.origin[1] + r), d, d2 + d0, d1
+    return (origin[0] + c, origin[1] + r), d, d2 + d0, d1
 
 
 def _entry(arr: np.ndarray, origin, p) -> complex:
@@ -216,7 +218,7 @@ def cosh_from_stencil(
     if e not in (_AXIS_X, _AXIS_Y):
         raise ValueError("axis must be (1, 0) or (0, 1)")
     alpha = (int(alpha[0]), int(alpha[1]))
-    est = _estimate(_six_point(s, e, step), alpha, e, step, tol_den * s.max_abs())
+    est = _estimate(_six_point(s.values, s.origin, e, step), alpha, e, step, tol_den * s.max_abs())
     if est is None:
         raise DenominatorZeroError(
             f"plain difference vanishes at {tuple(alpha)} + {e} for step {step.as_tuple()}"
@@ -236,7 +238,7 @@ def classify_constant(
     every fallback step of the axis; within the model space this certifies
     a constant function, i.e. frequency zero.
     """
-    kernels = [_six_point(s, e, step) for step in DEFAULT_STENCILS.for_axis(e)]
+    kernels = [_six_point(s.values, s.origin, e, st) for st in DEFAULT_STENCILS.for_axis(e)]
     return _is_constant(kernels, alpha, e, tol_den * s.max_abs())
 
 
@@ -309,10 +311,11 @@ def detect(
     for e in (_AXIS_X, _AXIS_Y):
         steps = DEFAULT_STENCILS.for_axis(e)
         if mode == "single":
-            tried = (_estimate(_six_point(s, e, st), alpha, e, st, tol) for st in steps)
+            kernels = (_six_point(s.values, s.origin, e, st) for st in steps)
+            tried = (_estimate(k, alpha, e, st, tol) for k, st in zip(kernels, steps))
             est = next((t for t in tried if t is not None), None)
         else:
-            kernels = [_six_point(s, e, st) for st in steps]
+            kernels = [_six_point(s.values, s.origin, e, st) for st in steps]
             est = _robust_estimate(kernels, alpha, e, steps, tol)
         if est is None:
             # In single mode every step's |D(alpha + e)| has just failed the
@@ -361,13 +364,13 @@ def detect_univariate(
     gives c = cosh(2^-level * g).  Constant data maps to rate zero; a
     vanishing denominator on non-constant data is an error.
     """
-    vals = np.asarray(samples, dtype=np.complex128)
-    row = GridSamples(level, (0, 0), vals.size, 1, vals)
-    tol, step = tol_den * row.max_abs(), IntegerStep(*_AXIS_X)
-    est = _estimate(_six_point(row, _AXIS_X, step), (alpha - 1, 0), _AXIS_X, step, tol)
+    row = np.asarray(samples, dtype=np.complex128).reshape(1, -1)
+    _check_window(level, row.size, 1)
+    tol = tol_den * float(abs(row).max())
+    est = _estimate(_six_point(row, (0, 0), _AXIS_X, _STEP_X), (alpha - 1, 0), _AXIS_X, _STEP_X, tol)
     if est is not None:
-        return cosh_to_frequency(est.value, row.spacing, tol_im)
-    window = row.values[0, alpha - 1 : alpha + 3]
-    if np.max(np.abs(window - window[0])) <= tol:
+        return cosh_to_frequency(est.value, math.ldexp(1.0, -level), tol_im)
+    window = row[0, alpha - 1 : alpha + 3]
+    if abs(window - window[0]).max() <= tol:
         return Frequency(0.0)
     raise DenominatorZeroError(f"f({alpha + 1}) - f({alpha}) vanishes on non-constant data")

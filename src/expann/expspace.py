@@ -32,6 +32,14 @@ __all__ = [
 MAX_LEVEL = 1074
 
 
+def _check_window(level: int, width: int, height: int) -> None:
+    """Raise ``ValueError`` for a level outside 0..MAX_LEVEL or an empty window."""
+    if not 0 <= level <= MAX_LEVEL:
+        raise ValueError(f"level must lie in 0..{MAX_LEVEL}, got {level}")
+    if width < 1 or height < 1:
+        raise ValueError("window must be at least 1x1")
+
+
 def _clean(value: complex) -> complex:
     # normalize -0.0 parts so equal frequencies have one representation
     re = value.real if value.real != 0.0 else 0.0
@@ -237,10 +245,7 @@ class GridSamples:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        if not 0 <= self.level <= MAX_LEVEL:
-            raise ValueError(f"level must lie in 0..{MAX_LEVEL}, got {self.level}")
-        if self.width < 1 or self.height < 1:
-            raise ValueError("window must be at least 1x1")
+        _check_window(self.level, self.width, self.height)
         arr = np.asarray(self.values, dtype=np.complex128)
         if arr.size != self.width * self.height:
             raise ValueError(
@@ -274,7 +279,7 @@ class GridSamples:
         return (alpha[0] * h, alpha[1] * h)
 
     def max_abs(self) -> float:
-        return float(np.max(np.abs(self.values)))
+        return float(np.abs(self.values).max())
 
     def indices(self):
         """All integer indices in the window, row-major order."""
@@ -343,10 +348,7 @@ def sample(
     0..MAX_LEVEL, ``RangeOverflowError`` when a sample overflows, and
     ``InputError`` when the window does not fit in memory.
     """
-    if width < 1 or height < 1:
-        raise ValueError("window must be at least 1x1")
-    if not 0 <= level <= MAX_LEVEL:
-        raise ValueError(f"level must lie in 0..{MAX_LEVEL}, got {level}")
+    _check_window(level, width, height)
     h = math.ldexp(1.0, -level)
     o1, o2 = int(origin[0]), int(origin[1])
     try:
@@ -375,11 +377,4 @@ def symmetric_set(g: FrequencyVector) -> FrequencySet:
             "generator components must be real >= 0 or imaginary in i(0, pi)"
         )
     candidates = [FrequencyVector.zero(), g, -g, g.mirror(), -g.mirror()]
-    members: list[FrequencyVector] = []
-    seen: set[tuple[complex, complex]] = set()
-    for m in candidates:
-        key = m.as_pair()
-        if key not in seen:
-            seen.add(key)
-            members.append(m)
-    return FrequencySet(tuple(members))
+    return FrequencySet(tuple(dict.fromkeys(candidates)))  # first of equal members

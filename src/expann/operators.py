@@ -200,6 +200,26 @@ def _window_shift(values, dx: int, dy: int):
     return shifted, base, (c1, r1)
 
 
+def _apply_factors(factors, values, spacing: float):
+    """Apply difference factors in list order to a raw sample array: the output
+    array, and its (column, row) offset in ``values``."""
+    out, c, r = values, 0, 0
+    for gamma, step in factors:
+        if not isinstance(step, IntegerStep):
+            raise TypeError("differential factors cannot act on grid samples")
+        (h, w), dx, dy = out.shape, step.dx, step.dy
+        shifted, base, (c1, r1) = _window_shift(out, dx, dy)
+        if shifted.size == 0:
+            raise EmptyWindowError(f"step ({dx}, {dy}) exhausts a {w}x{h} window")
+        try:
+            weight = cmath.exp(gamma.dot(dx * spacing, dy * spacing))
+        except OverflowError as exc:
+            msg = "a difference weight overflows the floating-point range"
+            raise RangeOverflowError(msg) from exc
+        out, c, r = shifted - weight * base, c + c1, r + r1
+    return out, (c, r)
+
+
 def delta_apply_grid(
     gamma: FrequencyVector, step: IntegerStep, s: GridSamples
 ) -> GridSamples:
@@ -208,21 +228,7 @@ def delta_apply_grid(
     Output at alpha is S(alpha + tv) - exp(gamma . (2^-k tv)) * S(alpha),
     defined on the window where both lookups exist; the level is preserved.
     """
-    step = _as_step(step)
-    dx, dy = step.dx, step.dy
-    shifted, base, (c1, r1) = _window_shift(s.values, dx, dy)
-    if shifted.size == 0:
-        raise EmptyWindowError(
-            f"step ({dx}, {dy}) exhausts a {s.width}x{s.height} window"
-        )
-    h = s.spacing
-    try:
-        weight = cmath.exp(gamma.dot(dx * h, dy * h))
-    except OverflowError as exc:
-        raise RangeOverflowError("a difference weight overflows the floating-point range") from exc
-    new_h, new_w = shifted.shape
-    new_origin = (s.origin[0] + c1, s.origin[1] + r1)
-    return GridSamples(s.level, new_origin, new_w, new_h, shifted - weight * base)
+    return chain_apply(AnnihilatorChain.discrete(((gamma, step),)), s)
 
 
 def chain_apply(chain: AnnihilatorChain, data):
@@ -240,12 +246,9 @@ def chain_apply(chain: AnnihilatorChain, data):
                 out = delta_apply_sum(gamma, s, out)
         return out
     if isinstance(data, GridSamples):
-        out = data
-        for gamma, s in chain.factors:
-            if not isinstance(s, IntegerStep):
-                raise TypeError("differential factors cannot act on grid samples")
-            out = delta_apply_grid(gamma, s, out)
-        return out
+        out, (c, r) = _apply_factors(chain.factors, data.values, data.spacing)
+        h, w = out.shape
+        return GridSamples(data.level, (data.origin[0] + c, data.origin[1] + r), w, h, out)
     raise TypeError(f"cannot apply chain to {type(data).__name__}")
 
 
@@ -267,11 +270,12 @@ def grid_residual(chain: AnnihilatorChain, s: GridSamples) -> float:
     denom = s.max_abs()
     if denom == 0.0:
         return 0.0
-    out = chain_apply(chain, s)
-    return out.max_abs() / denom
+    out, _ = _apply_factors(chain.factors, s.values, s.spacing)
+    return float(abs(out).max()) / denom
 
 
-_AXES = ((1, 0), (0, 1))
+_ZERO = FrequencyVector.zero()
+_AXIS_STEPS = {(1, 0): IntegerStep(1, 0), (0, 1): IntegerStep(0, 1)}
 
 
 def reduced_chain_for_symmetric_set(
@@ -284,13 +288,10 @@ def reduced_chain_for_symmetric_set(
     any direction annihilates the whole 5-member family; each output value
     touches at most 6 grid points (offsets extra*{0,1} + e*{0,1,2}).
     """
-    e = (int(e[0]), int(e[1]))
-    if e not in _AXES:
+    e_step = _AXIS_STEPS.get((int(e[0]), int(e[1])))
+    if e_step is None:
         raise ValueError("axis must be (1, 0) or (0, 1)")
-    extra = _as_step(extra)
-    e_step = IntegerStep(*e)
-    zero = FrequencyVector.zero()
-    return AnnihilatorChain.discrete(((zero, extra), (g, e_step), (-g, e_step)))
+    return AnnihilatorChain(((_ZERO, _as_step(extra)), (g, e_step), (-g, e_step)))
 
 
 def chain_offsets(chain: AnnihilatorChain) -> tuple[tuple[int, int], ...]:

@@ -321,6 +321,13 @@ class TestDetectUnivariate:
         with pytest.raises(DenominatorZeroError):
             detect_univariate(f, 0, 1)
 
+    def test_rejects_empty_series_and_bad_level(self):
+        with pytest.raises(ValueError, match="^window must be at least 1x1$"):
+            detect_univariate([], 0, 1)
+        for level in (-1, 1075):
+            with pytest.raises(ValueError, match=rf"^level must lie in 0\.\.1074, got {level}$"):
+                detect_univariate([1.0, 2.0, 4.0, 8.0], level, 1)
+
     def test_matches_bivariate_cosh(self):
         # the 1-D detector is the grid quotient on a 1xn row, with the
         # difference step along the axis at base alpha - 1: bit for bit
@@ -473,7 +480,7 @@ def test_detect_matches_scalar_reference_bitwise(mode):
         assert _bits(rep.residual) == _bits(residual)
         tol = DEFAULT_TOL_DEN * s.max_abs()
         for e, count in zip(((1, 0), (0, 1)), counts):
-            kernels = [_six_point(s, e, st) for st in DEFAULT_STENCILS.for_axis(e)]
+            kernels = [_six_point(s.values, s.origin, e, st) for st in DEFAULT_STENCILS.for_axis(e)]
             assert sum(int(np.sum(np.abs(k[3]) > tol)) for k in kernels) == count
     assert Classification.FREQUENCY in classes
 

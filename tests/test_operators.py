@@ -1,5 +1,6 @@
 import cmath
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from expann.expspace import (
     ExponentialSum,
     FrequencySet,
     FrequencyVector,
+    GridSamples,
     evaluate,
     sample,
     symmetric_set,
@@ -247,6 +249,173 @@ class TestChains:
         sum_out = chain_apply(chain, f)
         direct = sample(sum_out, 0, grid_out.origin, grid_out.width, grid_out.height)
         assert np.allclose(grid_out.values, direct.values, rtol=1e-12, atol=1e-12)
+
+
+def _reference_chain(factors, s: GridSamples) -> GridSamples:
+    """The per-factor grid loop the array kernel replaced: every factor
+    slices its input window by hand and wraps its output in a new
+    ``GridSamples``."""
+    out = s
+    for gamma, step in factors:
+        if not isinstance(step, IntegerStep):
+            raise TypeError("differential factors cannot act on grid samples")
+        dx, dy = step.dx, step.dy
+        w, h = out.width - abs(dx), out.height - abs(dy)
+        if w <= 0 or h <= 0:
+            raise EmptyWindowError(
+                f"step ({dx}, {dy}) exhausts a {out.width}x{out.height} window"
+            )
+        c, r = max(-dx, 0), max(-dy, 0)
+        shifted = out.values[r + dy : r + dy + h, c + dx : c + dx + w]
+        base = out.values[r : r + h, c : c + w]
+        weight = cmath.exp(gamma.dot(dx * out.spacing, dy * out.spacing))
+        origin = (out.origin[0] + c, out.origin[1] + r)
+        out = GridSamples(out.level, origin, w, h, shifted - weight * base)
+    return out
+
+
+def _reference_residual(factors, s: GridSamples) -> float:
+    denom = float(np.max(np.abs(s.values)))
+    if denom == 0.0:
+        return 0.0
+    return float(np.max(np.abs(_reference_chain(factors, s).values))) / denom
+
+
+def _random_rate(rng) -> complex:
+    kind = rng.integers(3)
+    if kind == 0:
+        return 0.0
+    return rng.uniform(-3.0, 3.0) if kind == 1 else 1j * rng.uniform(-3.1, 3.1)
+
+
+def _random_values(rng, n: int) -> np.ndarray:
+    """Complex samples, with some parts exactly +0.0 or -0.0."""
+    vals = rng.normal(size=n) + 1j * rng.normal(size=n)
+    vals *= 10.0 ** rng.uniform(-3, 3, n)
+    re, im = vals.real.copy(), vals.imag.copy()
+    for part in (re, im):
+        signed_zero = rng.random(n) < 0.15
+        part[signed_zero] = np.where(rng.random(n) < 0.5, 0.0, -0.0)[signed_zero]
+    if rng.random() < 0.2:
+        im[:] = 0.0  # a real-valued grid
+    return re + 1j * im
+
+
+def _random_grid(rng) -> GridSamples:
+    w, h = int(rng.integers(1, 17)), int(rng.integers(1, 17))
+    origin = (int(rng.integers(-20, 21)), int(rng.integers(-20, 21)))
+    return GridSamples(int(rng.integers(0, 9)), origin, w, h, _random_values(rng, w * h))
+
+
+def _random_factors(rng):
+    factors = []
+    for _ in range(rng.integers(1, 6)):
+        dx, dy = 0, 0
+        while dx == 0 and dy == 0:
+            dx, dy = (int(k) for k in rng.integers(-2, 3, 2))
+        g = FrequencyVector.of(_random_rate(rng), _random_rate(rng))
+        factors.append((g, IntegerStep(dx, dy)))
+    return tuple(factors)
+
+
+def _same_grid(a: GridSamples, b: GridSamples) -> bool:
+    return (
+        (a.level, a.origin, a.width, a.height) == (b.level, b.origin, b.width, b.height)
+        and np.array_equal(a.values.view(np.uint64), b.values.view(np.uint64))
+    )
+
+
+def _bits(x: float) -> int:
+    return int(np.float64(x).view(np.uint64))
+
+
+class TestArrayKernelMatchesFactorLoop:
+    """``chain_apply``, ``delta_apply_grid`` and ``grid_residual`` run every
+    factor on the raw sample array; the per-factor loop is the reference."""
+
+    def test_chains_bitwise(self):
+        rng = np.random.default_rng(17)
+        outcomes = Counter()
+        for _ in range(600):
+            s, factors = _random_grid(rng), _random_factors(rng)
+            chain = AnnihilatorChain(factors)
+            try:
+                want = _reference_chain(factors, s)
+            except EmptyWindowError as exc:
+                for fn in (chain_apply, grid_residual):
+                    with pytest.raises(EmptyWindowError) as got:
+                        fn(chain, s)
+                    assert str(got.value) == str(exc)
+                outcomes["exhausted"] += 1
+                continue
+            assert _same_grid(chain_apply(chain, s), want), (factors, s)
+            assert _bits(grid_residual(chain, s)) == _bits(_reference_residual(factors, s))
+            outcomes[len(factors)] += 1
+        assert outcomes["exhausted"] > 50
+        assert all(outcomes[n] > 30 for n in range(1, 6)), outcomes
+
+    def test_single_factor_bitwise(self):
+        rng = np.random.default_rng(18)
+        compared = 0
+        for _ in range(300):
+            s = _random_grid(rng)
+            (g, step), = _random_factors(rng)[:1]
+            try:
+                want = _reference_chain(((g, step),), s)
+            except EmptyWindowError:
+                with pytest.raises(EmptyWindowError):
+                    delta_apply_grid(g, step, s)
+                continue
+            assert _same_grid(delta_apply_grid(g, step, s), want)
+            assert _same_grid(delta_apply_grid(g, step.as_tuple(), s), want)
+            compared += 1
+        assert compared > 200
+
+    def test_signed_zero_grids(self):
+        chain = AnnihilatorChain.discrete(
+            ((FrequencyVector.of(0.5, 0.0), (1, 0)), (FrequencyVector.of(0.0, 1j), (-1, 1)))
+        )
+        for v in (0.0, -0.0, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)):
+            s = GridSamples(3, (0, 0), 4, 4, np.full(16, v, dtype=np.complex128))
+            assert _same_grid(chain_apply(chain, s), _reference_chain(chain.factors, s))
+            assert grid_residual(chain, s) == 0.0
+
+    def test_later_factor_exhausting_the_window(self):
+        s = GridSamples(0, (0, 0), 4, 3, np.arange(12.0))
+        g = FrequencyVector.of(0.3, 0.0)
+        chain = AnnihilatorChain.discrete(((g, (1, 0)), (g, (2, 0)), (g, (1, 1))))
+        for fn in (chain_apply, grid_residual):
+            with pytest.raises(EmptyWindowError, match=r"^step \(1, 1\) exhausts a 1x3 window$"):
+                fn(chain, s)
+
+    def test_direction_factor_on_grid(self):
+        s = GridSamples(0, (0, 0), 4, 4, np.arange(16.0))
+        g = FrequencyVector.of(0.3, 0.0)
+        for chain in (
+            AnnihilatorChain.differential(((g, Direction(1.0, 0.0)),)),
+            AnnihilatorChain(((g, IntegerStep(1, 0)), (g, Direction(0.0, 1.0)))),
+        ):
+            for fn in (chain_apply, grid_residual):
+                with pytest.raises(
+                    TypeError, match="^differential factors cannot act on grid samples$"
+                ):
+                    fn(chain, s)
+
+    def test_grid_objects_built(self, monkeypatch):
+        s = GridSamples(0, (0, 0), 9, 9, np.arange(81.0))
+        chain = reduced_chain_for_symmetric_set(FrequencyVector.of(0.8, 0.3), (1, 0), (1, 1))
+        built = []
+        post_init = GridSamples.__post_init__
+
+        def counting(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(GridSamples, "__post_init__", counting)
+        grid_residual(chain, s)
+        assert built == []
+        chain_apply(chain, s)
+        assert len(built) == 1
 
 
 class TestAnnihilates:
