@@ -31,8 +31,8 @@ from .errors import FileFormatError, InputError, NumericalError
 from .expspace import MAX_LEVEL, Frequency, FrequencyVector, sample
 from .operators import (
     IntegerStep,
+    _residual,
     chain_apply,
-    grid_residual,
     reduced_chain_for_symmetric_set,
 )
 from .oracle import RandomSpec, random_instance
@@ -123,10 +123,9 @@ def cmd_annihilate(args) -> int:
     except ValueError as exc:
         raise InputError(f"--extra-step: {exc}") from exc
     chain = reduced_chain_for_symmetric_set(g, axis, extra)
-    residual = grid_residual(chain, grid)
     out_grid = chain_apply(chain, grid)
     doc = {
-        "residual": residual,
+        "residual": _residual(out_grid.values, grid.max_abs()),
         "axis": args.axis,
         "gamma": [g.g1.value, g.g2.value],
         "extra_step": [extra.dx, extra.dy],

@@ -16,16 +16,19 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DenominatorZeroError, InputError, InvalidCoshError, OutOfWindowError
 from .expspace import Frequency, FrequencyVector, GridSamples, _check_window
 from .operators import (
+    _AXIS_STEPS,
     IntegerStep,
+    _apply_factors,
+    _axis_step,
+    _residual,
     _window_shift,
-    grid_residual,
     reduced_chain_for_symmetric_set,
 )
 
@@ -57,10 +60,6 @@ BUTTERFLY_UNION_OFFSETS: frozenset[tuple[int, int]] = frozenset(
     }
 )
 
-_AXIS_X = (1, 0)
-_AXIS_Y = (0, 1)
-_STEP_X = IntegerStep(*_AXIS_X)
-
 
 def _steps(*pairs) -> tuple[IntegerStep, ...]:
     return tuple(IntegerStep(*p) for p in pairs)
@@ -75,24 +74,11 @@ class StencilDirectionSet:
     one constant value.
     """
 
-    set_x: tuple[IntegerStep, ...] = field(
-        default_factory=lambda: _steps((0, 1), (1, 1), (0, -1), (-1, -1))
-    )
-    set_y: tuple[IntegerStep, ...] = field(
-        default_factory=lambda: _steps((1, 0), (1, 1), (-1, 0), (-1, -1))
-    )
-
-    def __post_init__(self) -> None:
-        for s in self.set_x + self.set_y:
-            if s.as_tuple() not in BUTTERFLY_UNION_OFFSETS:
-                raise ValueError(f"step {s.as_tuple()} outside the stencil union")
+    set_x = _steps((0, 1), (1, 1), (0, -1), (-1, -1))
+    set_y = _steps((1, 0), (1, 1), (-1, 0), (-1, -1))
 
     def for_axis(self, e: tuple[int, int]) -> tuple[IntegerStep, ...]:
-        if tuple(e) == _AXIS_X:
-            return self.set_x
-        if tuple(e) == _AXIS_Y:
-            return self.set_y
-        raise ValueError("axis must be (1, 0) or (0, 1)")
+        return self.set_x if _axis_step(e).dx else self.set_y
 
 
 DEFAULT_STENCILS = StencilDirectionSet()
@@ -128,6 +114,13 @@ class DetectionReport:
     estimates: tuple[CoshEstimate, ...]
     residual: float
     reason: str = ""
+
+
+def _threshold(tol_den: float, sup: float) -> float:
+    """The denominator threshold tol_den * sup, for sup the window's sup|S|."""
+    if not 0.0 <= tol_den < math.inf:  # inf * sup|S| is NaN on an all-zero grid
+        raise InputError(f"tol_den must be a finite non-negative number, got {tol_den}")
+    return tol_den * sup
 
 
 def _six_point(values: np.ndarray, origin, e: tuple[int, int], step: IntegerStep):
@@ -211,14 +204,14 @@ def cosh_from_stencil(
 
     With D(b) = S(b + step) - S(b), returns
     (D(alpha + 2e) + D(alpha)) / (2 D(alpha + e)).  Raises
-    ``DenominatorZeroError`` when |D(alpha + e)| <= tol_den * sup|S| and
-    ``OutOfWindowError`` when any of the six lookups leaves the window.
+    ``DenominatorZeroError`` when |D(alpha + e)| <= tol_den * sup|S|,
+    ``OutOfWindowError`` when any of the six lookups leaves the window and
+    ``InputError`` when tol_den is negative, NaN or infinite.
     """
-    e = (int(e[0]), int(e[1]))
-    if e not in (_AXIS_X, _AXIS_Y):
-        raise ValueError("axis must be (1, 0) or (0, 1)")
+    e = _axis_step(e).as_tuple()
     alpha = (int(alpha[0]), int(alpha[1]))
-    est = _estimate(_six_point(s.values, s.origin, e, step), alpha, e, step, tol_den * s.max_abs())
+    tol = _threshold(tol_den, s.max_abs())
+    est = _estimate(_six_point(s.values, s.origin, e, step), alpha, e, step, tol)
     if est is None:
         raise DenominatorZeroError(
             f"plain difference vanishes at {tuple(alpha)} + {e} for step {step.as_tuple()}"
@@ -238,8 +231,9 @@ def classify_constant(
     every fallback step of the axis; within the model space this certifies
     a constant function, i.e. frequency zero.
     """
+    tol = _threshold(tol_den, s.max_abs())
     kernels = [_six_point(s.values, s.origin, e, st) for st in DEFAULT_STENCILS.for_axis(e)]
-    return _is_constant(kernels, alpha, e, tol_den * s.max_abs())
+    return _is_constant(kernels, alpha, e, tol)
 
 
 def cosh_to_frequency(
@@ -292,13 +286,12 @@ def detect(
     """
     if mode not in ("single", "robust"):
         raise ValueError(f"unknown mode {mode!r}")
-    if not 0.0 <= tol_den < math.inf:  # inf * sup|S| is NaN on an all-zero grid
-        raise InputError(f"tol_den must be a finite non-negative number, got {tol_den}")
-    for name, tol in (("tol_res", tol_res), ("tol_im", tol_im)):
-        if not tol >= 0.0:  # NaN fails too; inf accepts everything
-            raise InputError(f"{name} must be a non-negative number, got {tol}")
+    sup = s.max_abs()
+    tol = _threshold(tol_den, sup)
+    for name, value in (("tol_res", tol_res), ("tol_im", tol_im)):
+        if not value >= 0.0:  # NaN fails too; inf accepts everything
+            raise InputError(f"{name} must be a non-negative number, got {value}")
     alpha = (int(alpha[0]), int(alpha[1]))
-    tol = tol_den * s.max_abs()
     estimates: list[CoshEstimate] = []
     components: list[Frequency] = []
     extras: list[IntegerStep] = []
@@ -308,7 +301,7 @@ def detect(
             Classification.INCONSISTENT, None, tuple(estimates), residual, reason
         )
 
-    for e in (_AXIS_X, _AXIS_Y):
+    for e in _AXIS_STEPS:
         steps = DEFAULT_STENCILS.for_axis(e)
         if mode == "single":
             kernels = (_six_point(s.values, s.origin, e, st) for st in steps)
@@ -335,10 +328,8 @@ def detect(
             return inconsistent(math.nan, f"axis {e}: {exc}")
 
     g = FrequencyVector(components[0], components[1])
-    residual = max(
-        grid_residual(reduced_chain_for_symmetric_set(g, e, extra), s)
-        for e, extra in zip((_AXIS_X, _AXIS_Y), extras)
-    )
+    chains = (reduced_chain_for_symmetric_set(g, e, extra) for e, extra in zip(_AXIS_STEPS, extras))
+    residual = max(_residual(_apply_factors(c.factors, s.values, s.spacing)[0], sup) for c in chains)
     if not residual <= tol_res:  # a NaN residual is not accepted either
         return inconsistent(
             residual, f"annihilator residual {residual:.3e} exceeds {tol_res:.3e}"
@@ -366,8 +357,9 @@ def detect_univariate(
     """
     row = np.asarray(samples, dtype=np.complex128).reshape(1, -1)
     _check_window(level, row.size, 1)
-    tol = tol_den * float(abs(row).max())
-    est = _estimate(_six_point(row, (0, 0), _AXIS_X, _STEP_X), (alpha - 1, 0), _AXIS_X, _STEP_X, tol)
+    tol = _threshold(tol_den, float(abs(row).max()))
+    e, step = (1, 0), _AXIS_STEPS[(1, 0)]
+    est = _estimate(_six_point(row, (0, 0), e, step), (alpha - 1, 0), e, step, tol)
     if est is not None:
         return cosh_to_frequency(est.value, math.ldexp(1.0, -level), tol_im)
     window = row[0, alpha - 1 : alpha + 3]

@@ -264,18 +264,29 @@ def annihilates(
     return out.max_coefficient() <= rel_tol * ref
 
 
+def _residual(out, sup: float) -> float:
+    """max|out| / sup: a chain output's sup-norm relative to sup, the sup-norm
+    of the samples it was applied to (an all-zero window gives zero)."""
+    return float(abs(out).max()) / sup if sup != 0.0 else 0.0
+
+
 def grid_residual(chain: AnnihilatorChain, s: GridSamples) -> float:
     """Sup-norm of the chain output divided by the sup-norm of the input
     (zero input gives zero)."""
-    denom = s.max_abs()
-    if denom == 0.0:
-        return 0.0
-    out, _ = _apply_factors(chain.factors, s.values, s.spacing)
-    return float(abs(out).max()) / denom
+    return _residual(_apply_factors(chain.factors, s.values, s.spacing)[0], s.max_abs())
 
 
 _ZERO = FrequencyVector.zero()
+# The axes and their unit steps, in the order detection visits them.
 _AXIS_STEPS = {(1, 0): IntegerStep(1, 0), (0, 1): IntegerStep(0, 1)}
+
+
+def _axis_step(e) -> IntegerStep:
+    """The unit step of axis e, which must be (1, 0) or (0, 1)."""
+    step = _AXIS_STEPS.get(tuple(e))
+    if step is None:
+        raise ValueError("axis must be (1, 0) or (0, 1)")
+    return step
 
 
 def reduced_chain_for_symmetric_set(
@@ -288,9 +299,7 @@ def reduced_chain_for_symmetric_set(
     any direction annihilates the whole 5-member family; each output value
     touches at most 6 grid points (offsets extra*{0,1} + e*{0,1,2}).
     """
-    e_step = _AXIS_STEPS.get((int(e[0]), int(e[1])))
-    if e_step is None:
-        raise ValueError("axis must be (1, 0) or (0, 1)")
+    e_step = _axis_step(e)
     return AnnihilatorChain(((_ZERO, _as_step(extra)), (g, e_step), (-g, e_step)))
 
 

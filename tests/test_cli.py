@@ -179,6 +179,37 @@ class TestAnnihilate:
         assert json.loads(out)["residual"] > 1e-3
 
 
+def test_window_sup_and_chain_taken_once(tmp_path, capsys, monkeypatch):
+    from expann import detection, operators
+    from expann.expspace import GridSamples
+
+    _, f = symmetric_sum_file(tmp_path, FrequencyVector.of(0.8, 0.3j))
+    grid = sample(f, 2, (-3, -3), 9, 9)
+    sups, chains = [], []
+    max_abs, apply_factors = GridSamples.max_abs, operators._apply_factors
+
+    def counting_max_abs(self):
+        sups.append(self)
+        return max_abs(self)
+
+    def counting_apply(*args):
+        chains.append(args)
+        return apply_factors(*args)
+
+    monkeypatch.setattr(GridSamples, "max_abs", counting_max_abs)
+    monkeypatch.setattr(operators, "_apply_factors", counting_apply)
+    monkeypatch.setattr(detection, "_apply_factors", counting_apply)
+    assert detection.detect(grid, (0, 0)).classification is detection.Classification.FREQUENCY
+    assert (len(sups), len(chains)) == (1, 2)  # one sup, one residual chain per axis
+
+    grid_path = write(tmp_path, "grid.json", dump_grid(grid))
+    sups.clear()
+    chains.clear()
+    code, _, _ = run(capsys, "annihilate", grid_path, "--gamma", "0.8", "0.3i", "--axis", "x")
+    assert code == 0
+    assert (len(sups), len(chains)) == (1, 1)
+
+
 class TestRefine:
     def test_auto_refine_reports_frequency(self, tmp_path, capsys):
         vals = [1 + math.exp(0.5 * z) + math.exp(-0.5 * z) for z in range(10)]

@@ -22,6 +22,7 @@ from expann.detection import (
 )
 from expann.errors import (
     DenominatorZeroError,
+    InputError,
     InvalidCoshError,
     OutOfWindowError,
 )
@@ -62,10 +63,6 @@ class TestStencilSets:
 
     def test_union_has_fourteen_offsets(self):
         assert len(BUTTERFLY_UNION_OFFSETS) == 14
-
-    def test_rejects_steps_outside_union(self):
-        with pytest.raises(ValueError):
-            StencilDirectionSet(set_x=(IntegerStep(2, 0),))
 
 
 class TestCoshFromStencil:
@@ -121,6 +118,24 @@ class TestClassifyConstant:
         _, s = _symmetric_samples(g, 0)
         assert not classify_constant(s, (0, 0), (1, 0))
         assert not classify_constant(s, (0, 0), (0, 1))
+
+
+@pytest.mark.parametrize("tol_den", [-1.0, math.nan, math.inf], ids=["negative", "nan", "inf"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda s, tol: cosh_from_stencil(s, (0, 0), (1, 0), IntegerStep(0, 1), tol),
+        lambda s, tol: classify_constant(s, (0, 0), (1, 0), tol),
+        lambda s, tol: detect_univariate(s.values[4], 0, 4, tol),
+    ],
+    ids=["cosh_from_stencil", "classify_constant", "detect_univariate"],
+)
+def test_bad_tol_den_rejected(call, tol_den):
+    # every denominator of a constant grid is zero: unchecked, a -1 or NaN
+    # threshold lets it through to a division, and inf calls any data constant
+    s = sample(ExponentialSum.single(2.0, FrequencyVector.zero()), 0, (-4, -4), 9, 9)
+    with pytest.raises(InputError, match="tol_den must be a finite non-negative number"):
+        call(s, tol_den)
 
 
 class TestCoshToFrequency:
