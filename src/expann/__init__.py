@@ -12,7 +12,6 @@ from .expspace import (
     FrequencySet,
     FrequencyVector,
     GridSamples,
-    evaluate,
     sample,
     symmetric_set,
 )
@@ -56,7 +55,6 @@ __all__ = [
     "FrequencySet",
     "FrequencyVector",
     "GridSamples",
-    "evaluate",
     "sample",
     "symmetric_set",
     "AnnihilatorChain",

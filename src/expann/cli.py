@@ -35,7 +35,7 @@ from .operators import (
     chain_apply,
     reduced_chain_for_symmetric_set,
 )
-from .oracle import RandomSpec, random_instance
+from .oracle import random_instance
 from .subdivision import auto_refine, refine_rounds
 
 EXIT_OK = 0
@@ -144,15 +144,18 @@ def cmd_refine(args) -> int:
     # the output level, level + rounds, must stay loadable
     if not 0 <= args.rounds <= MAX_LEVEL - level:
         raise InputError(f"--rounds must lie in 0..{MAX_LEVEL - level} at level {level}")
-    if args.gamma is not None:
-        data = refine_rounds(values, _parse_rate(args.gamma), level, args.rounds)
-    else:
-        data, g = auto_refine(values, level, args.rounds)
     # each round keeps [origin+1, origin+n-2] and doubles the index scale,
     # origin -> 2 (origin + 1), so origin + 2 doubles per round
     origin = (origin + 2) * 2**args.rounds - 2
-    # serialize before printing anything, so a failing run prints only the failure
-    text = jsonio.dump_series(data, level + args.rounds, origin)
+    try:
+        if args.gamma is not None:
+            data = refine_rounds(values, _parse_rate(args.gamma), level, args.rounds)
+        else:
+            data, g = auto_refine(values, level, args.rounds)
+        # serialize before printing anything, so a failing run prints only the failure
+        text = jsonio.dump_series(data, level + args.rounds, origin)
+    except MemoryError as exc:
+        raise InputError(f"{args.rounds} rounds of refinement do not fit in memory") from exc
     if args.auto:
         print(f"detected frequency: {jsonio.dumps(g.value)}", file=sys.stderr)
     print(text)
@@ -160,8 +163,7 @@ def cmd_refine(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    spec = RandomSpec(seed=args.seed)
-    g, f, grid = random_instance(spec)
+    g, f, grid = random_instance(args.seed)
     print(jsonio.dumps({
         "seed": args.seed,
         "frequency": [g.g1.value, g.g2.value],

@@ -23,7 +23,6 @@ __all__ = [
     "FrequencySet",
     "ExponentialSum",
     "GridSamples",
-    "evaluate",
     "sample",
     "symmetric_set",
 ]
@@ -147,9 +146,6 @@ class FrequencySet:
     def __iter__(self):
         return iter(self.members)
 
-    def __getitem__(self, i: int) -> FrequencyVector:
-        return self.members[i]
-
     def __contains__(self, g: FrequencyVector) -> bool:
         return any(m.as_pair() == g.as_pair() for m in self.members)
 
@@ -217,12 +213,6 @@ class ExponentialSum:
     def __add__(self, other: "ExponentialSum") -> "ExponentialSum":
         return ExponentialSum(self.terms + other.terms)
 
-    def __sub__(self, other: "ExponentialSum") -> "ExponentialSum":
-        return self + (-other)
-
-    def __neg__(self) -> "ExponentialSum":
-        return ExponentialSum(tuple((-c, f) for c, f in self.terms))
-
     def __mul__(self, scalar) -> "ExponentialSum":
         return ExponentialSum(tuple((complex(scalar) * c, f) for c, f in self.terms))
 
@@ -286,11 +276,6 @@ class GridSamples:
         for j in range(self.height):
             for i in range(self.width):
                 yield (self.origin[0] + i, self.origin[1] + j)
-
-
-def evaluate(f: ExponentialSum, z) -> complex:
-    """Value of the exponential sum at a real point z = (z1, z2)."""
-    return f.evaluate(z)
 
 
 # Real parts where cmath.exp rounds differently from np.exp: above
@@ -368,8 +353,6 @@ def symmetric_set(g: FrequencyVector) -> FrequencySet:
     Coinciding members collapse (e.g. mirror(g) == g when the second
     component vanishes), so the result has 5 or 3 members.
     """
-    if not isinstance(g, FrequencyVector):
-        g = FrequencyVector.of(*g)
     if g.is_zero:
         raise ValueError("generator must be nonzero")
     if not g.in_restricted_domain():

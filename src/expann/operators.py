@@ -14,7 +14,7 @@ import cmath
 import math
 import numbers
 import operator as _op
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import EmptyWindowError, RangeOverflowError
 from .expspace import (
@@ -41,35 +41,24 @@ __all__ = [
 ZERO_COEFF_REL_TOL = 1e-12
 
 
+@dataclass(frozen=True)
 class Direction:
     """A unit direction in the plane; remembers the magnitude it was built from."""
 
-    __slots__ = ("x", "y", "magnitude")
+    x: float
+    y: float
+    magnitude: float = field(init=False, compare=False)
 
-    def __init__(self, vx: float, vy: float):
-        m = math.hypot(vx, vy)
+    def __post_init__(self) -> None:
+        m = math.hypot(self.x, self.y)
         if m == 0.0:
             raise ValueError("direction must be nonzero")
-        object.__setattr__(self, "x", vx / m)
-        object.__setattr__(self, "y", vy / m)
+        object.__setattr__(self, "x", self.x / m)
+        object.__setattr__(self, "y", self.y / m)
         object.__setattr__(self, "magnitude", m)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Direction is immutable")
 
     def perp(self) -> "Direction":
         return Direction(-self.y, self.x)
-
-    def __repr__(self) -> str:
-        return f"Direction({self.x}, {self.y})"
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Direction) and self.x == other.x and self.y == other.y
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.x, self.y))
 
 
 @dataclass(frozen=True)
@@ -95,9 +84,6 @@ class IntegerStep:
 
     def as_tuple(self) -> tuple[int, int]:
         return (self.dx, self.dy)
-
-    def __neg__(self) -> "IntegerStep":
-        return IntegerStep(-self.dx, -self.dy)
 
 
 def _as_step(s) -> IntegerStep:
@@ -133,10 +119,6 @@ class AnnihilatorChain:
     @classmethod
     def discrete(cls, pairs) -> "AnnihilatorChain":
         return cls(tuple((g, _as_step(s)) for g, s in pairs))
-
-    @classmethod
-    def differential(cls, pairs) -> "AnnihilatorChain":
-        return cls(tuple((g, d) for g, d in pairs))
 
     @classmethod
     def over_set(cls, gamma_set: FrequencySet, steps) -> "AnnihilatorChain":

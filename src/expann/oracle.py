@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 from .expspace import (
     ExponentialSum,
@@ -25,7 +24,6 @@ from .operators import AnnihilatorChain, Direction, IntegerStep
 
 __all__ = [
     "SplitMix64",
-    "RandomSpec",
     "finite_difference_directional",
     "exhaustive_annihilation_check",
     "random_instance",
@@ -61,17 +59,13 @@ class SplitMix64:
         return 1.0 if self.next_u64() & 1 else -1.0
 
 
-@dataclass(frozen=True)
-class RandomSpec:
-    """Ranges for generated instances; equal seeds give equal instances."""
-
-    seed: int
-    real_range: tuple[float, float] = (0.0, 2.0)
-    imag_range: tuple[float, float] = (0.0, 0.9 * math.pi)
-    coeff_range: tuple[float, float] = (0.1, 10.0)
-    min_window: int = 7
-    max_window: int = 12
-    max_level: int = 3
+# Ranges of generated instances; equal seeds give equal instances.
+_REAL_RANGE = (0.0, 2.0)
+_IMAG_RANGE = (0.0, 0.9 * math.pi)
+_COEFF_RANGE = (0.1, 10.0)
+_MIN_WINDOW = 7
+_MAX_WINDOW = 12
+_MAX_LEVEL = 3
 
 
 def finite_difference_directional(
@@ -129,16 +123,16 @@ def exhaustive_annihilation_check(
     return True
 
 
-def random_frequency_vector(rng: SplitMix64, spec: RandomSpec) -> FrequencyVector:
+def random_frequency_vector(rng: SplitMix64) -> FrequencyVector:
     """A nonzero frequency pair in the restricted domain, each component
     drawn real or imaginary with equal probability."""
     while True:
         comps = []
         for _ in range(2):
             if rng.below(2) == 0:
-                comps.append(complex(rng.uniform(*spec.real_range), 0.0))
+                comps.append(complex(rng.uniform(*_REAL_RANGE), 0.0))
             else:
-                lo, hi = spec.imag_range
+                lo, hi = _IMAG_RANGE
                 y = 0.0
                 while y == 0.0:
                     y = rng.uniform(lo, hi)
@@ -148,13 +142,11 @@ def random_frequency_vector(rng: SplitMix64, spec: RandomSpec) -> FrequencyVecto
             return g
 
 
-def random_symmetric_sum(
-    rng: SplitMix64, spec: RandomSpec, g: FrequencyVector
-) -> ExponentialSum:
+def random_symmetric_sum(rng: SplitMix64, g: FrequencyVector) -> ExponentialSum:
     """Real-valued member of the symmetric family generated by g, with
     random coefficients conjugate-paired across the family."""
     members = symmetric_set(g)
-    lo, hi = spec.coeff_range
+    lo, hi = _COEFF_RANGE
     terms = tuple((rng.sign() * rng.uniform(lo, hi), m) for m in members)
     f = ExponentialSum(terms)
     # the family is closed under conjugation, so averaging realifies
@@ -162,17 +154,15 @@ def random_symmetric_sum(
     return f
 
 
-def random_instance(
-    spec: RandomSpec,
-) -> tuple[FrequencyVector, ExponentialSum, GridSamples]:
+def random_instance(seed: int) -> tuple[FrequencyVector, ExponentialSum, GridSamples]:
     """A planted frequency pair, a real-valued symmetric-family member with
     that pair, and its samples on a random dyadic window."""
-    rng = SplitMix64(spec.seed)
-    g = random_frequency_vector(rng, spec)
-    f = random_symmetric_sum(rng, spec, g)
-    level = rng.below(spec.max_level + 1)
-    width = spec.min_window + rng.below(spec.max_window - spec.min_window + 1)
-    height = spec.min_window + rng.below(spec.max_window - spec.min_window + 1)
+    rng = SplitMix64(seed)
+    g = random_frequency_vector(rng)
+    f = random_symmetric_sum(rng, g)
+    level = rng.below(_MAX_LEVEL + 1)
+    width = _MIN_WINDOW + rng.below(_MAX_WINDOW - _MIN_WINDOW + 1)
+    height = _MIN_WINDOW + rng.below(_MAX_WINDOW - _MIN_WINDOW + 1)
     origin = (rng.below(7) - 3, rng.below(7) - 3)
     return g, f, sample(f, level, origin, width, height)
 

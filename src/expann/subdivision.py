@@ -64,7 +64,8 @@ class InsertionRule:
         if abs(2 * self.outer + 2 * self.inner - 1.0) > 1e-12:
             raise ValueError("insertion weights must sum to 1")
 
-    def insert(self, f0, f1, f2, f3) -> complex:
+    def insert(self, f0, f1, f2, f3):
+        """The value inserted between f1 and f2; elementwise on arrays."""
         return self.outer * (f0 + f3) + self.inner * (f1 + f2)
 
 
@@ -109,9 +110,7 @@ def refine(values, p: LevelParameter) -> np.ndarray:
     rule = synthesize_rule(refine_parameter(p).cosh_value)
     out = np.empty(2 * (n - 3) + 1, dtype=np.complex128)
     out[0::2] = f[1 : n - 1]
-    out[1::2] = rule.outer * (f[0 : n - 3] + f[3:n]) + rule.inner * (
-        f[1 : n - 2] + f[2 : n - 1]
-    )
+    out[1::2] = rule.insert(f[0 : n - 3], f[1 : n - 2], f[2 : n - 1], f[3:n])
     return out
 
 

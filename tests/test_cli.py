@@ -127,6 +127,21 @@ class TestDetect:
         assert code == 0
         assert json.loads(out)["classification"] == "Frequency"
 
+    def test_robust_probe_failure_prints_null_residual(self, tmp_path, capsys):
+        values = [2.0 if i == 2 * 4 + 3 else 1.0 for i in range(16)]  # index (3, 2)
+        grid_path = write(
+            tmp_path, "grid.json",
+            json.dumps({"level": 0, "origin": [0, 0], "width": 4, "height": 4,
+                        "values": values}),
+        )
+        code, out, err = run(capsys, "detect", grid_path, "--alpha", "1", "1",
+                             "--mode", "robust")
+        assert (code, err) == (3, "")
+        doc = json.loads(out)
+        assert doc["classification"] == "Inconsistent"
+        assert doc["reason"] == "axis (1, 0): all denominators vanish but data is not constant"
+        assert doc["residual"] is None
+
 
 class TestAnnihilate:
     def test_residual_report_and_grid_file(self, tmp_path, capsys):
@@ -337,7 +352,8 @@ _ANNIHILATE_X = ("annihilate", "@", "--gamma", "0.5", "0", "--axis", "x")
 # "Frequency" report and a null residual (the NaN grid in single mode), a
 # series file expann cannot read back (--rounds -1), or a report that
 # ignored the tolerance (--tol-res nan always Inconsistent, --tol-im nan
-# accepting any imaginary part).
+# accepting any imaginary part). The last four take the exit-2 paths of the
+# file reader and the JSON parser, which no well-formed file reaches.
 @pytest.mark.parametrize(
     "text, argv, code",
     [
@@ -372,6 +388,10 @@ _ANNIHILATE_X = ("annihilate", "@", "--gamma", "0.5", "0", "--axis", "x")
         (_CONSTANT, ("detect", "@", "--tol-im", "nan"), 2),
         (_SERIES, ("refine", "@", "--gamma", "0.5", "--rounds", "-1"), 2),
         (_SERIES, ("refine", "@", "--gamma", "800"), 4),
+        (None, ("detect", "@"), 2),
+        ("{not json", ("detect", "@"), 2),
+        ("[1, 2, 3]", ("detect", "@"), 2),
+        ('{"level": 0, "values": []}', ("refine", "@", "--auto"), 2),
     ],
     ids=[
         "nan-grid-single", "nan-grid-robust", "inf-grid-annihilate", "nan-gamma",
@@ -381,14 +401,17 @@ _ANNIHILATE_X = ("annihilate", "@", "--gamma", "0.5", "0", "--axis", "x")
         "nan-refine-gamma", "nan-refine-auto", "extra-step-0-0", "weight-overflow",
         "tol-den-negative-single", "tol-den-negative-robust", "tol-den-nan-single",
         "tol-den-nan-robust", "tol-den-inf-zero-grid", "tol-res-nan", "tol-im-nan",
-        "rounds-minus-1", "gamma-800-cosh-overflow",
+        "rounds-minus-1", "gamma-800-cosh-overflow", "unreadable-file", "invalid-json",
+        "top-level-not-object", "empty-series",
     ],
 )
 def test_bad_input_exit_code(tmp_path, capsys, text, argv, code):
-    path = write(tmp_path, "input.json", text)
+    # no text: a file that does not exist
+    path = str(tmp_path / "missing.json") if text is None else write(tmp_path, "input.json", text)
     got, out, err = run(capsys, *(path if a == "@" else a for a in argv))
     assert (got, out) == (code, "")
-    assert err.startswith("error: " if code == 2 else "numerical failure: ")
+    [line] = err.splitlines()
+    assert line.startswith("error: " if code == 2 else "numerical failure: ")
 
 
 def run_process(*argv, preexec_fn=None):
@@ -421,3 +444,31 @@ def test_window_beyond_memory_exits_2(tmp_path):
                        "--height", "20000", preexec_fn=limit_address_space)
     assert (done.returncode, done.stdout) == (2, "")
     assert done.stderr == "error: a 20000x20000 window does not fit in memory\n"
+
+
+# Caps the address space at what the interpreter holds after import plus 64 MiB,
+# so refinement fails on a small allocation rather than after gigabytes.
+_UNDER_ADDRESS_CAP = """
+import resource, sys
+from expann.cli import main
+cap = int(open("/proc/self/statm").read().split()[0]) * resource.getpagesize() + 64 * 2**20
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_refinement_beyond_memory_exits_2(tmp_path):
+    pytest.importorskip("resource")
+    if not os.path.exists("/proc/self/statm"):
+        pytest.skip("needs /proc/self/statm to size the address-space cap")
+    values = [1.0 + 0.1 * i * i for i in range(10)]
+    path = write(tmp_path, "series.json", json.dumps({"level": 0, "values": values}))
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
+    done = subprocess.run(
+        [sys.executable, "-c", _UNDER_ADDRESS_CAP, "refine", path, "--rounds", "40",
+         "--gamma", "0.5"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == "error: 40 rounds of refinement do not fit in memory\n"

@@ -39,14 +39,12 @@ from expann.operators import (
     grid_residual,
     reduced_chain_for_symmetric_set,
 )
-from expann.oracle import RandomSpec, SplitMix64, random_instance, random_symmetric_sum
-
-SPEC = RandomSpec(seed=0)
+from expann.oracle import SplitMix64, random_instance, random_symmetric_sum
 
 
 def _symmetric_samples(g, level, origin=(-3, -3), width=9, height=9, seed=1):
     rng = SplitMix64(seed)
-    f = random_symmetric_sum(rng, SPEC, g)
+    f = random_symmetric_sum(rng, g)
     return f, sample(f, level, origin, width, height)
 
 
@@ -245,6 +243,23 @@ class TestDetect:
         assert rep.frequency is not None
         assert rep.frequency.g1.value == pytest.approx(0.5, abs=1e-6)
 
+    def test_robust_mode_constant_grid(self):
+        # every denominator vanishes and the constancy probe certifies rate zero
+        s = GridSamples(0, (0, 0), 6, 6, np.full(36, 3.0))
+        rep = detect(s, (2, 2), mode="robust")
+        assert rep.classification is Classification.CONSTANT
+        assert rep.residual == 0.0
+
+    def test_robust_mode_probe_failure(self):
+        # no x-axis denominator reads column 3, but the probe's step (1, 1)
+        # difference at (2, 1) reads the 2.0 at grid index (3, 2)
+        values = np.ones((4, 4))
+        values[2, 3] = 2.0
+        rep = detect(GridSamples(0, (0, 0), 4, 4, values), (1, 1), mode="robust")
+        assert rep.classification is Classification.INCONSISTENT
+        assert rep.reason == "axis (1, 0): all denominators vanish but data is not constant"
+        assert math.isnan(rep.residual)
+
 
 class TestExactRecoverySweep:
     def test_recovery_over_classes_and_levels(self):
@@ -268,7 +283,7 @@ class TestExactRecoverySweep:
                 g = FrequencyVector.of(
                     1j * rng.uniform(0.1, 0.9 * math.pi), rng.uniform(0.1, 2.0)
                 )
-            f = random_symmetric_sum(rng, SPEC, g)
+            f = random_symmetric_sum(rng, g)
             s = sample(f, level, (-3, -3), 8, 8)
             rep = detect(s, (0, 0))
             assert rep.classification is Classification.FREQUENCY, (i, rep.reason)
@@ -282,7 +297,7 @@ class TestExactRecoverySweep:
     def test_scale_coherence(self):
         g = FrequencyVector.of(0.9, 1.2j)
         rng = SplitMix64(77)
-        f = random_symmetric_sum(rng, SPEC, g)
+        f = random_symmetric_sum(rng, g)
         freqs = []
         for level in (1, 2):
             s = sample(f, level, (-3, -3), 9, 9)
@@ -463,11 +478,11 @@ def _ref_detect(s, alpha, mode):
 
 def _kernel_cases():
     for seed in range(300):
-        yield random_instance(RandomSpec(seed=seed))[2]
+        yield random_instance(seed)[2]
     rng = SplitMix64(5)
     for n in (24, 32, 40):
         g = FrequencyVector.of(rng.uniform(0.1, 0.6), 1j * rng.uniform(0.1, 1.0))
-        yield sample(random_symmetric_sum(rng, SPEC, g), 3, (-n // 2, -n // 2), n, n)
+        yield sample(random_symmetric_sum(rng, g), 3, (-n // 2, -n // 2), n, n)
 
 
 def _bits(x: float) -> str:

@@ -13,7 +13,6 @@ from expann.expspace import (
     FrequencySet,
     FrequencyVector,
     GridSamples,
-    evaluate,
     sample,
     symmetric_set,
 )
@@ -123,26 +122,26 @@ class TestExponentialSum:
 class TestEvaluate:
     def test_constant(self):
         f = ExponentialSum.single(1.0, FrequencyVector.of(0.0, 0.0))
-        assert evaluate(f, (3.7, -2.0)) == 1.0
+        assert f.evaluate((3.7, -2.0)) == 1.0
 
     def test_real_exponential(self):
         f = ExponentialSum.single(2.0, FrequencyVector.of(1.0, 0.0))
-        assert evaluate(f, (1.0, 5.0)) == pytest.approx(5.43656365691809, rel=1e-15)
+        assert f.evaluate((1.0, 5.0)) == pytest.approx(5.43656365691809, rel=1e-15)
 
     def test_imaginary_exponential(self):
         f = ExponentialSum.single(1.0, FrequencyVector.of(0.0, 1j * math.pi / 2))
-        v = evaluate(f, (0.0, 1.0))
+        v = f.evaluate((0.0, 1.0))
         assert abs(v - 1j) < 1e-15
 
     def test_overflow_raises_typed_error(self):
         # the exponential itself overflows, once bare OverflowError from cmath.exp
         f = ExponentialSum.single(1.0, FrequencyVector.of(800.0, 0.0))
         with pytest.raises(RangeOverflowError):
-            evaluate(f, (1.0, 0.0))
+            f.evaluate((1.0, 0.0))
         # the exponential fits but the product with the coefficient does not
         f = ExponentialSum.single(1e308, FrequencyVector.of(1.0, 0.0))
         with pytest.raises(RangeOverflowError):
-            evaluate(f, (1.0, 0.0))
+            f.evaluate((1.0, 0.0))
 
     @given(
         fvec_strategy(),
@@ -156,8 +155,8 @@ class TestEvaluate:
         f = ExponentialSum.single(1.3, ga)
         g = ExponentialSum.single(-0.7, gb)
         combo = a * f + b * g
-        lhs = evaluate(combo, (z1, z2))
-        rhs = a * evaluate(f, (z1, z2)) + b * evaluate(g, (z1, z2))
+        lhs = combo.evaluate((z1, z2))
+        rhs = a * f.evaluate((z1, z2)) + b * g.evaluate((z1, z2))
         assert abs(lhs - rhs) <= 1e-13 * (1.0 + abs(lhs) + abs(rhs))
 
     def test_conjugate_paired_terms_are_real(self):
@@ -168,7 +167,7 @@ class TestEvaluate:
             g = FrequencyVector.of(1j * rng.uniform(0.1, 3), 1j * rng.uniform(0.1, 3))
             f = ExponentialSum(((c, g), (c.conjugate(), g.conjugate())))
             z = (rng.uniform(-2, 2), rng.uniform(-2, 2))
-            v = evaluate(f, z)
+            v = f.evaluate(z)
             assert abs(v.imag) <= 1e-13 * max(abs(v), 1e-6)
 
 
@@ -204,7 +203,7 @@ class TestSample:
         )
         s = sample(f, 2, (-1, -1), 4, 4)
         for alpha in s.indices():
-            assert s.value_at(alpha) == evaluate(f, s.position(alpha))
+            assert s.value_at(alpha) == f.evaluate(s.position(alpha))
 
     def test_index_beyond_float_range_raises(self):
         f = ExponentialSum.single(1.0, FrequencyVector.of(0.0, 0.0))
