@@ -152,10 +152,10 @@ def cmd_refine(args) -> int:
             data = refine_rounds(values, _parse_rate(args.gamma), level, args.rounds)
         else:
             data, g = auto_refine(values, level, args.rounds)
-        # serialize before printing anything, so a failing run prints only the failure
-        text = jsonio.dump_series(data, level + args.rounds, origin)
     except MemoryError as exc:
         raise InputError(f"{args.rounds} rounds of refinement do not fit in memory") from exc
+    # serialize before printing anything, so a failing run prints only the failure
+    text = jsonio.dump_series(data, level + args.rounds, origin)
     if args.auto:
         print(f"detected frequency: {jsonio.dumps(g.value)}", file=sys.stderr)
     print(text)
@@ -244,7 +244,12 @@ def main(argv=None) -> int:
     try:
         # a non-finite result already ends in exit 3 or 4; numpy's warnings add nothing
         with np.errstate(all="ignore"):
-            return args.func(args)
+            try:
+                return args.func(args)
+            except MemoryError as exc:
+                # each command builds all its output text before printing any,
+                # so stdout is still empty when that text does not fit
+                raise InputError("the input or its output does not fit in memory") from exc
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

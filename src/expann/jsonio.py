@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import sys
+from itertools import chain, compress, repeat
 
 import numpy as np
 
@@ -34,11 +36,22 @@ __all__ = [
 ]
 
 _FLOAT_MAX = sys.float_info.max
+_NUMBER_TYPES = frozenset((int, float))  # exact types: json reads true and false as bool
+
+# values per formatted block: the text is built a block at a time, so the
+# tokens of the whole array never exist at once
+_BLOCK = 4096
+_PLAIN, _PAIR = "%.17g", "[%.17g, %.17g]"  # the float branch's f"{x:.17g}"
+_PLAIN_BLOCK = ", ".join([_PLAIN] * _BLOCK)
 
 
 def dumps(obj) -> str:
     """JSON text of the types the outputs use: a complex is always written
-    as [re, im], and a float with 17 significant digits."""
+    as [re, im], and a float with 17 significant digits.  A flat complex
+    ndarray is written as the list of its plain values would be: a value
+    with a zero imaginary part as a number, any other as [re, im]."""
+    if isinstance(obj, np.ndarray) and obj.dtype == np.complex128 and obj.ndim == 1:
+        return _dump_values(obj)
     if isinstance(obj, float):
         if not math.isfinite(obj):
             raise RangeOverflowError(f"cannot write the non-finite number {obj}")
@@ -58,10 +71,35 @@ def dumps(obj) -> str:
     raise TypeError(f"cannot write {type(obj).__name__} as JSON")
 
 
-def _plain_values(values) -> list:
-    """Grid and series values; one with a zero imaginary part is a plain number."""
-    flat = np.asarray(values, dtype=np.complex128).ravel().tolist()
-    return [v.real if v.imag == 0.0 else v for v in flat]
+def _dump_values(values: np.ndarray) -> str:
+    re, im = values.real, values.imag
+    bad = ~(np.isfinite(re) & np.isfinite(im))
+    if bad.any():
+        # the first non-finite part in write order: a real part precedes its
+        # imaginary part, and a non-finite imaginary part is never zero
+        i = int(bad.argmax())
+        part = float(re[i]) if not math.isfinite(re[i]) else float(im[i])
+        raise RangeOverflowError(f"cannot write the non-finite number {part}")
+    blocks = []
+    for start in range(0, len(values), _BLOCK):
+        block = values[start:start + _BLOCK]
+        is_pair = block.imag != 0.0
+        if is_pair.any():
+            fmt = ", ".join([_PAIR if p else _PLAIN for p in is_pair.tolist()])
+            # re0, im0, re1, ... with the imaginary part of each plain value dropped
+            keep = np.ones(2 * len(block), dtype=bool)
+            keep[1::2] = is_pair
+            args = np.stack((block.real, block.imag), axis=1).ravel()[keep]
+        else:
+            fmt = _PLAIN_BLOCK if len(block) == _BLOCK else ", ".join([_PLAIN] * len(block))
+            args = block.real
+        blocks.append(fmt % tuple(args.tolist()))
+    return f"[{', '.join(blocks)}]"
+
+
+def _flat_values(values) -> np.ndarray:
+    """Grid and series values as the flat complex array ``dumps`` writes."""
+    return np.asarray(values, dtype=np.complex128).ravel()
 
 
 def _is_number(x) -> bool:
@@ -85,12 +123,43 @@ def _require_value(raw, where: str) -> complex:
     return value
 
 
-def _parse_values(raw: list, what: str) -> list[complex]:
-    # label only a bad value: a label per value costs more than parsing the value
-    values = list(map(_parse_value, raw))
-    if None in values:
-        i = values.index(None)
-        _require_value(raw[i], f"{what}: values[{i}]")  # raises
+def _bulk_values(raw: list) -> np.ndarray | None:
+    """raw as a flat complex array, each kind of value (plain number, [re, im]
+    pair) converted by one numpy call; None unless every value is one that
+    ``_parse_value`` accepts and every part lies strictly inside the float range."""
+    is_pair = list(map(operator.is_, map(type, raw), repeat(list)))
+    pairs = list(compress(raw, is_pair))
+    plain = list(compress(raw, map(operator.not_, is_pair))) if pairs else raw
+    if not set(map(len, pairs)) <= {2}:
+        return None
+    parts = list(chain.from_iterable(pairs))
+    if not set(map(type, chain(plain, parts))) <= _NUMBER_TYPES:
+        return None
+    try:
+        numbers = np.array(plain, dtype=np.float64)
+        pair_parts = np.array(parts, dtype=np.float64)
+    except OverflowError:  # an integer beyond the float range
+        return None
+    # NaN fails the comparison; a part at exactly the bound is left to the
+    # per-value scan, which tells the largest float from an integer above it
+    if not ((np.abs(numbers) < _FLOAT_MAX).all() and (np.abs(pair_parts) < _FLOAT_MAX).all()):
+        return None
+    values = np.empty(len(raw), dtype=np.complex128)
+    mask = np.array(is_pair, dtype=bool)
+    values[~mask] = numbers
+    values[mask] = pair_parts.view(np.complex128)
+    return values
+
+
+def _parse_values(raw: list, what: str) -> np.ndarray:
+    values = _bulk_values(raw)
+    if values is None:
+        # label only a bad value: a label per value costs more than parsing the value
+        parsed = list(map(_parse_value, raw))
+        if None in parsed:
+            i = parsed.index(None)
+            _require_value(raw[i], f"{what}: values[{i}]")  # raises
+        values = np.array(parsed, dtype=np.complex128)
     return values
 
 
@@ -141,7 +210,7 @@ def load_grid(text: str) -> GridSamples:
 
 def grid_doc(s: GridSamples) -> dict:
     return {"level": s.level, "origin": list(s.origin), "width": s.width,
-            "height": s.height, "values": _plain_values(s.values)}
+            "height": s.height, "values": _flat_values(s.values)}
 
 
 def dump_grid(s: GridSamples) -> str:
@@ -191,9 +260,8 @@ def load_series(text: str) -> tuple[np.ndarray, int, int]:
     raw = doc.get("values")
     if not isinstance(raw, list) or not raw:
         raise FileFormatError("series file: field 'values' must be a non-empty array")
-    values = _parse_values(raw, "series file")
-    return np.asarray(values, dtype=np.complex128), level, origin
+    return _parse_values(raw, "series file"), level, origin
 
 
 def dump_series(values, level: int, origin: int = 0) -> str:
-    return dumps({"level": level, "origin": origin, "values": _plain_values(values)})
+    return dumps({"level": level, "origin": origin, "values": _flat_values(values)})

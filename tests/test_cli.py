@@ -446,29 +446,44 @@ def test_window_beyond_memory_exits_2(tmp_path):
     assert done.stderr == "error: a 20000x20000 window does not fit in memory\n"
 
 
-# Caps the address space at what the interpreter holds after import plus 64 MiB,
-# so refinement fails on a small allocation rather than after gigabytes.
+# Caps the address space at what the interpreter holds after import plus the
+# MiB given as the first argument, so a command fails on a small allocation
+# rather than after gigabytes.
 _UNDER_ADDRESS_CAP = """
 import resource, sys
 from expann.cli import main
-cap = int(open("/proc/self/statm").read().split()[0]) * resource.getpagesize() + 64 * 2**20
+cap = int(open("/proc/self/statm").read().split()[0]) * resource.getpagesize()
+cap += int(sys.argv[1]) * 2**20
 resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
-sys.exit(main(sys.argv[1:]))
+sys.exit(main(sys.argv[2:]))
 """
 
 
-def test_refinement_beyond_memory_exits_2(tmp_path):
+def run_under_address_cap(headroom_mib, *argv):
     pytest.importorskip("resource")
     if not os.path.exists("/proc/self/statm"):
         pytest.skip("needs /proc/self/statm to size the address-space cap")
-    values = [1.0 + 0.1 * i * i for i in range(10)]
-    path = write(tmp_path, "series.json", json.dumps({"level": 0, "values": values}))
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
-    done = subprocess.run(
-        [sys.executable, "-c", _UNDER_ADDRESS_CAP, "refine", path, "--rounds", "40",
-         "--gamma", "0.5"],
+    return subprocess.run(
+        [sys.executable, "-c", _UNDER_ADDRESS_CAP, str(headroom_mib), *argv],
         env=env, capture_output=True, text=True, timeout=60,
     )
+
+
+def test_refinement_beyond_memory_exits_2(tmp_path):
+    values = [1.0 + 0.1 * i * i for i in range(10)]
+    path = write(tmp_path, "series.json", json.dumps({"level": 0, "values": values}))
+    done = run_under_address_cap(64, "refine", path, "--rounds", "40", "--gamma", "0.5")
     assert (done.returncode, done.stdout) == (2, "")
     assert done.stderr == "error: 40 rounds of refinement do not fit in memory\n"
+
+
+def test_output_beyond_memory_exits_2(tmp_path):
+    # the 16 MB grid fits in 100 MiB; its text, about 45 MB of [re, im] pairs
+    # for this oscillating sum, does not, once joined
+    path = write(tmp_path, "sum.json", '{"terms": [{"coeff": [1, 0], "freq": [[0, 0.5], [0, 0]]}]}')
+    done = run_under_address_cap(100, "sample", path, "--level", "0",
+                                 "--width", "1000", "--height", "1000")
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == "error: the input or its output does not fit in memory\n"

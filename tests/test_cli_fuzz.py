@@ -24,7 +24,11 @@ MAX_SIDE = 12
 
 _finite = st.floats(-10.0, 10.0, allow_nan=False)
 _pair = st.lists(_finite, min_size=2, max_size=2)
-_value = st.one_of(_finite, _pair, st.sampled_from([1e308, -1e308, 0.0, -0.0]))
+# magnitudes where "%.17g" writes an exponent (from 1e17 up, and below 1e-4),
+# down to the subnormals
+_scaled = st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(-1074, 1000))
+_value = st.one_of(_finite, _pair, _scaled, st.lists(_scaled, min_size=2, max_size=2),
+                   st.sampled_from([1e308, -1e308, 0.0, -0.0, 5e-324, -1e-5, 1e17]))
 _junk = st.one_of(
     st.text(max_size=3),
     st.booleans(),
