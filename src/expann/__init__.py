@@ -3,7 +3,9 @@
 Exact exponential sums and their grid samples (`expspace`), difference and
 differential operators annihilating them (`operators`), automatic frequency
 detection from samples (`detection`), a level-dependent interpolatory
-refinement demo (`subdivision`), and brute-force validators (`oracle`).
+refinement demo (`subdivision`), the seeded instance generator behind
+``expann generate`` (`oracle`), the JSON file formats (`jsonio`) and the
+command line (`cli`).
 """
 
 from .expspace import (
@@ -32,15 +34,12 @@ from .detection import (
     CoshEstimate,
     DetectionReport,
     StencilDirectionSet,
-    classify_constant,
-    cosh_from_stencil,
     cosh_to_frequency,
     detect,
     detect_univariate,
 )
 from .subdivision import (
     InsertionRule,
-    LevelParameter,
     auto_refine,
     refine,
     refine_parameter,
@@ -71,13 +70,10 @@ __all__ = [
     "CoshEstimate",
     "DetectionReport",
     "StencilDirectionSet",
-    "classify_constant",
-    "cosh_from_stencil",
     "cosh_to_frequency",
     "detect",
     "detect_univariate",
     "InsertionRule",
-    "LevelParameter",
     "auto_refine",
     "refine",
     "refine_parameter",

@@ -49,6 +49,8 @@ def _read(path: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise FileFormatError(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise FileFormatError(f"cannot read {path}: invalid UTF-8 at byte {exc.start}") from exc
 
 
 def _parse_rate(token: str) -> Frequency:
@@ -131,7 +133,11 @@ def cmd_annihilate(args) -> int:
         "extra_step": [extra.dx, extra.dy],
     }
     if args.output:
-        Path(args.output).write_text(jsonio.dump_grid(out_grid) + "\n", encoding="utf-8")
+        text = jsonio.dump_grid(out_grid) + "\n"
+        try:
+            Path(args.output).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise InputError(f"cannot write {args.output}: {exc.strerror}") from exc
         doc["output"] = args.output
     else:
         doc["residual_grid"] = jsonio.grid_doc(out_grid)

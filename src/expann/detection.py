@@ -33,13 +33,10 @@ from .operators import (
 )
 
 __all__ = [
-    "BUTTERFLY_UNION_OFFSETS",
     "StencilDirectionSet",
     "CoshEstimate",
     "Classification",
     "DetectionReport",
-    "cosh_from_stencil",
-    "classify_constant",
     "cosh_to_frequency",
     "detect",
     "detect_univariate",
@@ -48,18 +45,6 @@ __all__ = [
 DEFAULT_TOL_DEN = 1e-10
 DEFAULT_TOL_IM = 1e-9
 DEFAULT_TOL_RES = 1e-8
-
-# Union of the horizontal, vertical and diagonal insertion stencils of the
-# extended-butterfly scheme: the 14 admissible offsets around a base point.
-BUTTERFLY_UNION_OFFSETS: frozenset[tuple[int, int]] = frozenset(
-    {
-        (0, 0),
-        (1, 0), (-1, 0), (0, 1), (0, -1),
-        (1, 1), (-1, -1), (-1, 1), (1, -1),
-        (-2, 0), (0, -2), (-2, -1), (-1, -2), (-2, -2),
-    }
-)
-
 
 def _steps(*pairs) -> tuple[IntegerStep, ...]:
     return tuple(IntegerStep(*p) for p in pairs)
@@ -191,49 +176,6 @@ def _robust_estimate(kernels, alpha, e, steps, tol: float) -> CoshEstimate | Non
         return None
     value = complex(_median(_real_quotients(num[keep], den[keep])), 0.0)
     return CoshEstimate(e, value, alpha, steps[0], _median(mags[keep]))
-
-
-def cosh_from_stencil(
-    s: GridSamples,
-    alpha: tuple[int, int],
-    e: tuple[int, int],
-    step: IntegerStep,
-    tol_den: float = DEFAULT_TOL_DEN,
-) -> CoshEstimate:
-    """Extract cosh(frequency . e * 2^-level) from six samples around alpha.
-
-    With D(b) = S(b + step) - S(b), returns
-    (D(alpha + 2e) + D(alpha)) / (2 D(alpha + e)).  Raises
-    ``DenominatorZeroError`` when |D(alpha + e)| <= tol_den * sup|S|,
-    ``OutOfWindowError`` when any of the six lookups leaves the window and
-    ``InputError`` when tol_den is negative, NaN or infinite.
-    """
-    e = _axis_step(e).as_tuple()
-    alpha = (int(alpha[0]), int(alpha[1]))
-    tol = _threshold(tol_den, s.max_abs())
-    est = _estimate(_six_point(s.values, s.origin, e, step), alpha, e, step, tol)
-    if est is None:
-        raise DenominatorZeroError(
-            f"plain difference vanishes at {tuple(alpha)} + {e} for step {step.as_tuple()}"
-        )
-    return est
-
-
-def classify_constant(
-    s: GridSamples,
-    alpha: tuple[int, int],
-    e: tuple[int, int],
-    tol_den: float = DEFAULT_TOL_DEN,
-) -> bool:
-    """Probe the five triangle-pair points around alpha + e for constancy.
-
-    True when the plain difference vanishes (within tol_den * sup|S|) for
-    every fallback step of the axis; within the model space this certifies
-    a constant function, i.e. frequency zero.
-    """
-    tol = _threshold(tol_den, s.max_abs())
-    kernels = [_six_point(s.values, s.origin, e, st) for st in DEFAULT_STENCILS.for_axis(e)]
-    return _is_constant(kernels, alpha, e, tol)
 
 
 def cosh_to_frequency(

@@ -146,9 +146,6 @@ class FrequencySet:
     def __iter__(self):
         return iter(self.members)
 
-    def __contains__(self, g: FrequencyVector) -> bool:
-        return any(m.as_pair() == g.as_pair() for m in self.members)
-
 
 def _canonical_terms(
     terms,

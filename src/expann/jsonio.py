@@ -20,7 +20,7 @@ from itertools import chain, compress, repeat
 
 import numpy as np
 
-from .errors import FileFormatError, RangeOverflowError
+from .errors import FileFormatError, InputError, RangeOverflowError
 from .expspace import MAX_LEVEL, ExponentialSum, FrequencyVector, GridSamples
 
 __all__ = [
@@ -65,7 +65,12 @@ def dumps(obj) -> str:
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, int) and not isinstance(obj, bool):
-        return str(obj)
+        try:
+            return str(obj)
+        except ValueError as exc:  # past the interpreter's int-to-string digit limit
+            raise InputError(
+                f"cannot write an integer of more than {sys.get_int_max_str_digits()} digits"
+            ) from exc
     if obj is None:
         return "null"
     raise TypeError(f"cannot write {type(obj).__name__} as JSON")
@@ -169,6 +174,12 @@ def _parse_json(text: str, what: str) -> dict:
     except json.JSONDecodeError as exc:
         raise FileFormatError(
             f"{what}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+        ) from exc
+    except RecursionError as exc:
+        raise FileFormatError(f"{what}: arrays or objects nest too deeply") from exc
+    except ValueError as exc:  # an integer past the interpreter's digit limit
+        raise FileFormatError(
+            f"{what}: an integer has more than {sys.get_int_max_str_digits()} digits"
         ) from exc
     if not isinstance(doc, dict):
         raise FileFormatError(f"{what}: top level must be an object")

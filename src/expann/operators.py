@@ -35,7 +35,6 @@ __all__ = [
     "annihilates",
     "grid_residual",
     "reduced_chain_for_symmetric_set",
-    "chain_offsets",
 ]
 
 ZERO_COEFF_REL_TOL = 1e-12
@@ -284,12 +283,3 @@ def reduced_chain_for_symmetric_set(
     e_step = _axis_step(e)
     return AnnihilatorChain(((_ZERO, _as_step(extra)), (g, e_step), (-g, e_step)))
 
-
-def chain_offsets(chain: AnnihilatorChain) -> tuple[tuple[int, int], ...]:
-    """Distinct grid offsets a discrete chain reads, relative to its base point."""
-    offsets = {(0, 0)}
-    for _, s in chain.factors:
-        if not isinstance(s, IntegerStep):
-            raise TypeError("offsets are defined for discrete chains only")
-        offsets |= {(ox + s.dx, oy + s.dy) for ox, oy in offsets}
-    return tuple(sorted(offsets))

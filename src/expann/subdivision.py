@@ -26,7 +26,6 @@ from .errors import (
 from .expspace import Frequency
 
 __all__ = [
-    "LevelParameter",
     "InsertionRule",
     "refine_parameter",
     "synthesize_rule",
@@ -34,23 +33,6 @@ __all__ = [
     "refine_rounds",
     "auto_refine",
 ]
-
-
-@dataclass(frozen=True)
-class LevelParameter:
-    """The level-k rule driver c_k = cosh(2^-k * g)."""
-
-    level: int
-    cosh_value: complex
-
-    @classmethod
-    def from_frequency(cls, g: Frequency | complex, level: int) -> "LevelParameter":
-        rate = g.value if isinstance(g, Frequency) else complex(g)
-        try:
-            c = cmath.cosh(math.ldexp(1.0, -level) * rate)
-        except OverflowError as exc:
-            raise RangeOverflowError(f"cosh of rate {rate} overflows at level {level}") from exc
-        return cls(level, c)
 
 
 @dataclass(frozen=True)
@@ -69,13 +51,13 @@ class InsertionRule:
         return self.outer * (f0 + f3) + self.inner * (f1 + f2)
 
 
-def refine_parameter(p: LevelParameter) -> LevelParameter:
+def refine_parameter(c: complex) -> complex:
     """Advance the rule driver one level: c_{k+1} = sqrt((c_k + 1)/2),
     principal root (positive for every admissible rate)."""
-    c = complex(p.cosh_value)
+    c = complex(c)
     if c.real <= -1.0:
         raise InvalidParameterError(f"cosh value {c} is not above -1")
-    return LevelParameter(p.level + 1, cmath.sqrt((c + 1.0) / 2.0))
+    return cmath.sqrt((c + 1.0) / 2.0)
 
 
 def synthesize_rule(c_half: complex) -> InsertionRule:
@@ -95,8 +77,9 @@ def synthesize_rule(c_half: complex) -> InsertionRule:
     return InsertionRule(outer=w, inner=0.5 - w)
 
 
-def refine(values, p: LevelParameter) -> np.ndarray:
-    """One step of binary interpolatory refinement.
+def refine(values, c: complex) -> np.ndarray:
+    """One step of binary interpolatory refinement of data whose level has
+    the level parameter c = c_k.
 
     Even outputs copy the inputs; odd outputs insert midpoints with the
     rule synthesized for the next level.  Boundary stencils are truncated
@@ -107,7 +90,7 @@ def refine(values, p: LevelParameter) -> np.ndarray:
     n = f.size
     if n < 4:
         raise TooShortError(f"need at least 4 samples, got {n}")
-    rule = synthesize_rule(refine_parameter(p).cosh_value)
+    rule = synthesize_rule(refine_parameter(c))
     out = np.empty(2 * (n - 3) + 1, dtype=np.complex128)
     out[0::2] = f[1 : n - 1]
     out[1::2] = rule.insert(f[0 : n - 3], f[1 : n - 2], f[2 : n - 1], f[3:n])
@@ -115,11 +98,16 @@ def refine(values, p: LevelParameter) -> np.ndarray:
 
 
 def refine_rounds(values, g: Frequency | complex, level: int, rounds: int):
-    """Refine data at ``level`` ``rounds`` times with the rules of rate g."""
-    p = LevelParameter.from_frequency(g, level)
+    """Refine data at ``level`` ``rounds`` times with the rules of rate g,
+    starting from the level parameter c_level = cosh(2^-level * g)."""
+    rate = g.value if isinstance(g, Frequency) else complex(g)
+    try:
+        c = cmath.cosh(math.ldexp(1.0, -level) * rate)
+    except OverflowError as exc:
+        raise RangeOverflowError(f"cosh of rate {rate} overflows at level {level}") from exc
     for _ in range(rounds):
-        values = refine(values, p)
-        p = refine_parameter(p)
+        values = refine(values, c)
+        c = refine_parameter(c)
     return values
 
 

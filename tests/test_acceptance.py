@@ -31,14 +31,17 @@ from expann.operators import (
 )
 from expann.oracle import (
     SplitMix64,
-    apply_chain_pointwise,
-    exhaustive_annihilation_check,
-    finite_difference_directional,
     random_frequency_vector,
     random_instance,
     random_symmetric_sum,
 )
 from expann.subdivision import auto_refine, synthesize_rule
+
+from brute_force import (
+    apply_chain_pointwise,
+    exhaustive_annihilation_check,
+    finite_difference_directional,
+)
 
 
 def report(num: int, name: str, ok: bool, detail: str = "") -> None:

@@ -19,9 +19,12 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def write(tmp_path, name, text):
+def write(tmp_path, name, data):
     p = tmp_path / name
-    p.write_text(text, encoding="utf-8")
+    if isinstance(data, bytes):
+        p.write_bytes(data)
+    else:
+        p.write_text(data, encoding="utf-8")
     return str(p)
 
 
@@ -346,14 +349,24 @@ _CONSTANT = _grid_9x9(lambda j: 2.5)
 _HUGE_SERIES = '{"level": 0, "values": [1e308, 1e308, 1e308, 1e308, 1e308, 1e308]}'
 _SERIES = '{"level": 0, "values": [1, 2, 4, 8, 16, 32]}'
 _ANNIHILATE_X = ("annihilate", "@", "--gamma", "0.5", "0", "--axis", "x")
+# The interpreter's int-to-string digit limit; 0 where there is none.
+_DIGITS = getattr(sys, "get_int_max_str_digits", int)()
+_PAST_DIGITS = pytest.mark.skipif(not _DIGITS, reason="no int-to-string digit limit")
+
+
+def _series_with_origin(digits):
+    return '{"level": 0, "origin": %s, "values": [1, 2, 4, 8, 16, 32]}' % ("9" * digits)
 
 
 # Each input once ended in a traceback (exit 1); or in exit 0 with a
 # "Frequency" report and a null residual (the NaN grid in single mode), a
 # series file expann cannot read back (--rounds -1), or a report that
 # ignored the tolerance (--tol-res nan always Inconsistent, --tol-im nan
-# accepting any imaginary part). The last four take the exit-2 paths of the
-# file reader and the JSON parser, which no well-formed file reaches.
+# accepting any imaginary part). Rows from "unreadable-file" on take the
+# exit-2 paths of the file reader, the JSON parser and the writers, which no
+# well-formed file reaches: an integer past the interpreter's digit limit
+# fails to read, and an origin that grows past it fails to write. In argv,
+# "@" is the input file and "{tmp}" the test's directory.
 @pytest.mark.parametrize(
     "text, argv, code",
     [
@@ -392,6 +405,16 @@ _ANNIHILATE_X = ("annihilate", "@", "--gamma", "0.5", "0", "--axis", "x")
         ("{not json", ("detect", "@"), 2),
         ("[1, 2, 3]", ("detect", "@"), 2),
         ('{"level": 0, "values": []}', ("refine", "@", "--auto"), 2),
+        (b"\xff\xfe" + _SERIES.encode(), ("refine", "@", "--auto"), 2),
+        ("[" * 100_000, ("detect", "@"), 2),
+        pytest.param(_series_with_origin(_DIGITS + 1), ("refine", "@", "--auto"), 2,
+                     marks=_PAST_DIGITS),
+        pytest.param(_series_with_origin(_DIGITS - 1),
+                     ("refine", "@", "--gamma", "0.5", "--rounds", "4"), 2, marks=_PAST_DIGITS),
+        pytest.param(_CONSTANT.replace('"origin": [0, 0]', '"origin": [%s, 0]' % ("9" * _DIGITS)),
+                     (*_ANNIHILATE_X, "--extra-step", "-1", "1"), 2, marks=_PAST_DIGITS),
+        (_CONSTANT, (*_ANNIHILATE_X, "--output", "{tmp}/missing/out.json"), 2),
+        (_CONSTANT, (*_ANNIHILATE_X, "--output", "{tmp}"), 2),
     ],
     ids=[
         "nan-grid-single", "nan-grid-robust", "inf-grid-annihilate", "nan-gamma",
@@ -402,13 +425,17 @@ _ANNIHILATE_X = ("annihilate", "@", "--gamma", "0.5", "0", "--axis", "x")
         "tol-den-negative-single", "tol-den-negative-robust", "tol-den-nan-single",
         "tol-den-nan-robust", "tol-den-inf-zero-grid", "tol-res-nan", "tol-im-nan",
         "rounds-minus-1", "gamma-800-cosh-overflow", "unreadable-file", "invalid-json",
-        "top-level-not-object", "empty-series",
+        "top-level-not-object", "empty-series", "non-utf8-file", "nested-100000",
+        "integer-past-digit-limit", "refine-origin-past-digit-limit",
+        "annihilate-origin-past-digit-limit", "output-missing-directory",
+        "output-onto-directory",
     ],
 )
 def test_bad_input_exit_code(tmp_path, capsys, text, argv, code):
     # no text: a file that does not exist
     path = str(tmp_path / "missing.json") if text is None else write(tmp_path, "input.json", text)
-    got, out, err = run(capsys, *(path if a == "@" else a for a in argv))
+    args = (path if a == "@" else a.replace("{tmp}", str(tmp_path)) for a in argv)
+    got, out, err = run(capsys, *args)
     assert (got, out) == (code, "")
     [line] = err.splitlines()
     assert line.startswith("error: " if code == 2 else "numerical failure: ")

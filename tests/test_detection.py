@@ -5,17 +5,16 @@ import numpy as np
 import pytest
 
 from expann.detection import (
-    BUTTERFLY_UNION_OFFSETS,
     DEFAULT_STENCILS,
     DEFAULT_TOL_DEN,
     DEFAULT_TOL_RES,
     Classification,
     CoshEstimate,
     StencilDirectionSet,
+    _estimate,
+    _is_constant,
     _real_quotients,
     _six_point,
-    classify_constant,
-    cosh_from_stencil,
     cosh_to_frequency,
     detect,
     detect_univariate,
@@ -42,10 +41,36 @@ from expann.operators import (
 from expann.oracle import SplitMix64, random_instance, random_symmetric_sum
 
 
+# Union of the horizontal, vertical and diagonal insertion stencils of the
+# extended-butterfly scheme: the 14 admissible offsets around a base point.
+BUTTERFLY_UNION_OFFSETS = frozenset(
+    {
+        (0, 0),
+        (1, 0), (-1, 0), (0, 1), (0, -1),
+        (1, 1), (-1, -1), (-1, 1), (1, -1),
+        (-2, 0), (0, -2), (-2, -1), (-1, -2), (-2, -2),
+    }
+)
+
+
 def _symmetric_samples(g, level, origin=(-3, -3), width=9, height=9, seed=1):
     rng = SplitMix64(seed)
     f = random_symmetric_sum(rng, g)
     return f, sample(f, level, origin, width, height)
+
+
+def _quotient(s, alpha, e, step):
+    """The six-point quotient at alpha as single-mode detect reads it, or
+    None when its denominator fails the default threshold."""
+    tol = DEFAULT_TOL_DEN * s.max_abs()
+    return _estimate(_six_point(s.values, s.origin, e, step), alpha, e, step, tol)
+
+
+def _constant_along(s, alpha, e):
+    """The constancy probe of robust-mode detect at alpha along axis e."""
+    tol = DEFAULT_TOL_DEN * s.max_abs()
+    kernels = [_six_point(s.values, s.origin, e, st) for st in DEFAULT_STENCILS.for_axis(e)]
+    return _is_constant(kernels, alpha, e, tol)
 
 
 class TestStencilSets:
@@ -64,10 +89,12 @@ class TestStencilSets:
 
 
 class TestCoshFromStencil:
+    """The cosh estimate of one six-point stencil, as ``_estimate`` reads it."""
+
     def test_single_exponential(self):
         f = ExponentialSum.single(1.0, FrequencyVector.of(0.6, 0.4))
         s = sample(f, 0, (-1, -1), 6, 6)
-        est = cosh_from_stencil(s, (0, 0), (1, 0), IntegerStep(0, 1))
+        est = _quotient(s, (0, 0), (1, 0), IntegerStep(0, 1))
         assert est.value.real == pytest.approx(1.1854652182422676, rel=1e-12)
         assert abs(est.value.imag) < 1e-12
         assert est.denominator_magnitude > 0
@@ -82,51 +109,54 @@ class TestCoshFromStencil:
             )
         )
         s = sample(f, 0, (-1, -1), 6, 6)
-        est = cosh_from_stencil(s, (0, 0), (0, 1), IntegerStep(1, 1))
+        est = _quotient(s, (0, 0), (0, 1), IntegerStep(1, 1))
         assert est.value.real == pytest.approx(0.5, abs=1e-12)
 
     def test_constant_raises_denominator_zero(self):
+        # every step's denominator vanishes, so no step yields an estimate
         f = ExponentialSum.single(3.0, FrequencyVector.zero())
         s = sample(f, 0, (-1, -1), 6, 6)
         for step in StencilDirectionSet().set_x:
-            with pytest.raises(DenominatorZeroError):
-                cosh_from_stencil(s, (0, 0), (1, 0), step)
+            assert _quotient(s, (0, 0), (1, 0), step) is None
 
     def test_out_of_window(self):
         f = ExponentialSum.single(1.0, FrequencyVector.of(0.5, 0.0))
         s = sample(f, 0, (0, 0), 4, 4)
         with pytest.raises(OutOfWindowError):
-            cosh_from_stencil(s, (3, 0), (1, 0), IntegerStep(0, 1))
+            _quotient(s, (3, 0), (1, 0), IntegerStep(0, 1))
+        with pytest.raises(OutOfWindowError):
+            detect(s, (3, 0))
 
 
 class TestClassifyConstant:
+    """The five-point constancy probe, as ``_is_constant`` runs it."""
+
     def test_constant_true(self):
         f = ExponentialSum.single(2.0, FrequencyVector.zero())
         s = sample(f, 0, (-2, -2), 6, 6)
-        assert classify_constant(s, (0, 0), (1, 0))
-        assert classify_constant(s, (0, 0), (0, 1))
+        assert _constant_along(s, (0, 0), (1, 0))
+        assert _constant_along(s, (0, 0), (0, 1))
 
     def test_axis_exponential_false(self):
         f = ExponentialSum.single(1.0, FrequencyVector.of(0.3, 0.0))
         s = sample(f, 0, (-2, -2), 6, 6)
-        assert not classify_constant(s, (0, 0), (1, 0))
+        assert not _constant_along(s, (0, 0), (1, 0))
 
     def test_generic_member_false(self):
         g = FrequencyVector.of(0.8, 0.3)
         _, s = _symmetric_samples(g, 0)
-        assert not classify_constant(s, (0, 0), (1, 0))
-        assert not classify_constant(s, (0, 0), (0, 1))
+        assert not _constant_along(s, (0, 0), (1, 0))
+        assert not _constant_along(s, (0, 0), (0, 1))
 
 
 @pytest.mark.parametrize("tol_den", [-1.0, math.nan, math.inf], ids=["negative", "nan", "inf"])
 @pytest.mark.parametrize(
     "call",
     [
-        lambda s, tol: cosh_from_stencil(s, (0, 0), (1, 0), IntegerStep(0, 1), tol),
-        lambda s, tol: classify_constant(s, (0, 0), (1, 0), tol),
+        lambda s, tol: detect(s, (0, 0), tol_den=tol),
         lambda s, tol: detect_univariate(s.values[4], 0, 4, tol),
     ],
-    ids=["cosh_from_stencil", "classify_constant", "detect_univariate"],
+    ids=["detect", "detect_univariate"],
 )
 def test_bad_tol_den_rejected(call, tol_den):
     # every denominator of a constant grid is zero: unchecked, a -1 or NaN
@@ -316,8 +346,7 @@ class TestFallbackCompleteness:
         stencils = StencilDirectionSet()
         for e in [(1, 0), (0, 1)]:
             for step in stencils.for_axis(e):
-                with pytest.raises(DenominatorZeroError):
-                    cosh_from_stencil(s, (0, 0), e, step)
+                assert _quotient(s, (0, 0), e, step) is None
             base = (0 + e[0], 0 + e[1])
             probe = [s.value_at(base)] + [
                 s.value_at((base[0] + st.dx, base[1] + st.dy))
@@ -376,7 +405,7 @@ class TestDetectUnivariate:
         for vals, level, a in inputs:
             row = GridSamples(level, (0, 0), len(vals), 1, vals)
             g_uni = detect_univariate(vals, level, a)
-            est = cosh_from_stencil(row, (a - 1, 0), (1, 0), IntegerStep(1, 0))
+            est = _quotient(row, (a - 1, 0), (1, 0), IntegerStep(1, 0))
             g_grid = cosh_to_frequency(est.value, row.spacing)
             assert g_uni.value.real.hex() == g_grid.value.real.hex()
             assert g_uni.value.imag.hex() == g_grid.value.imag.hex()
@@ -388,7 +417,7 @@ class TestDetectUnivariate:
                 (1.0, FrequencyVector.of(-0.6, 0.0)),
             )
         )
-        est = cosh_from_stencil(sample(f, 0, (-2, -2), 6, 6), (0, 0), (1, 0), IntegerStep(1, 1))
+        est = _quotient(sample(f, 0, (-2, -2), 6, 6), (0, 0), (1, 0), IntegerStep(1, 1))
         g_uni = detect_univariate(inputs[0][0], 0, 1)
         assert abs(est.value.real - math.cosh(g_uni.value.real)) <= 1e-10
 

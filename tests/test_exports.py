@@ -1,9 +1,13 @@
 import importlib
 import pkgutil
+import runpy
+from pathlib import Path
 
 import pytest
 
 import expann
+from expann.detection import DEFAULT_STENCILS
+from expann.expspace import GridSamples
 
 MODULES = ["expann"] + [f"expann.{m.name}" for m in pkgutil.iter_modules(expann.__path__)]
 
@@ -19,3 +23,17 @@ def test_star_import():
     namespace = {}
     exec("from expann import *", namespace)
     assert set(expann.__all__) <= namespace.keys()
+
+
+def test_benchmark_names_resolve():
+    # the benchmark's tracer wraps these functions by name; a rename or a
+    # deletion must fail here, not only in a traced benchmark run
+    spans = runpy.run_path(str(Path(__file__).resolve().parents[1] / "bench" / "spans.py"))
+    missing = [
+        f"{layer}.{name}"
+        for layer, names in spans["TRACED"].items()
+        for name in names
+        if not callable(getattr(importlib.import_module(f"expann.{layer}"), name, None))
+    ]
+    assert missing == []
+    assert callable(DEFAULT_STENCILS.for_axis) and isinstance(GridSamples, type)

@@ -12,13 +12,12 @@ from expann.operators import (
     chain_apply,
     reduced_chain_for_symmetric_set,
 )
-from expann.oracle import (
-    SplitMix64,
+from expann.oracle import SplitMix64, random_instance, random_symmetric_sum
+
+from brute_force import (
     apply_chain_pointwise,
     exhaustive_annihilation_check,
     finite_difference_directional,
-    random_instance,
-    random_symmetric_sum,
 )
 
 

@@ -1,15 +1,21 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
 
-from expann.errors import InvalidParameterError, SingularRuleError, TooShortError
+from expann.errors import (
+    InvalidParameterError,
+    RangeOverflowError,
+    SingularRuleError,
+    TooShortError,
+)
 from expann.subdivision import (
     InsertionRule,
-    LevelParameter,
     auto_refine,
     refine,
     refine_parameter,
+    refine_rounds,
     synthesize_rule,
 )
 
@@ -18,37 +24,45 @@ def hyperbolic(a, b, g):
     return lambda z: 1.0 + a * math.exp(g * z) + b * math.exp(-g * z)
 
 
+_VALS = np.array([0.3, 1.7, -2.2, 0.9, 4.4, -0.1, 2.0])
+
+
 class TestLevelParameter:
+    """``refine_rounds`` starts from the level parameter c_k = cosh(2^-k g)."""
+
     def test_from_real_frequency(self):
-        p = LevelParameter.from_frequency(0.8, 0)
-        assert p.cosh_value.real == pytest.approx(1.3374349463048447, rel=1e-15)
+        assert cmath.cosh(0.8).real == pytest.approx(1.3374349463048447, rel=1e-15)
+        assert np.array_equal(refine_rounds(_VALS, 0.8, 0, 1), refine(_VALS, cmath.cosh(0.8)))
+        assert np.array_equal(refine_rounds(_VALS, 0.8, 2, 1), refine(_VALS, cmath.cosh(0.2)))
 
     def test_from_imaginary_frequency(self):
-        p = LevelParameter.from_frequency(2.0j, 0)
-        assert p.cosh_value.real == pytest.approx(-0.4161468365471424, rel=1e-14)
+        assert cmath.cosh(2.0j).real == pytest.approx(-0.4161468365471424, rel=1e-14)
+        assert np.array_equal(refine_rounds(_VALS, 2.0j, 0, 1), refine(_VALS, cmath.cosh(2.0j)))
+
+    def test_overflow(self):
+        with pytest.raises(RangeOverflowError, match="^cosh of rate"):
+            refine_rounds(_VALS, 800.0, 0, 1)
 
 
 class TestRefineParameter:
     def test_fixed_point_at_one(self):
-        p = refine_parameter(LevelParameter(0, 1.0))
-        assert p.cosh_value == 1.0
-        assert p.level == 1
+        assert refine_parameter(1.0) == 1.0
 
     def test_hyperbolic_halving(self):
-        p = refine_parameter(LevelParameter(0, 1.3374349463048447))
-        assert p.cosh_value.real == pytest.approx(1.081072371838455, rel=1e-14)
+        c = refine_parameter(1.3374349463048447)
+        assert c.real == pytest.approx(1.081072371838455, rel=1e-14)
 
     def test_trigonometric_halving(self):
-        p = refine_parameter(LevelParameter(0, -0.4161468365471424))
-        assert p.cosh_value.real == pytest.approx(0.5403023058681398, rel=1e-14)
+        c = refine_parameter(-0.4161468365471424)
+        assert c.real == pytest.approx(0.5403023058681398, rel=1e-14)
 
     def test_rejects_at_minus_one(self):
         with pytest.raises(InvalidParameterError):
-            refine_parameter(LevelParameter(0, -1.0))
+            refine_parameter(-1.0)
 
     def test_doubling_inverse(self):
         for c in [1.0, 1.5, 3.2, 0.3, -0.8, complex(0.9, 0.0)]:
-            nxt = refine_parameter(LevelParameter(0, c)).cosh_value
+            nxt = refine_parameter(c)
             assert abs(2 * nxt * nxt - 1 - c) <= 1e-14 * (1 + abs(c))
 
 
@@ -95,7 +109,7 @@ class TestSynthesizeRule:
         eps = 2.0**-52
         for k in range(12000):
             rate = rng.uniform(0.0, 6.0) if k % 2 else 1j * rng.uniform(0.0, math.pi)
-            c = LevelParameter.from_frequency(rate, int(rng.integers(1, 14))).cosh_value
+            c = cmath.cosh(math.ldexp(1.0, -int(rng.integers(1, 14))) * rate)
             rule = synthesize_rule(c)
             w, u = 2 * rule.outer, 2 * rule.inner
             assert abs(w + u - 1) <= 4 * eps * max(abs(w), abs(u))
@@ -109,23 +123,23 @@ class TestSynthesizeRule:
 
 class TestRefine:
     def test_constant_preserved(self):
-        out = refine(np.full(6, 2.5), LevelParameter(0, math.cosh(0.4)))
+        out = refine(np.full(6, 2.5), math.cosh(0.4))
         assert np.allclose(out, 2.5, rtol=1e-14)
         assert out.size == 2 * (6 - 3) + 1
 
     def test_too_short(self):
         with pytest.raises(TooShortError):
-            refine([1.0, 2.0, 3.0], LevelParameter(0, 1.0))
+            refine([1.0, 2.0, 3.0], 1.0)
 
     def test_interpolation_bitwise(self):
         vals = np.array([0.3, 1.7, -2.2, 0.9, 4.4, -0.1])
-        out = refine(vals, LevelParameter(0, 1.2))
+        out = refine(vals, 1.2)
         assert np.array_equal(out[0::2], vals[1:-1].astype(complex))
 
     def test_hyperbolic_reproduction(self):
         f = hyperbolic(1.0, 1.0, 0.9)
         vals = [f(z) for z in range(8)]
-        out = refine(vals, LevelParameter.from_frequency(0.9, 0))
+        out = refine(vals, cmath.cosh(0.9))
         # output starts at position 1 with spacing 1/2
         expected = [f(1.0 + 0.5 * i) for i in range(out.size)]
         assert np.allclose(out, expected, rtol=1e-12)
@@ -135,7 +149,7 @@ class TestRefine:
         f = lambda z: 2.0 + math.cos(g * z)
         h = 0.5  # level 1 spacing
         vals = [f(i * h) for i in range(8)]
-        out = refine(vals, LevelParameter.from_frequency(1j * g, 1))
+        out = refine(vals, cmath.cosh(1j * g * h))
         expected = [f((1.0 + 0.5 * i) * h) for i in range(out.size)]
         assert np.allclose(out, expected, rtol=1e-12)
 
@@ -143,9 +157,9 @@ class TestRefine:
         g = 0.75
         f = hyperbolic(0.8, 1.3, g)
         vals = np.array([f(z) for z in range(10)])
-        p = LevelParameter.from_frequency(g, 0)
-        out = refine(vals, p)
-        c = refine_parameter(p).cosh_value.real
+        c0 = cmath.cosh(g)
+        out = refine(vals, c0)
+        c = refine_parameter(c0).real
         res = out[:-3] - (2 * c + 1) * out[1:-2] + (2 * c + 1) * out[2:-1] - out[3:]
         assert np.max(np.abs(res)) <= 1e-11 * np.max(np.abs(out))
 
