@@ -4,10 +4,11 @@ The workhorse is a six-point quotient: with D(b) = S(b + tv) - S(b), the
 ratio (D(a + 2e) + D(a)) / (2 D(a + e)) equals cosh of the frequency
 component along axis e (at the grid's physical step).  When a step tv makes
 the denominator vanish, the next step from a fixed fallback list is tried;
-if every step fails, a five-point constancy probe decides whether the data
-is flat along that axis (frequency component zero) or simply not in the
-model space.  ``_six_point`` computes D and the quotient at every base point
-at once; every mode and the probe read their entries from it.  The 1-D
+if every step fails, the component along that axis is taken as zero.  The
+annihilator residual is the one judge of every answer: an axis taken as
+zero is checked with the plain difference along it, which fails on data
+that varies along it.  ``_six_point`` computes D and the quotient at every
+base point at once; every mode reads its entries from it.  The 1-D
 detector ``detect_univariate`` is a view over the same kernel: a series is
 a grid of one row, and its four-term relation is the quotient along x.
 """
@@ -52,12 +53,8 @@ def _steps(*pairs) -> tuple[IntegerStep, ...]:
 
 @dataclass(frozen=True)
 class StencilDirectionSet:
-    """Fallback step vectors per axis, drawn from the butterfly stencil union.
-
-    Either list alone suffices for the constancy argument: if the plain
-    difference vanishes for all four steps, the five probed points carry
-    one constant value.
-    """
+    """Fallback step vectors per axis, drawn from the butterfly stencil union,
+    tried in list order."""
 
     set_x = _steps((0, 1), (1, 1), (0, -1), (-1, -1))
     set_y = _steps((1, 0), (1, 1), (-1, 0), (-1, -1))
@@ -139,12 +136,6 @@ def _estimate(kernel, alpha, e, step, tol: float) -> CoshEstimate | None:
     return CoshEstimate(e, _entry(num, origin, alpha) / (2.0 * d1), alpha, step, abs(d1))
 
 
-def _is_constant(kernels, alpha, e, tol: float) -> bool:
-    """True when |D(alpha + e)| <= tol for every step, tested in step order."""
-    p = (alpha[0] + e[0], alpha[1] + e[1])
-    return all(abs(_entry(d, origin, p)) <= tol for origin, d, _, _ in kernels)
-
-
 def _real_quotients(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     """Real parts of num / (2.0 * den), rounded as CPython's complex division
     rounds them (numpy's differs in the last bit): scale by the divisor part of
@@ -168,14 +159,20 @@ def _median(x: np.ndarray) -> float:
 
 
 def _robust_estimate(kernels, alpha, e, steps, tol: float) -> CoshEstimate | None:
-    """Median of the quotient over every admissible base point and step."""
+    """Median of the quotient over every admissible base point and step,
+    reported with the first step that has an admissible base point."""
     num, den = (np.concatenate([k[i].ravel() for k in kernels]) for i in (2, 3))
     mags = np.abs(den)
     keep = mags > tol
     if not keep.any():
         return None
+    first = int(keep.argmax())  # the first admissible entry, in step order
+    for step, k in zip(steps, kernels):
+        if first < k[3].size:
+            break
+        first -= k[3].size
     value = complex(_median(_real_quotients(num[keep], den[keep])), 0.0)
-    return CoshEstimate(e, value, alpha, steps[0], _median(mags[keep]))
+    return CoshEstimate(e, value, alpha, step, _median(mags[keep]))
 
 
 def cosh_to_frequency(
@@ -221,10 +218,10 @@ def detect(
     Per axis, fallback steps are tried in order and the first stencil with
     a usable denominator wins ("single" mode); "robust" mode instead takes
     the median over all base points and steps.  Axes whose denominators all
-    vanish are probed for constancy and contribute a zero component.  The
-    combined frequency is accepted only if the reduced three-factor
-    annihilator built from it leaves a relative residual below ``tol_res``
-    on both axes.
+    vanish contribute a zero component.  The combined frequency is accepted
+    only if its annihilator leaves a relative residual below ``tol_res`` on
+    both axes: the reduced three-factor chain along an estimated axis, the
+    plain difference along an axis taken as zero.
     """
     if mode not in ("single", "robust"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -236,7 +233,6 @@ def detect(
     alpha = (int(alpha[0]), int(alpha[1]))
     estimates: list[CoshEstimate] = []
     components: list[Frequency] = []
-    extras: list[IntegerStep] = []
 
     def inconsistent(residual: float, reason: str) -> DetectionReport:
         return DetectionReport(
@@ -253,25 +249,22 @@ def detect(
             kernels = [_six_point(s.values, s.origin, e, st) for st in steps]
             est = _robust_estimate(kernels, alpha, e, steps, tol)
         if est is None:
-            # In single mode every step's |D(alpha + e)| has just failed the
-            # probe's own test, so only robust mode needs to run it.
-            if mode == "robust" and not _is_constant(kernels, alpha, e, tol):
-                return inconsistent(
-                    math.nan, f"axis {e}: all denominators vanish but data is not constant"
-                )
             components.append(Frequency(0.0))
-            extras.append(steps[0])
             continue
         estimates.append(est)
-        extras.append(est.step_used)
         try:
             components.append(cosh_to_frequency(est.value, s.spacing, tol_im))
         except InvalidCoshError as exc:
             return inconsistent(math.nan, f"axis {e}: {exc}")
 
     g = FrequencyVector(components[0], components[1])
-    chains = (reduced_chain_for_symmetric_set(g, e, extra) for e, extra in zip(_AXIS_STEPS, extras))
-    residual = max(_residual(_apply_factors(c.factors, s.values, s.spacing)[0], sup) for c in chains)
+    used = {est.axis: est.step_used for est in estimates}
+    # along an axis taken as zero, the plain difference annihilates the family
+    chains = (
+        reduced_chain_for_symmetric_set(g, e, used[e]).factors if e in used
+        else ((FrequencyVector.zero(), step),) for e, step in _AXIS_STEPS.items()
+    )
+    residual = max(_residual(_apply_factors(c, s.values, s.spacing)[0], sup) for c in chains)
     if not residual <= tol_res:  # a NaN residual is not accepted either
         return inconsistent(
             residual, f"annihilator residual {residual:.3e} exceeds {tol_res:.3e}"
@@ -294,17 +287,20 @@ def detect_univariate(
     A 1-D view of the grid quotient: the samples form a 1xn grid, and the
     four-term relation (2c + 1) (f(a+1) - f(a)) = f(a+2) - f(a-1) is the
     six-point quotient along x with step (1, 0) at base alpha - 1, which
-    gives c = cosh(2^-level * g).  Constant data maps to rate zero; a
-    vanishing denominator on non-constant data is an error.
+    gives c = cosh(2^-level * g).  When the denominator vanishes, the series
+    maps to rate zero only if the plain difference along the whole series
+    passes detect's residual test; otherwise it is an error.
     """
     row = np.asarray(samples, dtype=np.complex128).reshape(1, -1)
     _check_window(level, row.size, 1)
-    tol = _threshold(tol_den, float(abs(row).max()))
+    sup = float(abs(row).max())
+    tol = _threshold(tol_den, sup)
     e, step = (1, 0), _AXIS_STEPS[(1, 0)]
+    h = math.ldexp(1.0, -level)
     est = _estimate(_six_point(row, (0, 0), e, step), (alpha - 1, 0), e, step, tol)
     if est is not None:
-        return cosh_to_frequency(est.value, math.ldexp(1.0, -level), tol_im)
-    window = row[0, alpha - 1 : alpha + 3]
-    if abs(window - window[0]).max() <= tol:
+        return cosh_to_frequency(est.value, h, tol_im)
+    delta = _apply_factors(((FrequencyVector.zero(), step),), row, h)[0]
+    if _residual(delta, sup) <= DEFAULT_TOL_RES:
         return Frequency(0.0)
     raise DenominatorZeroError(f"f({alpha + 1}) - f({alpha}) vanishes on non-constant data")

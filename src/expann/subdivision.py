@@ -43,7 +43,8 @@ class InsertionRule:
     inner: complex
 
     def __post_init__(self) -> None:
-        if abs(2 * self.outer + 2 * self.inner - 1.0) > 1e-12:
+        # inner = 1/2 - outer rounds with an error of about |outer| * eps
+        if abs(2 * self.outer + 2 * self.inner - 1.0) > 1e-12 * max(1.0, abs(self.outer)):
             raise ValueError("insertion weights must sum to 1")
 
     def insert(self, f0, f1, f2, f3):

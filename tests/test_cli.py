@@ -130,20 +130,23 @@ class TestDetect:
         assert code == 0
         assert json.loads(out)["classification"] == "Frequency"
 
-    def test_robust_probe_failure_prints_null_residual(self, tmp_path, capsys):
-        values = [2.0 if i == 2 * 4 + 3 else 1.0 for i in range(16)]  # index (3, 2)
+    def test_non_real_rate_prints_null_residual(self, tmp_path, capsys):
+        # rows of (-2)^i: the x quotient is -1.25, below the cosh range, so
+        # detection stops before its residual check
+        values = [(-2.0) ** (k % 6) for k in range(36)]
         grid_path = write(
             tmp_path, "grid.json",
-            json.dumps({"level": 0, "origin": [0, 0], "width": 4, "height": 4,
+            json.dumps({"level": 0, "origin": [0, 0], "width": 6, "height": 6,
                         "values": values}),
         )
-        code, out, err = run(capsys, "detect", grid_path, "--alpha", "1", "1",
-                             "--mode", "robust")
-        assert (code, err) == (3, "")
-        doc = json.loads(out)
-        assert doc["classification"] == "Inconsistent"
-        assert doc["reason"] == "axis (1, 0): all denominators vanish but data is not constant"
-        assert doc["residual"] is None
+        for mode in ("single", "robust"):
+            code, out, err = run(capsys, "detect", grid_path, "--alpha", "2", "2",
+                                 "--mode", mode)
+            assert (code, err) == (3, "")
+            doc = json.loads(out)
+            assert doc["classification"] == "Inconsistent"
+            assert doc["reason"] == "axis (1, 0): cosh estimate -1.25 is not above -1"
+            assert doc["residual"] is None
 
 
 class TestAnnihilate:
@@ -269,6 +272,29 @@ class TestRefine:
         path = write(tmp_path, "series.json", dump_series([1.0, 2.0, 3.0], 0, 0))
         code, _, err = run(capsys, "refine", path, "--rounds", "1", "--auto")
         assert code == 2
+
+    def test_gamma_near_i_pi(self, tmp_path, capsys):
+        # the insertion weights are about 8.2e3 here; their sum rounds off by
+        # more than 1e-12 but within their own rounding
+        path = write(tmp_path, "series.json", dump_series([1, 2, 3, 4, 5, 6], 0, 0))
+        code, out, err = run(capsys, "refine", path, "--gamma", "3.141562135589793i",
+                             "--rounds", "1")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["values"][0::2] == [2, 3, 4, 5]
+
+    def test_auto_on_non_constant_series_with_vanishing_difference_exits_4(
+        self, tmp_path, capsys
+    ):
+        # 1 + 2e^{0.8z} + 3e^{-0.8z} at level 6: f(2) - f(1) is below the
+        # threshold of the window's sup, yet the series is far from constant
+        z = np.arange(4096) * 2.0**-6
+        vals = 1 + 2 * np.exp(0.8 * z) + 3 * np.exp(-0.8 * z)
+        path = write(tmp_path, "series.json", dump_series(vals, 6, 0))
+        code, out, err = run(capsys, "refine", path, "--rounds", "4", "--auto")
+        assert (code, out) == (4, "")
+        assert err.splitlines() == [
+            "numerical failure: f(2) - f(1) vanishes on non-constant data"
+        ]
 
     def test_denominator_failure_exits_4(self, tmp_path, capsys):
         # f(1) == f(2) engineered with otherwise non-constant data

@@ -12,7 +12,6 @@ from expann.detection import (
     CoshEstimate,
     StencilDirectionSet,
     _estimate,
-    _is_constant,
     _real_quotients,
     _six_point,
     cosh_to_frequency,
@@ -34,6 +33,7 @@ from expann.expspace import (
     symmetric_set,
 )
 from expann.operators import (
+    AnnihilatorChain,
     IntegerStep,
     grid_residual,
     reduced_chain_for_symmetric_set,
@@ -64,13 +64,6 @@ def _quotient(s, alpha, e, step):
     None when its denominator fails the default threshold."""
     tol = DEFAULT_TOL_DEN * s.max_abs()
     return _estimate(_six_point(s.values, s.origin, e, step), alpha, e, step, tol)
-
-
-def _constant_along(s, alpha, e):
-    """The constancy probe of robust-mode detect at alpha along axis e."""
-    tol = DEFAULT_TOL_DEN * s.max_abs()
-    kernels = [_six_point(s.values, s.origin, e, st) for st in DEFAULT_STENCILS.for_axis(e)]
-    return _is_constant(kernels, alpha, e, tol)
 
 
 class TestStencilSets:
@@ -129,24 +122,33 @@ class TestCoshFromStencil:
 
 
 class TestClassifyConstant:
-    """The five-point constancy probe, as ``_is_constant`` runs it."""
+    """detect takes an axis as constant only where the plain difference along
+    it passes the residual check, in both modes."""
 
     def test_constant_true(self):
         f = ExponentialSum.single(2.0, FrequencyVector.zero())
         s = sample(f, 0, (-2, -2), 6, 6)
-        assert _constant_along(s, (0, 0), (1, 0))
-        assert _constant_along(s, (0, 0), (0, 1))
+        for mode in ("single", "robust"):
+            rep = detect(s, (0, 0), mode=mode)
+            assert rep.classification is Classification.CONSTANT
+            assert rep.residual == 0.0
 
     def test_axis_exponential_false(self):
         f = ExponentialSum.single(1.0, FrequencyVector.of(0.3, 0.0))
         s = sample(f, 0, (-2, -2), 6, 6)
-        assert not _constant_along(s, (0, 0), (1, 0))
+        for mode in ("single", "robust"):
+            rep = detect(s, (0, 0), mode=mode)
+            assert rep.classification is Classification.FREQUENCY
+            assert [est.axis for est in rep.estimates] == [(1, 0), (0, 1)]
+            assert rep.frequency.g1.value == pytest.approx(0.3, abs=1e-10)
 
     def test_generic_member_false(self):
         g = FrequencyVector.of(0.8, 0.3)
         _, s = _symmetric_samples(g, 0)
-        assert not _constant_along(s, (0, 0), (1, 0))
-        assert not _constant_along(s, (0, 0), (0, 1))
+        for mode in ("single", "robust"):
+            rep = detect(s, (0, 0), mode=mode)
+            assert rep.classification is Classification.FREQUENCY
+            assert [est.axis for est in rep.estimates] == [(1, 0), (0, 1)]
 
 
 @pytest.mark.parametrize("tol_den", [-1.0, math.nan, math.inf], ids=["negative", "nan", "inf"])
@@ -274,21 +276,53 @@ class TestDetect:
         assert rep.frequency.g1.value == pytest.approx(0.5, abs=1e-6)
 
     def test_robust_mode_constant_grid(self):
-        # every denominator vanishes and the constancy probe certifies rate zero
+        # every denominator vanishes and the plain differences certify rate zero
         s = GridSamples(0, (0, 0), 6, 6, np.full(36, 3.0))
         rep = detect(s, (2, 2), mode="robust")
         assert rep.classification is Classification.CONSTANT
         assert rep.residual == 0.0
 
-    def test_robust_mode_probe_failure(self):
-        # no x-axis denominator reads column 3, but the probe's step (1, 1)
-        # difference at (2, 1) reads the 2.0 at grid index (3, 2)
+    def test_robust_mode_vanishing_axis_judged_by_residual(self):
+        # no x-axis denominator reads column 3, so the x component is taken as
+        # zero; the plain x difference reads the 2.0 at grid index (3, 2)
         values = np.ones((4, 4))
         values[2, 3] = 2.0
         rep = detect(GridSamples(0, (0, 0), 4, 4, values), (1, 1), mode="robust")
         assert rep.classification is Classification.INCONSISTENT
-        assert rep.reason == "axis (1, 0): all denominators vanish but data is not constant"
-        assert math.isnan(rep.residual)
+        assert rep.reason == "annihilator residual 5.000e-01 exceeds 1.000e-08"
+        assert rep.residual == 0.5
+
+    def test_robust_mode_reports_a_step_its_residual_can_use(self):
+        # rows of e^{1.5x} + 5e^{0.2x} + sin 3x, constant along y: the first x
+        # step (0, 1) reads only zero differences, and a residual chain built
+        # with it annihilates such data whatever g1 is
+        xs = (np.arange(24) - 3) * 0.25
+        row = np.exp(1.5 * xs) + 5 * np.exp(0.2 * xs) + np.sin(3 * xs)
+        s = GridSamples(2, (-3, -3), 24, 24, np.tile(row, (24, 1)).ravel())
+        for mode in ("single", "robust"):
+            rep = detect(s, (8, 8), mode=mode)
+            assert rep.classification is Classification.INCONSISTENT
+            assert rep.residual > 1e-4
+            assert rep.estimates[0].step_used == IntegerStep(1, 1)
+
+
+def test_zero_component_families_never_wrong_in_silence():
+    # On wide windows both quotients can fail the window-sup threshold, so
+    # both axes are taken as zero; the plain difference along each axis must
+    # then reject the data rather than call it Constant.
+    for pair in ((0.7, 0), (1.5, 0), (0, 0.7), (0, 1.5), (0.9j, 0), (0, 2.5j)):
+        g = FrequencyVector.of(*pair)
+        f = ExponentialSum(tuple((1.0, m) for m in symmetric_set(g)))
+        for n in (16, 64, 128, 256):
+            s = sample(f, 2, (-3, -3), n, n)
+            for alpha in ((0, 0), (n // 2 - 4, n // 2 - 4)):
+                for mode in ("single", "robust"):
+                    rep = detect(s, alpha, mode=mode)
+                    case = (pair, n, alpha, mode)
+                    assert rep.classification is not Classification.CONSTANT, case
+                    if rep.frequency is not None:
+                        pairs = zip(rep.frequency.as_pair(), g.as_pair())
+                        assert max(abs(a - b) for a, b in pairs) <= 1e-6, case
 
 
 class TestExactRecoverySweep:
@@ -437,8 +471,7 @@ class TestNonFiniteResidual:
 # --- scalar per-point reference for the array kernel ----------------------
 #
 # detect() as it was computed one point at a time before the array kernel:
-# the quotient from value_at, the fallback loop, the per-point robust loop
-# and the five-point constancy probe.
+# the quotient from value_at, the fallback loop and the per-point robust loop.
 
 
 def _ref_diff(s, b, step):
@@ -466,7 +499,7 @@ def _ref_robust(s, alpha, e, steps, tol):
         return None, 0
     value = statistics.median(est.value.real for est in ests)
     mag = statistics.median(est.denominator_magnitude for est in ests)
-    return CoshEstimate(e, complex(value, 0.0), alpha, steps[0], mag), len(ests)
+    return CoshEstimate(e, complex(value, 0.0), alpha, ests[0].step_used, mag), len(ests)
 
 
 def _ref_detect(s, alpha, mode):
@@ -481,11 +514,8 @@ def _ref_detect(s, alpha, mode):
             est, count = _ref_robust(s, alpha, e, steps, tol)
             counts.append(count)
         if est is None:
-            probe = (alpha[0] + e[0], alpha[1] + e[1])
-            if not all(abs(_ref_diff(s, probe, st)) <= tol for st in steps):
-                return Classification.INCONSISTENT, None, estimates, math.nan, counts
             comps.append(Frequency(0.0))
-            extras.append(steps[0])
+            extras.append(None)
             continue
         estimates.append(est)
         extras.append(est.step_used)
@@ -494,8 +524,12 @@ def _ref_detect(s, alpha, mode):
         except InvalidCoshError:
             return Classification.INCONSISTENT, None, estimates, math.nan, counts
     g = FrequencyVector(*comps)
+    zero = FrequencyVector.zero()
     residual = max(
-        grid_residual(reduced_chain_for_symmetric_set(g, e, x), s)
+        grid_residual(
+            reduced_chain_for_symmetric_set(g, e, x) if x else AnnihilatorChain.discrete([(zero, e)]),
+            s,
+        )
         for e, x in zip(((1, 0), (0, 1)), extras)
     )
     if not residual <= DEFAULT_TOL_RES:

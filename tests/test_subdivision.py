@@ -120,6 +120,17 @@ class TestSynthesizeRule:
         with pytest.raises(ValueError):
             InsertionRule(outer=0.3, inner=0.3)
 
+    def test_weights_near_rate_i_pi_are_accepted(self):
+        # towards rate i*pi the half-step cosh nears 0 and |w| grows like its
+        # inverse; rounding u = 1/2 - w costs about |w| * eps in 2w + 2u, so
+        # the rule's check must scale with |w| (|w| is about 8.2e3 at 3.14156...)
+        eps = 2.0**-52
+        rates = [3.141562135589793, *(math.pi - np.geomspace(1e-7, 1.0, 4000))]
+        for rate in rates:
+            rule = synthesize_rule(refine_parameter(cmath.cosh(1j * rate)))
+            w, u = 2 * rule.outer, 2 * rule.inner
+            assert abs(w + u - 1) <= 4 * eps * max(1.0, abs(w))
+
 
 class TestRefine:
     def test_constant_preserved(self):
