@@ -20,13 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import jsonio
-from .detection import (
-    DEFAULT_TOL_DEN,
-    DEFAULT_TOL_IM,
-    DEFAULT_TOL_RES,
-    Classification,
-    detect,
-)
+from .detection import DEFAULT_TOL_RES, Classification, detect
 from .errors import FileFormatError, InputError, NumericalError
 from .expspace import MAX_LEVEL, Frequency, FrequencyVector, sample
 from .operators import (
@@ -102,14 +96,7 @@ def cmd_detect(args) -> int:
         )
     else:
         alpha = tuple(args.alpha)
-    report = detect(
-        grid,
-        alpha,
-        mode=args.mode,
-        tol_den=args.tol_den,
-        tol_res=args.tol_res,
-        tol_im=args.tol_im,
-    )
+    report = detect(grid, alpha, mode=args.mode, tol_res=args.tol_res)
     print(jsonio.dumps(_report_doc(report, args.mode)))
     if report.classification is Classification.INCONSISTENT:
         return EXIT_INCONSISTENT
@@ -207,12 +194,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=int, nargs=2, default=None, metavar=("I", "J"),
                    help="base index (default: window center)")
     p.add_argument("--mode", choices=("single", "robust"), default="single")
-    p.add_argument("--tol-den", type=float, default=DEFAULT_TOL_DEN,
-                   help="relative denominator threshold")
     p.add_argument("--tol-res", type=float, default=DEFAULT_TOL_RES,
                    help="relative residual acceptance threshold")
-    p.add_argument("--tol-im", type=float, default=DEFAULT_TOL_IM,
-                   help="imaginary-part tolerance on cosh estimates")
     p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser("annihilate",

@@ -98,11 +98,10 @@ class DetectionReport:
     reason: str = ""
 
 
-def _threshold(tol_den: float, sup: float) -> float:
-    """The denominator threshold tol_den * sup, for sup the window's sup|S|."""
-    if not 0.0 <= tol_den < math.inf:  # inf * sup|S| is NaN on an all-zero grid
-        raise InputError(f"tol_den must be a finite non-negative number, got {tol_den}")
-    return tol_den * sup
+def _threshold(sup: float) -> float:
+    """The denominator threshold DEFAULT_TOL_DEN * sup, for sup the window's
+    sup|S|: a denominator at or below it counts as vanishing."""
+    return DEFAULT_TOL_DEN * sup
 
 
 def _six_point(values: np.ndarray, origin, e: tuple[int, int], step: IntegerStep):
@@ -175,18 +174,17 @@ def _robust_estimate(kernels, alpha, e, steps, tol: float) -> CoshEstimate | Non
     return CoshEstimate(e, value, alpha, step, _median(mags[keep]))
 
 
-def cosh_to_frequency(
-    c: complex, scale: float, tol_im: float = DEFAULT_TOL_IM
-) -> Frequency:
+def cosh_to_frequency(c: complex, scale: float) -> Frequency:
     """Invert a cosh estimate taken at physical step ``scale`` to the
     level-0 frequency component.
 
-    Values >= 1 map to nonnegative real rates, values in (-1, 1) to
-    imaginary rates; anything else (including rates that would land on or
+    An imaginary part above DEFAULT_TOL_IM * (1 + |c|) is rejected as
+    non-real.  Values >= 1 map to nonnegative real rates, values in (-1, 1)
+    to imaginary rates; anything else (including rates that would land on or
     beyond i*pi) is rejected as outside the admissible domain.
     """
     c = complex(c)
-    if abs(c.imag) > tol_im * (1.0 + abs(c)):
+    if abs(c.imag) > DEFAULT_TOL_IM * (1.0 + abs(c)):
         raise InvalidCoshError(f"cosh estimate {c} has a non-real part")
     x = c.real
     if x >= 1.0:
@@ -208,9 +206,7 @@ def detect(
     s: GridSamples,
     alpha: tuple[int, int],
     mode: str = "single",
-    tol_den: float = DEFAULT_TOL_DEN,
     tol_res: float = DEFAULT_TOL_RES,
-    tol_im: float = DEFAULT_TOL_IM,
 ) -> DetectionReport:
     """Identify the frequency pair of grid data assumed to lie in a
     symmetric exponential family.
@@ -221,16 +217,20 @@ def detect(
     vanish contribute a zero component.  The combined frequency is accepted
     only if its annihilator leaves a relative residual below ``tol_res`` on
     both axes: the reduced three-factor chain along an estimated axis, the
-    plain difference along an axis taken as zero.
+    plain difference along an axis taken as zero.  ``tol_res`` is the one
+    tolerance a caller sets; the denominator threshold (``_threshold``) and
+    the imaginary-part bound (``cosh_to_frequency``) are fixed.  A base
+    point outside the window raises ``OutOfWindowError`` in both modes.
     """
     if mode not in ("single", "robust"):
         raise ValueError(f"unknown mode {mode!r}")
     sup = s.max_abs()
-    tol = _threshold(tol_den, sup)
-    for name, value in (("tol_res", tol_res), ("tol_im", tol_im)):
-        if not value >= 0.0:  # NaN fails too; inf accepts everything
-            raise InputError(f"{name} must be a non-negative number, got {value}")
+    tol = _threshold(sup)
+    if not tol_res >= 0.0:  # NaN fails too; inf accepts everything
+        raise InputError(f"tol_res must be a non-negative number, got {tol_res}")
     alpha = (int(alpha[0]), int(alpha[1]))
+    if not s.contains(alpha):
+        raise OutOfWindowError(f"the stencil at {alpha} leaves the sample window")
     estimates: list[CoshEstimate] = []
     components: list[Frequency] = []
 
@@ -253,7 +253,7 @@ def detect(
             continue
         estimates.append(est)
         try:
-            components.append(cosh_to_frequency(est.value, s.spacing, tol_im))
+            components.append(cosh_to_frequency(est.value, s.spacing))
         except InvalidCoshError as exc:
             return inconsistent(math.nan, f"axis {e}: {exc}")
 
@@ -274,13 +274,7 @@ def detect(
     return DetectionReport(Classification.FREQUENCY, g, tuple(estimates), residual)
 
 
-def detect_univariate(
-    samples,
-    level: int,
-    alpha: int,
-    tol_den: float = DEFAULT_TOL_DEN,
-    tol_im: float = DEFAULT_TOL_IM,
-) -> Frequency:
+def detect_univariate(samples, level: int, alpha: int) -> Frequency:
     """Recover the rate of 1-D data in span{1, exp(g z), exp(-g z)} from the
     four consecutive samples alpha-1 .. alpha+2.
 
@@ -294,12 +288,12 @@ def detect_univariate(
     row = np.asarray(samples, dtype=np.complex128).reshape(1, -1)
     _check_window(level, row.size, 1)
     sup = float(abs(row).max())
-    tol = _threshold(tol_den, sup)
+    tol = _threshold(sup)
     e, step = (1, 0), _AXIS_STEPS[(1, 0)]
     h = math.ldexp(1.0, -level)
     est = _estimate(_six_point(row, (0, 0), e, step), (alpha - 1, 0), e, step, tol)
     if est is not None:
-        return cosh_to_frequency(est.value, h, tol_im)
+        return cosh_to_frequency(est.value, h)
     delta = _apply_factors(((FrequencyVector.zero(), step),), row, h)[0]
     if _residual(delta, sup) <= DEFAULT_TOL_RES:
         return Frequency(0.0)

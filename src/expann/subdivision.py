@@ -78,20 +78,25 @@ def synthesize_rule(c_half: complex) -> InsertionRule:
     return InsertionRule(outer=w, inner=0.5 - w)
 
 
-def refine(values, c: complex) -> np.ndarray:
-    """One step of binary interpolatory refinement of data whose level has
-    the level parameter c = c_k.
-
-    Even outputs copy the inputs; odd outputs insert midpoints with the
-    rule synthesized for the next level.  Boundary stencils are truncated
-    rather than extrapolated, so n inputs yield 2(n - 3) + 1 outputs and
-    the result starts half a coarse step after the first retained input.
-    """
+def _samples(values) -> np.ndarray:
     f = np.asarray(values, dtype=np.complex128)
+    if f.size < 4:
+        raise TooShortError(f"need at least 4 samples, got {f.size}")
+    return f
+
+
+def refine(values, c_half: complex) -> np.ndarray:
+    """One step of binary interpolatory refinement, inserting with the rule
+    of the level parameter ``c_half`` = c_{k+1} of the finer level.
+
+    Even outputs copy the inputs; odd outputs insert midpoints.  Boundary
+    stencils are truncated rather than extrapolated, so n inputs yield
+    2(n - 3) + 1 outputs and the result starts half a coarse step after the
+    first retained input.
+    """
+    f = _samples(values)
     n = f.size
-    if n < 4:
-        raise TooShortError(f"need at least 4 samples, got {n}")
-    rule = synthesize_rule(refine_parameter(c))
+    rule = synthesize_rule(c_half)
     out = np.empty(2 * (n - 3) + 1, dtype=np.complex128)
     out[0::2] = f[1 : n - 1]
     out[1::2] = rule.insert(f[0 : n - 3], f[1 : n - 2], f[2 : n - 1], f[3:n])
@@ -107,16 +112,16 @@ def refine_rounds(values, g: Frequency | complex, level: int, rounds: int):
     except OverflowError as exc:
         raise RangeOverflowError(f"cosh of rate {rate} overflows at level {level}") from exc
     for _ in range(rounds):
-        values = refine(values, c)
+        # short data is an input error even where c is not above -1
+        values = _samples(values)
         c = refine_parameter(c)
+        values = refine(values, c)
     return values
 
 
 def auto_refine(values, level: int, rounds: int) -> tuple[np.ndarray, Frequency]:
     """Detect the rate of the data at its leftmost full stencil (base index
     1), then refine it ``rounds`` times; returns the data and the level-0 rate."""
-    f = np.asarray(values, dtype=np.complex128)
-    if f.size < 4:
-        raise TooShortError(f"need at least 4 samples, got {f.size}")
+    f = _samples(values)
     g = detect_univariate(f, level, alpha=1)
     return refine_rounds(f, g, level, rounds), g

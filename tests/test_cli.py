@@ -1,6 +1,8 @@
+import argparse
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from expann.cli import main
+from expann.cli import build_parser, main
 from expann.expspace import ExponentialSum, FrequencyVector, sample, symmetric_set
 from expann.jsonio import dump_grid, dump_series, dump_sum, load_grid, load_sum
 
@@ -386,13 +388,14 @@ def _series_with_origin(digits):
 
 # Each input once ended in a traceback (exit 1); or in exit 0 with a
 # "Frequency" report and a null residual (the NaN grid in single mode), a
-# series file expann cannot read back (--rounds -1), or a report that
-# ignored the tolerance (--tol-res nan always Inconsistent, --tol-im nan
-# accepting any imaginary part). Rows from "unreadable-file" on take the
-# exit-2 paths of the file reader, the JSON parser and the writers, which no
-# well-formed file reaches: an integer past the interpreter's digit limit
-# fails to read, and an origin that grows past it fails to write. In argv,
-# "@" is the input file and "{tmp}" the test's directory.
+# robust report whose base point lies outside the window, a series file
+# expann cannot read back (--rounds -1), or a report that ignored the
+# tolerance (--tol-res nan always Inconsistent). Rows from
+# "unreadable-file" on take the exit-2 paths of the file reader, the JSON
+# parser and the writers, which no well-formed file reaches: an integer past
+# the interpreter's digit limit fails to read, and an origin that grows past
+# it fails to write. In argv, "@" is the input file and "{tmp}" the test's
+# directory.
 @pytest.mark.parametrize(
     "text, argv, code",
     [
@@ -418,13 +421,8 @@ def _series_with_origin(digits):
         (_HUGE_SERIES, ("refine", "@", "--auto"), 4),
         (_CONSTANT, (*_ANNIHILATE_X, "--extra-step", "0", "0"), 2),
         (_CONSTANT, ("annihilate", "@", "--gamma", "1e308", "0", "--axis", "x"), 4),
-        (_CONSTANT, ("detect", "@", "--tol-den", "-1"), 2),
-        (_CONSTANT, ("detect", "@", "--tol-den", "-1", "--mode", "robust"), 2),
-        (_CONSTANT, ("detect", "@", "--tol-den", "nan"), 2),
-        (_CONSTANT, ("detect", "@", "--tol-den", "nan", "--mode", "robust"), 2),
-        (_grid_9x9(lambda j: 0.0), ("detect", "@", "--tol-den", "inf"), 2),
         (_CONSTANT, ("detect", "@", "--tol-res", "nan"), 2),
-        (_CONSTANT, ("detect", "@", "--tol-im", "nan"), 2),
+        (_grid_text(), ("detect", "@", "--alpha", "1000", "1000", "--mode", "robust"), 2),
         (_SERIES, ("refine", "@", "--gamma", "0.5", "--rounds", "-1"), 2),
         (_SERIES, ("refine", "@", "--gamma", "800"), 4),
         (None, ("detect", "@"), 2),
@@ -448,8 +446,7 @@ def _series_with_origin(digits):
         "sample-width-0", "sample-overflow", "sample-level-minus-5000", "inf-series", "series-level-2000",
         "nan-report-single", "nan-report-robust", "nan-annihilate-residual",
         "nan-refine-gamma", "nan-refine-auto", "extra-step-0-0", "weight-overflow",
-        "tol-den-negative-single", "tol-den-negative-robust", "tol-den-nan-single",
-        "tol-den-nan-robust", "tol-den-inf-zero-grid", "tol-res-nan", "tol-im-nan",
+        "tol-res-nan", "alpha-outside-window-robust",
         "rounds-minus-1", "gamma-800-cosh-overflow", "unreadable-file", "invalid-json",
         "top-level-not-object", "empty-series", "non-utf8-file", "nested-100000",
         "integer-past-digit-limit", "refine-origin-past-digit-limit",
@@ -465,6 +462,30 @@ def test_bad_input_exit_code(tmp_path, capsys, text, argv, code):
     assert (got, out) == (code, "")
     [line] = err.splitlines()
     assert line.startswith("error: " if code == 2 else "numerical failure: ")
+
+
+@pytest.mark.parametrize("flag, value", [("--tol-den", "1e-10"), ("--tol-im", "1e-9")])
+def test_fixed_tolerances_have_no_flag(tmp_path, capsys, flag, value):
+    # the denominator and imaginary-part thresholds are constants of detection
+    path = write(tmp_path, "grid.json", _grid_text())
+    with pytest.raises(SystemExit) as exc:
+        main(["detect", path, flag, value])
+    assert (exc.value.code, capsys.readouterr().out) == (2, "")
+
+
+def test_readme_documents_every_option():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    documented = set(re.findall(r"--[a-z][a-z-]*", section))
+    [commands] = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = {
+        f"{name} {opt}"
+        for name, p in commands.choices.items()
+        for a in p._actions
+        for opt in a.option_strings
+        if opt.startswith("--") and opt != "--help" and opt not in documented
+    }
+    assert options == set()
 
 
 def run_process(*argv, preexec_fn=None):

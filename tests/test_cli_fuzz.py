@@ -129,9 +129,7 @@ def invocations(draw) -> tuple[dict, list]:
             draw,
             ("--mode", st.sampled_from(["single", "robust"]).map(lambda m: [m])),
             ("--alpha", st.lists(st.integers(-14, 14).map(str), min_size=2, max_size=2)),
-            ("--tol-den", _tol.map(lambda t: [t])),
             ("--tol-res", _tol.map(lambda t: [t])),
-            ("--tol-im", _tol.map(lambda t: [t])),
         )
     elif command == "annihilate":
         doc = draw(grid_docs())

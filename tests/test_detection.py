@@ -20,7 +20,6 @@ from expann.detection import (
 )
 from expann.errors import (
     DenominatorZeroError,
-    InputError,
     InvalidCoshError,
     OutOfWindowError,
 )
@@ -119,6 +118,9 @@ class TestCoshFromStencil:
             _quotient(s, (3, 0), (1, 0), IntegerStep(0, 1))
         with pytest.raises(OutOfWindowError):
             detect(s, (3, 0))
+        for mode in ("single", "robust"):  # a base point outside the window
+            with pytest.raises(OutOfWindowError, match=r"^the stencil at \(4, 0\) leaves"):
+                detect(s, (4, 0), mode=mode)
 
 
 class TestClassifyConstant:
@@ -149,23 +151,6 @@ class TestClassifyConstant:
             rep = detect(s, (0, 0), mode=mode)
             assert rep.classification is Classification.FREQUENCY
             assert [est.axis for est in rep.estimates] == [(1, 0), (0, 1)]
-
-
-@pytest.mark.parametrize("tol_den", [-1.0, math.nan, math.inf], ids=["negative", "nan", "inf"])
-@pytest.mark.parametrize(
-    "call",
-    [
-        lambda s, tol: detect(s, (0, 0), tol_den=tol),
-        lambda s, tol: detect_univariate(s.values[4], 0, 4, tol),
-    ],
-    ids=["detect", "detect_univariate"],
-)
-def test_bad_tol_den_rejected(call, tol_den):
-    # every denominator of a constant grid is zero: unchecked, a -1 or NaN
-    # threshold lets it through to a division, and inf calls any data constant
-    s = sample(ExponentialSum.single(2.0, FrequencyVector.zero()), 0, (-4, -4), 9, 9)
-    with pytest.raises(InputError, match="tol_den must be a finite non-negative number"):
-        call(s, tol_den)
 
 
 class TestCoshToFrequency:

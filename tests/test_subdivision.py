@@ -10,6 +10,7 @@ from expann.errors import (
     SingularRuleError,
     TooShortError,
 )
+from expann import subdivision
 from expann.subdivision import (
     InsertionRule,
     auto_refine,
@@ -28,16 +29,31 @@ _VALS = np.array([0.3, 1.7, -2.2, 0.9, 4.4, -0.1, 2.0])
 
 
 class TestLevelParameter:
-    """``refine_rounds`` starts from the level parameter c_k = cosh(2^-k g)."""
+    """``refine_rounds`` starts from the level parameter c_k = cosh(2^-k g)
+    and inserts with the rule of c_{k+1}."""
 
     def test_from_real_frequency(self):
         assert cmath.cosh(0.8).real == pytest.approx(1.3374349463048447, rel=1e-15)
-        assert np.array_equal(refine_rounds(_VALS, 0.8, 0, 1), refine(_VALS, cmath.cosh(0.8)))
-        assert np.array_equal(refine_rounds(_VALS, 0.8, 2, 1), refine(_VALS, cmath.cosh(0.2)))
+        for level, c in ((0, cmath.cosh(0.8)), (2, cmath.cosh(0.2))):
+            expected = refine(_VALS, refine_parameter(c))
+            assert np.array_equal(refine_rounds(_VALS, 0.8, level, 1), expected)
 
     def test_from_imaginary_frequency(self):
         assert cmath.cosh(2.0j).real == pytest.approx(-0.4161468365471424, rel=1e-14)
-        assert np.array_equal(refine_rounds(_VALS, 2.0j, 0, 1), refine(_VALS, cmath.cosh(2.0j)))
+        expected = refine(_VALS, refine_parameter(cmath.cosh(2.0j)))
+        assert np.array_equal(refine_rounds(_VALS, 2.0j, 0, 1), expected)
+
+    def test_each_parameter_computed_once(self, monkeypatch):
+        calls = []
+        advance = subdivision.refine_parameter
+        monkeypatch.setattr(subdivision, "refine_parameter", lambda c: calls.append(c) or advance(c))
+        auto_refine([1.0 + math.cosh(0.5 * z) for z in range(12)], 0, 4)
+        assert len(calls) == 4
+
+    def test_short_data_fails_before_the_parameter(self):
+        # cosh(3.14159265i) rounds to -1, where refine_parameter raises
+        with pytest.raises(TooShortError):
+            refine_rounds([1.0, 2.0, 3.0], 3.14159265j, 0, 1)
 
     def test_overflow(self):
         with pytest.raises(RangeOverflowError, match="^cosh of rate"):
@@ -134,7 +150,7 @@ class TestSynthesizeRule:
 
 class TestRefine:
     def test_constant_preserved(self):
-        out = refine(np.full(6, 2.5), math.cosh(0.4))
+        out = refine(np.full(6, 2.5), math.cosh(0.2))
         assert np.allclose(out, 2.5, rtol=1e-14)
         assert out.size == 2 * (6 - 3) + 1
 
@@ -150,7 +166,7 @@ class TestRefine:
     def test_hyperbolic_reproduction(self):
         f = hyperbolic(1.0, 1.0, 0.9)
         vals = [f(z) for z in range(8)]
-        out = refine(vals, cmath.cosh(0.9))
+        out = refine(vals, cmath.cosh(0.45))
         # output starts at position 1 with spacing 1/2
         expected = [f(1.0 + 0.5 * i) for i in range(out.size)]
         assert np.allclose(out, expected, rtol=1e-12)
@@ -160,7 +176,7 @@ class TestRefine:
         f = lambda z: 2.0 + math.cos(g * z)
         h = 0.5  # level 1 spacing
         vals = [f(i * h) for i in range(8)]
-        out = refine(vals, cmath.cosh(1j * g * h))
+        out = refine(vals, cmath.cosh(0.5j * g * h))
         expected = [f((1.0 + 0.5 * i) * h) for i in range(out.size)]
         assert np.allclose(out, expected, rtol=1e-12)
 
@@ -168,9 +184,8 @@ class TestRefine:
         g = 0.75
         f = hyperbolic(0.8, 1.3, g)
         vals = np.array([f(z) for z in range(10)])
-        c0 = cmath.cosh(g)
-        out = refine(vals, c0)
-        c = refine_parameter(c0).real
+        c = refine_parameter(cmath.cosh(g)).real
+        out = refine(vals, c)
         res = out[:-3] - (2 * c + 1) * out[1:-2] + (2 * c + 1) * out[2:-1] - out[3:]
         assert np.max(np.abs(res)) <= 1e-11 * np.max(np.abs(out))
 
