@@ -21,7 +21,7 @@ import numpy as np
 
 from . import jsonio
 from .detection import DEFAULT_TOL_RES, Classification, detect
-from .errors import FileFormatError, InputError, NumericalError
+from .errors import InputError, NumericalError
 from .expspace import MAX_LEVEL, Frequency, FrequencyVector, sample
 from .operators import (
     IntegerStep,
@@ -42,9 +42,9 @@ def _read(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise FileFormatError(f"cannot read {path}: {exc.strerror}") from exc
+        raise InputError(f"cannot read {path}: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:
-        raise FileFormatError(f"cannot read {path}: invalid UTF-8 at byte {exc.start}") from exc
+        raise InputError(f"cannot read {path}: invalid UTF-8 at byte {exc.start}") from exc
 
 
 def _parse_rate(token: str) -> Frequency:

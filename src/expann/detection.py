@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DenominatorZeroError, InputError, InvalidCoshError, OutOfWindowError
+from .errors import InputError, NumericalError
 from .expspace import Frequency, FrequencyVector, GridSamples, _check_window
 from .operators import (
     _AXIS_STEPS,
@@ -122,7 +122,7 @@ def _six_point(values: np.ndarray, origin, e: tuple[int, int], step: IntegerStep
 def _entry(arr: np.ndarray, origin, p) -> complex:
     i, j = p[0] - origin[0], p[1] - origin[1]
     if not (0 <= i < arr.shape[1] and 0 <= j < arr.shape[0]):
-        raise OutOfWindowError(f"the stencil at {tuple(p)} leaves the sample window")
+        raise InputError(f"the stencil at {tuple(p)} leaves the sample window")
     return complex(arr[j, i])
 
 
@@ -185,21 +185,21 @@ def cosh_to_frequency(c: complex, scale: float) -> Frequency:
     """
     c = complex(c)
     if abs(c.imag) > DEFAULT_TOL_IM * (1.0 + abs(c)):
-        raise InvalidCoshError(f"cosh estimate {c} has a non-real part")
+        raise NumericalError(f"cosh estimate {c} has a non-real part")
     x = c.real
     if x >= 1.0:
         rate = math.acosh(x) / scale
         if rate == math.inf:
-            raise InvalidCoshError(f"real rate from estimate {x} overflows")
+            raise NumericalError(f"real rate from estimate {x} overflows")
         return Frequency(rate)
     if x > -1.0:
         rate = math.acos(x) / scale
         if rate >= math.pi:
-            raise InvalidCoshError(
+            raise NumericalError(
                 f"imaginary rate {rate} from estimate {x} is not below pi"
             )
         return Frequency(complex(0.0, rate))
-    raise InvalidCoshError(f"cosh estimate {x} is not above -1")
+    raise NumericalError(f"cosh estimate {x} is not above -1")
 
 
 def detect(
@@ -220,7 +220,7 @@ def detect(
     plain difference along an axis taken as zero.  ``tol_res`` is the one
     tolerance a caller sets; the denominator threshold (``_threshold``) and
     the imaginary-part bound (``cosh_to_frequency``) are fixed.  A base
-    point outside the window raises ``OutOfWindowError`` in both modes.
+    point outside the window raises ``InputError`` in both modes.
     """
     if mode not in ("single", "robust"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -230,7 +230,7 @@ def detect(
         raise InputError(f"tol_res must be a non-negative number, got {tol_res}")
     alpha = (int(alpha[0]), int(alpha[1]))
     if not s.contains(alpha):
-        raise OutOfWindowError(f"the stencil at {alpha} leaves the sample window")
+        raise InputError(f"the stencil at {alpha} leaves the sample window")
     estimates: list[CoshEstimate] = []
     components: list[Frequency] = []
 
@@ -254,7 +254,7 @@ def detect(
         estimates.append(est)
         try:
             components.append(cosh_to_frequency(est.value, s.spacing))
-        except InvalidCoshError as exc:
+        except NumericalError as exc:
             return inconsistent(math.nan, f"axis {e}: {exc}")
 
     g = FrequencyVector(components[0], components[1])
@@ -297,4 +297,4 @@ def detect_univariate(samples, level: int, alpha: int) -> Frequency:
     delta = _apply_factors(((FrequencyVector.zero(), step),), row, h)[0]
     if _residual(delta, sup) <= DEFAULT_TOL_RES:
         return Frequency(0.0)
-    raise DenominatorZeroError(f"f({alpha + 1}) - f({alpha}) vanishes on non-constant data")
+    raise NumericalError(f"f({alpha + 1}) - f({alpha}) vanishes on non-constant data")

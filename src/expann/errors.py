@@ -1,50 +1,12 @@
-"""Exception hierarchy shared by all expann modules; the command line maps
-``InputError`` to exit code 2 and ``NumericalError`` to exit code 4."""
+"""The two error kinds expann defines, one per failing exit code of the
+command line: ``InputError`` (exit 2) for input outside the operators'
+domain, and ``NumericalError`` (exit 4) for arithmetic on valid input that
+degenerates.  The message names the cause."""
 
 
-class ExpannError(Exception):
-    """Base class for all library-specific failures."""
-
-
-class InputError(ExpannError):
+class InputError(Exception):
     """Input data, an argument or an index lies outside its domain."""
 
 
-class NumericalError(ExpannError):
+class NumericalError(Exception):
     """A computation on valid input hit a degenerate or out-of-range value."""
-
-
-class OutOfWindowError(InputError):
-    """A grid lookup referenced an index outside the sample window."""
-
-
-class EmptyWindowError(InputError):
-    """A difference operator shrank the sample window to nothing."""
-
-
-class DenominatorZeroError(NumericalError):
-    """A quotient-based estimate hit a (near-)zero denominator."""
-
-
-class InvalidCoshError(NumericalError):
-    """A cosh estimate cannot be inverted to an admissible frequency."""
-
-
-class InvalidParameterError(NumericalError):
-    """A level parameter left the domain where refinement is defined."""
-
-
-class SingularRuleError(NumericalError):
-    """The insertion-rule system is singular for the given parameter."""
-
-
-class RangeOverflowError(NumericalError):
-    """A computed value overflowed the floating-point range."""
-
-
-class TooShortError(InputError):
-    """Input sequence is too short for the requested stencil."""
-
-
-class FileFormatError(InputError):
-    """An input file does not match the documented schema."""

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError, OutOfWindowError, RangeOverflowError
+from .errors import InputError, NumericalError
 
 __all__ = [
     "Frequency",
@@ -180,10 +180,6 @@ class ExponentialSum:
         object.__setattr__(self, "terms", _canonical_terms(self.terms))
 
     @classmethod
-    def zero(cls) -> "ExponentialSum":
-        return cls(())
-
-    @classmethod
     def single(cls, coeff, freq) -> "ExponentialSum":
         return cls(((coeff, freq),))
 
@@ -254,25 +250,15 @@ class GridSamples:
 
     def value_at(self, alpha: tuple[int, int]) -> complex:
         if not self.contains(alpha):
-            raise OutOfWindowError(
+            raise InputError(
                 f"index {tuple(alpha)} outside window "
                 f"[{self.origin[0]}, {self.origin[0] + self.width}) x "
                 f"[{self.origin[1]}, {self.origin[1] + self.height})"
             )
         return complex(self.values[alpha[1] - self.origin[1], alpha[0] - self.origin[0]])
 
-    def position(self, alpha: tuple[int, int]) -> tuple[float, float]:
-        h = self.spacing
-        return (alpha[0] * h, alpha[1] * h)
-
     def max_abs(self) -> float:
         return float(np.abs(self.values).max())
-
-    def indices(self):
-        """All integer indices in the window, row-major order."""
-        for j in range(self.height):
-            for i in range(self.width):
-                yield (self.origin[0] + i, self.origin[1] + j)
 
 
 # Real parts where cmath.exp rounds differently from np.exp: above
@@ -296,7 +282,7 @@ def _exp_sum(terms, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     ``sum(c * cmath.exp(g1 * x + g2 * y) for ..., 0j)``: complex products are
     done in real arithmetic in CPython's operand order, where numpy's complex
     multiply differs in the last bit, and terms accumulate in order from
-    0j.  A non-finite value raises ``RangeOverflowError``.
+    0j.  A non-finite value raises ``NumericalError``.
     """
     acc = np.zeros((y.size, x.size), dtype=np.complex128)
     arg = np.empty_like(acc)
@@ -316,7 +302,7 @@ def _exp_sum(terms, x: np.ndarray, y: np.ndarray) -> np.ndarray:
             acc.real += c.real * e.real - c.imag * e.imag
             acc.imag += c.real * e.imag + c.imag * e.real
     if not np.isfinite(acc).all():
-        raise RangeOverflowError("a sample overflows the floating-point range")
+        raise NumericalError("a sample overflows the floating-point range")
     return acc
 
 
@@ -327,7 +313,7 @@ def sample(
     the given dyadic level; entry alpha holds f(2^-level * alpha).
 
     Raises ``ValueError`` for an empty window or a level outside
-    0..MAX_LEVEL, ``RangeOverflowError`` when a sample overflows, and
+    0..MAX_LEVEL, ``NumericalError`` when a sample overflows, and
     ``InputError`` when the window does not fit in memory.
     """
     _check_window(level, width, height)
@@ -339,7 +325,7 @@ def sample(
         y = np.array(range(o2, o2 + height), dtype=np.float64) * h
         return GridSamples(level, (o1, o2), width, height, _exp_sum(f.terms, x, y))
     except OverflowError as exc:  # an index beyond the float range
-        raise RangeOverflowError("a sample overflows the floating-point range") from exc
+        raise NumericalError("a sample overflows the floating-point range") from exc
     except MemoryError as exc:
         raise InputError(f"a {width}x{height} window does not fit in memory") from exc
 

@@ -20,7 +20,7 @@ from itertools import chain, compress, repeat
 
 import numpy as np
 
-from .errors import FileFormatError, InputError, RangeOverflowError
+from .errors import InputError, NumericalError
 from .expspace import MAX_LEVEL, ExponentialSum, FrequencyVector, GridSamples
 
 __all__ = [
@@ -54,7 +54,7 @@ def dumps(obj) -> str:
         return _dump_values(obj)
     if isinstance(obj, float):
         if not math.isfinite(obj):
-            raise RangeOverflowError(f"cannot write the non-finite number {obj}")
+            raise NumericalError(f"cannot write the non-finite number {obj}")
         return f"{obj:.17g}"
     if isinstance(obj, complex):
         return f"[{dumps(obj.real)}, {dumps(obj.imag)}]"
@@ -84,7 +84,7 @@ def _dump_values(values: np.ndarray) -> str:
         # imaginary part, and a non-finite imaginary part is never zero
         i = int(bad.argmax())
         part = float(re[i]) if not math.isfinite(re[i]) else float(im[i])
-        raise RangeOverflowError(f"cannot write the non-finite number {part}")
+        raise NumericalError(f"cannot write the non-finite number {part}")
     blocks = []
     for start in range(0, len(values), _BLOCK):
         block = values[start:start + _BLOCK]
@@ -124,7 +124,7 @@ def _parse_value(raw) -> complex | None:
 def _require_value(raw, where: str) -> complex:
     value = _parse_value(raw)
     if value is None:
-        raise FileFormatError(f"{where}: expected a finite number or [re, im] pair, got {raw!r}")
+        raise InputError(f"{where}: expected a finite number or [re, im] pair, got {raw!r}")
     return value
 
 
@@ -172,24 +172,24 @@ def _parse_json(text: str, what: str) -> dict:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise FileFormatError(
+        raise InputError(
             f"{what}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
     except RecursionError as exc:
-        raise FileFormatError(f"{what}: arrays or objects nest too deeply") from exc
+        raise InputError(f"{what}: arrays or objects nest too deeply") from exc
     except ValueError as exc:  # an integer past the interpreter's digit limit
-        raise FileFormatError(
+        raise InputError(
             f"{what}: an integer has more than {sys.get_int_max_str_digits()} digits"
         ) from exc
     if not isinstance(doc, dict):
-        raise FileFormatError(f"{what}: top level must be an object")
+        raise InputError(f"{what}: top level must be an object")
     return doc
 
 
 def _require_int(doc: dict, key: str, what: str) -> int:
     v = doc.get(key)
     if not isinstance(v, int) or isinstance(v, bool):
-        raise FileFormatError(f"{what}: field {key!r} must be an integer")
+        raise InputError(f"{what}: field {key!r} must be an integer")
     return v
 
 
@@ -204,19 +204,19 @@ def load_grid(text: str) -> GridSamples:
         or len(origin) != 2
         or not all(isinstance(c, int) and not isinstance(c, bool) for c in origin)
     ):
-        raise FileFormatError("grid file: field 'origin' must be [i, j] integers")
+        raise InputError("grid file: field 'origin' must be [i, j] integers")
     raw = doc.get("values")
     if not isinstance(raw, list):
-        raise FileFormatError("grid file: field 'values' must be an array")
+        raise InputError("grid file: field 'values' must be an array")
     if len(raw) != width * height:
-        raise FileFormatError(
+        raise InputError(
             f"grid file: expected {width * height} values, got {len(raw)}"
         )
     values = _parse_values(raw, "grid file")
     try:
         return GridSamples(level, (origin[0], origin[1]), width, height, values)
     except ValueError as exc:
-        raise FileFormatError(f"grid file: {exc}") from exc
+        raise InputError(f"grid file: {exc}") from exc
 
 
 def grid_doc(s: GridSamples) -> dict:
@@ -232,21 +232,21 @@ def load_sum(text: str) -> ExponentialSum:
     doc = _parse_json(text, "sum file")
     raw_terms = doc.get("terms")
     if not isinstance(raw_terms, list):
-        raise FileFormatError("sum file: field 'terms' must be an array")
+        raise InputError("sum file: field 'terms' must be an array")
     terms = []
     for i, t in enumerate(raw_terms):
         where = f"sum file: terms[{i}]"
         if not isinstance(t, dict):
-            raise FileFormatError(f"{where}: must be an object")
+            raise InputError(f"{where}: must be an object")
         coeff = _require_value(t.get("coeff"), f"{where}.coeff")
         freq = t.get("freq")
         if not isinstance(freq, list) or len(freq) != 2:
-            raise FileFormatError(f"{where}.freq: must be [[re, im], [re, im]]")
+            raise InputError(f"{where}.freq: must be [[re, im], [re, im]]")
         comps = [_require_value(c, f"{where}.freq[{j}]") for j, c in enumerate(freq)]
         try:
             fv = FrequencyVector.of(*comps)
         except ValueError as exc:
-            raise FileFormatError(f"{where}.freq: {exc}") from exc
+            raise InputError(f"{where}.freq: {exc}") from exc
         terms.append((coeff, fv))
     return ExponentialSum(tuple(terms))
 
@@ -264,13 +264,13 @@ def load_series(text: str) -> tuple[np.ndarray, int, int]:
     doc = _parse_json(text, "series file")
     level = _require_int(doc, "level", "series file")
     if not 0 <= level <= MAX_LEVEL:
-        raise FileFormatError(f"series file: level must lie in 0..{MAX_LEVEL}")
+        raise InputError(f"series file: level must lie in 0..{MAX_LEVEL}")
     origin = doc.get("origin", 0)
     if not isinstance(origin, int) or isinstance(origin, bool):
-        raise FileFormatError("series file: field 'origin' must be an integer")
+        raise InputError("series file: field 'origin' must be an integer")
     raw = doc.get("values")
     if not isinstance(raw, list) or not raw:
-        raise FileFormatError("series file: field 'values' must be a non-empty array")
+        raise InputError("series file: field 'values' must be a non-empty array")
     return _parse_values(raw, "series file"), level, origin
 
 

@@ -14,9 +14,9 @@ import cmath
 import math
 import numbers
 import operator as _op
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .errors import EmptyWindowError, RangeOverflowError
+from .errors import InputError, NumericalError
 from .expspace import (
     ExponentialSum,
     FrequencySet,
@@ -42,11 +42,10 @@ ZERO_COEFF_REL_TOL = 1e-12
 
 @dataclass(frozen=True)
 class Direction:
-    """A unit direction in the plane; remembers the magnitude it was built from."""
+    """A unit direction in the plane."""
 
     x: float
     y: float
-    magnitude: float = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
         m = math.hypot(self.x, self.y)
@@ -54,15 +53,11 @@ class Direction:
             raise ValueError("direction must be nonzero")
         object.__setattr__(self, "x", self.x / m)
         object.__setattr__(self, "y", self.y / m)
-        object.__setattr__(self, "magnitude", m)
-
-    def perp(self) -> "Direction":
-        return Direction(-self.y, self.x)
 
 
 @dataclass(frozen=True)
 class IntegerStep:
-    """A nonzero integer step vector tv, with t = |tv| and v = tv/|tv| views."""
+    """A nonzero integer step vector tv."""
 
     dx: int
     dy: int
@@ -72,17 +67,6 @@ class IntegerStep:
         object.__setattr__(self, "dy", _op.index(self.dy))
         if self.dx == 0 and self.dy == 0:
             raise ValueError("step must be nonzero")
-
-    @property
-    def t(self) -> float:
-        return math.hypot(self.dx, self.dy)
-
-    @property
-    def v(self) -> Direction:
-        return Direction(self.dx, self.dy)
-
-    def as_tuple(self) -> tuple[int, int]:
-        return (self.dx, self.dy)
 
 
 def _as_step(s) -> IntegerStep:
@@ -191,12 +175,12 @@ def _apply_factors(factors, values, spacing: float):
         (h, w), dx, dy = out.shape, step.dx, step.dy
         shifted, base, (c1, r1) = _window_shift(out, dx, dy)
         if shifted.size == 0:
-            raise EmptyWindowError(f"step ({dx}, {dy}) exhausts a {w}x{h} window")
+            raise InputError(f"step ({dx}, {dy}) exhausts a {w}x{h} window")
         try:
             weight = cmath.exp(gamma.dot(dx * spacing, dy * spacing))
         except OverflowError as exc:
             msg = "a difference weight overflows the floating-point range"
-            raise RangeOverflowError(msg) from exc
+            raise NumericalError(msg) from exc
         out, c, r = shifted - weight * base, c + c1, r + r1
     return out, (c, r)
 
@@ -233,16 +217,14 @@ def chain_apply(chain: AnnihilatorChain, data):
     raise TypeError(f"cannot apply chain to {type(data).__name__}")
 
 
-def annihilates(
-    chain: AnnihilatorChain, f: ExponentialSum, rel_tol: float = ZERO_COEFF_REL_TOL
-) -> bool:
-    """True when the chain maps f to zero, up to rel_tol of f's largest
-    coefficient (chains of a few factors lose at most ~3 digits)."""
+def annihilates(chain: AnnihilatorChain, f: ExponentialSum) -> bool:
+    """True when the chain maps f to zero, up to ZERO_COEFF_REL_TOL of f's
+    largest coefficient (chains of a few factors lose at most ~3 digits)."""
     ref = f.max_coefficient()
     if ref == 0.0:
         return True
     out = chain_apply(chain, f)
-    return out.max_coefficient() <= rel_tol * ref
+    return out.max_coefficient() <= ZERO_COEFF_REL_TOL * ref
 
 
 def _residual(out, sup: float) -> float:

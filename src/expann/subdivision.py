@@ -17,12 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detection import detect_univariate
-from .errors import (
-    InvalidParameterError,
-    RangeOverflowError,
-    SingularRuleError,
-    TooShortError,
-)
+from .errors import InputError, NumericalError
 from .expspace import Frequency
 
 __all__ = [
@@ -57,7 +52,7 @@ def refine_parameter(c: complex) -> complex:
     principal root (positive for every admissible rate)."""
     c = complex(c)
     if c.real <= -1.0:
-        raise InvalidParameterError(f"cosh value {c} is not above -1")
+        raise NumericalError(f"cosh value {c} is not above -1")
     return cmath.sqrt((c + 1.0) / 2.0)
 
 
@@ -73,7 +68,7 @@ def synthesize_rule(c_half: complex) -> InsertionRule:
     """
     c = complex(c_half)
     if abs(c) <= 1e-12 or abs(c + 1.0) <= 1e-12:
-        raise SingularRuleError(f"insertion weights undefined at cosh value {c}")
+        raise NumericalError(f"insertion weights undefined at cosh value {c}")
     w = -1.0 / (8.0 * c * (c + 1.0))
     return InsertionRule(outer=w, inner=0.5 - w)
 
@@ -81,7 +76,7 @@ def synthesize_rule(c_half: complex) -> InsertionRule:
 def _samples(values) -> np.ndarray:
     f = np.asarray(values, dtype=np.complex128)
     if f.size < 4:
-        raise TooShortError(f"need at least 4 samples, got {f.size}")
+        raise InputError(f"need at least 4 samples, got {f.size}")
     return f
 
 
@@ -110,7 +105,7 @@ def refine_rounds(values, g: Frequency | complex, level: int, rounds: int):
     try:
         c = cmath.cosh(math.ldexp(1.0, -level) * rate)
     except OverflowError as exc:
-        raise RangeOverflowError(f"cosh of rate {rate} overflows at level {level}") from exc
+        raise NumericalError(f"cosh of rate {rate} overflows at level {level}") from exc
     for _ in range(rounds):
         # short data is an input error even where c is not above -1
         values = _samples(values)

@@ -341,9 +341,9 @@ class TestFileFormats:
         assert origin == 0 and level == 2 and values.shape == (3,)
 
     def test_grid_value_count_checked(self):
-        from expann.errors import FileFormatError
+        from expann.errors import InputError
 
-        with pytest.raises(FileFormatError):
+        with pytest.raises(InputError, match=r"^grid file: expected 4 values, got 3$"):
             load_grid('{"level": 0, "origin": [0, 0], "width": 2, "height": 2, '
                       '"values": [1, 2, 3]}')
 

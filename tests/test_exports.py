@@ -37,3 +37,17 @@ def test_benchmark_names_resolve():
     ]
     assert missing == []
     assert callable(DEFAULT_STENCILS.for_axis) and isinstance(GridSamples, type)
+
+
+def test_two_error_kinds():
+    # one class per failing exit code of the command line: 2 and 4
+    from expann import errors
+    from expann.errors import InputError, NumericalError
+
+    defined = {
+        v for v in vars(errors).values()
+        if isinstance(v, type) and issubclass(v, BaseException) and v.__module__ == errors.__name__
+    }
+    assert defined == {InputError, NumericalError}
+    assert not issubclass(InputError, NumericalError)
+    assert not issubclass(NumericalError, InputError)

@@ -16,14 +16,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from expann import jsonio
-from expann.errors import FileFormatError, RangeOverflowError
+from expann.errors import InputError, NumericalError
 
 BLOCK = jsonio._BLOCK
 
 
 def _number_text(x: float) -> str:
     if not math.isfinite(x):
-        raise RangeOverflowError(f"cannot write the non-finite number {x}")
+        raise NumericalError(f"cannot write the non-finite number {x}")
     return f"{x:.17g}"
 
 
@@ -52,7 +52,7 @@ def reference_load(raw: list) -> np.ndarray:
         elif type(v) is list and len(v) == 2 and _accepted(v[0]) and _accepted(v[1]):
             out.append(complex(v[0], v[1]))
         else:
-            raise FileFormatError(
+            raise InputError(
                 f"series file: values[{i}]: expected a finite number or [re, im] pair, got {v!r}"
             )
     return np.array(out, dtype=np.complex128)
@@ -115,7 +115,7 @@ def test_other_arrays_rejected():
 
 
 def _reference_error(values) -> str:
-    with pytest.raises(RangeOverflowError) as exc:
+    with pytest.raises(NumericalError) as exc:
         reference_text(values)
     return str(exc.value)
 
@@ -133,7 +133,7 @@ def test_non_finite_error_text(bad, at):
     arr[at] = bad
     if at < len(arr) - 1:
         arr[-1] = complex(1.0, -math.inf)  # a later non-finite part is never the one named
-    with pytest.raises(RangeOverflowError) as exc:
+    with pytest.raises(NumericalError) as exc:
         jsonio.dumps(arr)
     assert str(exc.value) == _reference_error(arr)
 
@@ -197,9 +197,9 @@ def test_first_bad_value_named(bad, at, others):
     if at < 9:
         values[9] = "null"  # a later bad value is never the one named
     text = f"[{', '.join(values)}]"
-    with pytest.raises(FileFormatError) as ref:
+    with pytest.raises(InputError) as ref:
         reference_load(json.loads(text))
-    with pytest.raises(FileFormatError) as got:
+    with pytest.raises(InputError) as got:
         jsonio.load_series(_series(text))
     assert str(got.value) == str(ref.value)
     assert f"values[{at}]" in str(got.value)
@@ -225,8 +225,8 @@ def test_random_lists_match_reference(raw):
     raw = json.loads(text)["values"]
     try:
         expected = reference_load(raw)
-    except FileFormatError as exc:
-        with pytest.raises(FileFormatError) as got:
+    except InputError as exc:
+        with pytest.raises(InputError) as got:
             jsonio.load_series(text)
         assert str(got.value) == str(exc)
     else:
