@@ -105,7 +105,7 @@ def cmd_detect(args) -> int:
 
 def cmd_annihilate(args) -> int:
     grid = jsonio.load_grid(_read(args.gridfile))
-    g = FrequencyVector.of(_parse_rate(args.gamma[0]), _parse_rate(args.gamma[1]))
+    g = FrequencyVector(_parse_rate(args.gamma[0]), _parse_rate(args.gamma[1]))
     axis = (1, 0) if args.axis == "x" else (0, 1)
     try:
         extra = IntegerStep(args.extra_step[0], args.extra_step[1])

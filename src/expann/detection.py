@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator as _op
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,16 +108,16 @@ def _threshold(sup: float) -> float:
 def _six_point(values: np.ndarray, origin, e: tuple[int, int], step: IntegerStep):
     """The six-point quotient at every base point, for axis e and one step.
 
-    Returns ``(origin, d, num, den)``: D(b) = S(b + step) - S(b) at every b
-    where both samples exist, then D(a + 2e) + D(a) and D(a + e) at every a
-    whose six samples exist.  Given values[0, 0] at grid index origin, all
-    three arrays start at the grid index returned.
+    With D(b) = S(b + step) - S(b) at every b where both samples exist,
+    returns ``(origin, num, den)``: D(a + 2e) + D(a) and D(a + e) at every a
+    whose six samples exist.  Given values[0, 0] at grid index origin, both
+    arrays start at the grid index returned.
     """
     shifted, base, (c, r) = _window_shift(values, step.dx, step.dy)
     d = shifted - base
     d2, d0, _ = _window_shift(d, 2 * e[0], 2 * e[1])
     d1 = d[e[1] : e[1] + d0.shape[0], e[0] : e[0] + d0.shape[1]]
-    return (origin[0] + c, origin[1] + r), d, d2 + d0, d1
+    return (origin[0] + c, origin[1] + r), d2 + d0, d1
 
 
 def _entry(arr: np.ndarray, origin, p) -> complex:
@@ -128,7 +129,7 @@ def _entry(arr: np.ndarray, origin, p) -> complex:
 
 def _estimate(kernel, alpha, e, step, tol: float) -> CoshEstimate | None:
     """The quotient at alpha, or None when |D(alpha + e)| <= tol."""
-    origin, _, num, den = kernel
+    origin, num, den = kernel
     d1 = _entry(den, origin, alpha)
     if abs(d1) <= tol:
         return None
@@ -160,16 +161,16 @@ def _median(x: np.ndarray) -> float:
 def _robust_estimate(kernels, alpha, e, steps, tol: float) -> CoshEstimate | None:
     """Median of the quotient over every admissible base point and step,
     reported with the first step that has an admissible base point."""
-    num, den = (np.concatenate([k[i].ravel() for k in kernels]) for i in (2, 3))
+    num, den = (np.concatenate([k[i].ravel() for k in kernels]) for i in (1, 2))
     mags = np.abs(den)
     keep = mags > tol
     if not keep.any():
         return None
     first = int(keep.argmax())  # the first admissible entry, in step order
     for step, k in zip(steps, kernels):
-        if first < k[3].size:
+        if first < k[2].size:
             break
-        first -= k[3].size
+        first -= k[2].size
     value = complex(_median(_real_quotients(num[keep], den[keep])), 0.0)
     return CoshEstimate(e, value, alpha, step, _median(mags[keep]))
 
@@ -228,7 +229,7 @@ def detect(
     tol = _threshold(sup)
     if not tol_res >= 0.0:  # NaN fails too; inf accepts everything
         raise InputError(f"tol_res must be a non-negative number, got {tol_res}")
-    alpha = (int(alpha[0]), int(alpha[1]))
+    alpha = (_op.index(alpha[0]), _op.index(alpha[1]))
     if not s.contains(alpha):
         raise InputError(f"the stencil at {alpha} leaves the sample window")
     estimates: list[CoshEstimate] = []

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator as _op
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,7 +84,8 @@ def _as_frequency(x) -> Frequency:
 
 @dataclass(frozen=True)
 class FrequencyVector:
-    """A pair of admissible exponent rates, one per grid axis."""
+    """A pair of admissible exponent rates, one per grid axis; each may be
+    given as a ``Frequency`` or as a number."""
 
     g1: Frequency
     g2: Frequency
@@ -93,12 +95,8 @@ class FrequencyVector:
         object.__setattr__(self, "g2", _as_frequency(self.g2))
 
     @classmethod
-    def of(cls, g1, g2) -> "FrequencyVector":
-        return cls(_as_frequency(g1), _as_frequency(g2))
-
-    @classmethod
     def zero(cls) -> "FrequencyVector":
-        return cls.of(0.0, 0.0)
+        return cls(0.0, 0.0)
 
     def as_pair(self) -> tuple[complex, complex]:
         return (self.g1.value, self.g2.value)
@@ -153,7 +151,7 @@ def _canonical_terms(
     merged: dict[tuple[complex, complex], tuple[complex, FrequencyVector]] = {}
     for coeff, freq in terms:
         if not isinstance(freq, FrequencyVector):
-            freq = FrequencyVector.of(*freq)
+            raise TypeError("a term's frequency must be a FrequencyVector")
         key = freq.as_pair()
         c = complex(coeff)
         if key in merged:
@@ -169,19 +167,17 @@ def _canonical_terms(
 class ExponentialSum:
     """A finite sum  sum_l c_l * exp(g_l . z)  in canonical form.
 
-    Construction merges exactly-equal frequencies and drops zero
-    coefficients, so ``is_zero()`` is simply emptiness and two sums built
-    from the same terms in any order compare equal.
+    ``terms`` holds ``(coefficient, FrequencyVector)`` pairs; a frequency of
+    any other type raises ``TypeError``.  Construction merges exactly-equal
+    frequencies and drops zero coefficients, so ``is_zero()`` is simply
+    emptiness and two sums built from the same terms in any order compare
+    equal.
     """
 
     terms: tuple[tuple[complex, FrequencyVector], ...] = field(default=())
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "terms", _canonical_terms(self.terms))
-
-    @classmethod
-    def single(cls, coeff, freq) -> "ExponentialSum":
-        return cls(((coeff, freq),))
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -237,7 +233,7 @@ class GridSamples:
         arr = arr.reshape(self.height, self.width).copy()
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
-        object.__setattr__(self, "origin", (int(self.origin[0]), int(self.origin[1])))
+        object.__setattr__(self, "origin", (_op.index(self.origin[0]), _op.index(self.origin[1])))
 
     @property
     def spacing(self) -> float:
@@ -318,7 +314,7 @@ def sample(
     """
     _check_window(level, width, height)
     h = math.ldexp(1.0, -level)
-    o1, o2 = int(origin[0]), int(origin[1])
+    o1, o2 = _op.index(origin[0]), _op.index(origin[1])
     try:
         # float(index) * h, each index rounded once as Python rounds an int
         x = np.array(range(o1, o1 + width), dtype=np.float64) * h

@@ -244,7 +244,7 @@ def load_sum(text: str) -> ExponentialSum:
             raise InputError(f"{where}.freq: must be [[re, im], [re, im]]")
         comps = [_require_value(c, f"{where}.freq[{j}]") for j, c in enumerate(freq)]
         try:
-            fv = FrequencyVector.of(*comps)
+            fv = FrequencyVector(*comps)
         except ValueError as exc:
             raise InputError(f"{where}.freq: {exc}") from exc
         terms.append((coeff, fv))

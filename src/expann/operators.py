@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import numbers
 import operator as _op
 from dataclasses import dataclass
 
@@ -69,10 +68,6 @@ class IntegerStep:
             raise ValueError("step must be nonzero")
 
 
-def _as_step(s) -> IntegerStep:
-    return s if isinstance(s, IntegerStep) else IntegerStep(int(s[0]), int(s[1]))
-
-
 Factor = tuple[FrequencyVector, "IntegerStep | Direction"]
 
 
@@ -100,24 +95,20 @@ class AnnihilatorChain:
         object.__setattr__(self, "factors", factors)
 
     @classmethod
-    def discrete(cls, pairs) -> "AnnihilatorChain":
-        return cls(tuple((g, _as_step(s)) for g, s in pairs))
-
-    @classmethod
     def over_set(cls, gamma_set: FrequencySet, steps) -> "AnnihilatorChain":
         """Discrete chain with one factor per member of ``gamma_set``.
 
-        ``steps`` is either a single step (an ``IntegerStep`` or a pair of
-        ints) applied to every factor or a sequence of steps matching the
-        set's length.
+        ``steps`` is either one ``IntegerStep`` applied to every factor or a
+        sequence of ``IntegerStep``s matching the set's length.
         """
-        if isinstance(steps, IntegerStep) or (
-            len(steps) == 2 and all(isinstance(k, numbers.Integral) for k in steps)
-        ):
+        if isinstance(steps, IntegerStep):
             steps = [steps] * len(gamma_set)
+        # the constructor checks each step before the count, so a pair of
+        # ints raises its TypeError
+        chain = cls(tuple(zip(gamma_set, steps)))
         if len(steps) != len(gamma_set):
             raise ValueError("need one step per frequency")
-        return cls.discrete(tuple(zip(gamma_set, steps)))
+        return chain
 
 
 def diff_apply(
@@ -148,9 +139,9 @@ def delta_apply_sum(
 
     Each term c*exp(m.z) becomes c*(exp(m.tv) - exp(gamma.tv))*exp(m.z).
     """
-    step = _as_step(step)
-    sx, sy = float(step.dx), float(step.dy)
-    return f.map_coefficients(lambda c, m: c * _delta_weight(gamma, m, sx, sy))
+    if isinstance(step, Direction):
+        raise TypeError("a difference factor takes an IntegerStep, not a Direction")
+    return chain_apply(AnnihilatorChain(((gamma, step),)), f)
 
 
 def _window_shift(values, dx: int, dy: int):
@@ -193,7 +184,7 @@ def delta_apply_grid(
     Output at alpha is S(alpha + tv) - exp(gamma . (2^-k tv)) * S(alpha),
     defined on the window where both lookups exist; the level is preserved.
     """
-    return chain_apply(AnnihilatorChain.discrete(((gamma, step),)), s)
+    return chain_apply(AnnihilatorChain(((gamma, step),)), s)
 
 
 def chain_apply(chain: AnnihilatorChain, data):
@@ -208,7 +199,8 @@ def chain_apply(chain: AnnihilatorChain, data):
             if isinstance(s, Direction):
                 out = diff_apply(gamma, s, out)
             else:
-                out = delta_apply_sum(gamma, s, out)
+                sx, sy = float(s.dx), float(s.dy)
+                out = out.map_coefficients(lambda c, m: c * _delta_weight(gamma, m, sx, sy))
         return out
     if isinstance(data, GridSamples):
         out, (c, r) = _apply_factors(chain.factors, data.values, data.spacing)
@@ -263,5 +255,5 @@ def reduced_chain_for_symmetric_set(
     touches at most 6 grid points (offsets extra*{0,1} + e*{0,1,2}).
     """
     e_step = _axis_step(e)
-    return AnnihilatorChain(((_ZERO, _as_step(extra)), (g, e_step), (-g, e_step)))
+    return AnnihilatorChain(((_ZERO, extra), (g, e_step), (-g, e_step)))
 

@@ -70,7 +70,7 @@ def random_frequency_vector(rng: SplitMix64) -> FrequencyVector:
                 while y == 0.0:
                     y = rng.uniform(lo, hi)
                 comps.append(complex(0.0, y))
-        g = FrequencyVector.of(*comps)
+        g = FrequencyVector(*comps)
         if not g.is_zero:
             return g
 

@@ -97,7 +97,7 @@ def test_criterion_2_exhaustive_discrete_characterization():
         mu = random_frequency_vector(rng)
         while any(mu.as_pair() == m.as_pair() for m in gam):
             mu = random_frequency_vector(rng)
-        perturbed = f + ExponentialSum.single(f.max_coefficient(), mu)
+        perturbed = f + ExponentialSum(((f.max_coefficient(), mu),))
         if exhaustive_annihilation_check(perturbed, gam, 2):
             failures += 1
     report(2, "exhaustive discrete characterization, bound 2", failures == 0,
@@ -139,15 +139,15 @@ def test_criterion_4_frequency_identification():
     for i in range(50):
         kind, level = i % 4, i % 4
         if kind == 0:
-            g = FrequencyVector.of(rng.uniform(0.1, 2.0), rng.uniform(0.1, 2.0))
+            g = FrequencyVector(rng.uniform(0.1, 2.0), rng.uniform(0.1, 2.0))
         elif kind == 1:
-            g = FrequencyVector.of(1j * rng.uniform(0.1, 0.9 * math.pi),
+            g = FrequencyVector(1j * rng.uniform(0.1, 0.9 * math.pi),
                                    1j * rng.uniform(0.1, 0.9 * math.pi))
         elif kind == 2:
-            g = FrequencyVector.of(rng.uniform(0.1, 2.0),
+            g = FrequencyVector(rng.uniform(0.1, 2.0),
                                    1j * rng.uniform(0.1, 0.9 * math.pi))
         else:
-            g = FrequencyVector.of(1j * rng.uniform(0.1, 0.9 * math.pi),
+            g = FrequencyVector(1j * rng.uniform(0.1, 0.9 * math.pi),
                                    rng.uniform(0.1, 2.0))
         f = random_symmetric_sum(rng, g)
         s = sample(f, level, (-3, -3), 8, 8)
@@ -160,7 +160,7 @@ def test_criterion_4_frequency_identification():
             worst = max(worst, err)
     ok = ok and worst <= 1e-8
 
-    const = sample(ExponentialSum.single(3.0, FrequencyVector.zero()), 0, (-3, -3), 8, 8)
+    const = sample(ExponentialSum(((3.0, FrequencyVector.zero()),)), 0, (-3, -3), 8, 8)
     ok = ok and detect(const, (0, 0)).classification is Classification.CONSTANT
 
     xs = np.arange(-4, 5, dtype=float)
@@ -223,7 +223,7 @@ def test_criterion_7_finite_difference_consistency():
         g = random_frequency_vector(rng)
         f = ExponentialSum(
             ((rng.uniform(0.5, 2), g),
-             (rng.uniform(0.5, 2), FrequencyVector.of(0.3, 0.1)))
+             (rng.uniform(0.5, 2), FrequencyVector(0.3, 0.1)))
         )
         v = Direction(rng.uniform(0.2, 1), rng.uniform(0.2, 1))
         z = (rng.uniform(-1, 1), rng.uniform(-1, 1))

@@ -40,7 +40,7 @@ def symmetric_sum_file(tmp_path, g, coeffs=None):
 
 class TestSample:
     def test_emits_valid_grid(self, tmp_path, capsys):
-        path, f = symmetric_sum_file(tmp_path, FrequencyVector.of(0.8, 0.3))
+        path, f = symmetric_sum_file(tmp_path, FrequencyVector(0.8, 0.3))
         code, out, _ = run(
             capsys, "sample", path, "--level", "2", "--origin", "-3", "-3",
             "--width", "9", "--height", "9",
@@ -71,7 +71,7 @@ class TestSample:
 
 class TestDetect:
     def test_round_trip_recovers_frequency(self, tmp_path, capsys):
-        path, _ = symmetric_sum_file(tmp_path, FrequencyVector.of(0.8, 0.3))
+        path, _ = symmetric_sum_file(tmp_path, FrequencyVector(0.8, 0.3))
         _, grid_json, _ = run(
             capsys, "sample", path, "--level", "2", "--origin", "-3", "-3",
             "--width", "9", "--height", "9",
@@ -86,7 +86,7 @@ class TestDetect:
         assert doc["residual"] <= 1e-8
 
     def test_trigonometric_instance(self, tmp_path, capsys):
-        g = FrequencyVector.of(1j * math.pi / 8, 1j * math.pi / 8)
+        g = FrequencyVector(1j * math.pi / 8, 1j * math.pi / 8)
         path, _ = symmetric_sum_file(tmp_path, g)
         _, grid_json, _ = run(
             capsys, "sample", path, "--level", "0", "--origin", "-3", "-3",
@@ -102,7 +102,7 @@ class TestDetect:
         assert abs(doc["gamma"][0][1] - math.pi / 8) <= 1e-8
 
     def test_constant_grid(self, tmp_path, capsys):
-        f = ExponentialSum.single(7.0, FrequencyVector.zero())
+        f = ExponentialSum(((7.0, FrequencyVector.zero()),))
         grid = sample(f, 0, (-3, -3), 9, 9)
         grid_path = write(tmp_path, "grid.json", dump_grid(grid))
         code, out, _ = run(capsys, "detect", grid_path, "--alpha", "0", "0")
@@ -122,7 +122,7 @@ class TestDetect:
         assert json.loads(out)["classification"] == "Inconsistent"
 
     def test_default_alpha_is_window_center(self, tmp_path, capsys):
-        path, _ = symmetric_sum_file(tmp_path, FrequencyVector.of(0.4, 0.9))
+        path, _ = symmetric_sum_file(tmp_path, FrequencyVector(0.4, 0.9))
         _, grid_json, _ = run(
             capsys, "sample", path, "--level", "1", "--origin", "0", "0",
             "--width", "8", "--height", "8",
@@ -153,7 +153,7 @@ class TestDetect:
 
 class TestAnnihilate:
     def test_residual_report_and_grid_file(self, tmp_path, capsys):
-        path, f = symmetric_sum_file(tmp_path, FrequencyVector.of(0.8, 0.3))
+        path, f = symmetric_sum_file(tmp_path, FrequencyVector(0.8, 0.3))
         grid = sample(f, 1, (-3, -3), 9, 9)
         grid_path = write(tmp_path, "grid.json", dump_grid(grid))
         out_path = str(tmp_path / "res.json")
@@ -168,7 +168,7 @@ class TestAnnihilate:
         assert res_grid.width == grid.width - 3  # extra (1,1) plus two axis steps
 
     def test_imaginary_gamma_token(self, tmp_path, capsys):
-        g = FrequencyVector.of(0.0, 1j * 0.9)
+        g = FrequencyVector(0.0, 1j * 0.9)
         path, f = symmetric_sum_file(tmp_path, g)
         grid = sample(f, 0, (-3, -3), 9, 9)
         grid_path = write(tmp_path, "grid.json", dump_grid(grid))
@@ -181,7 +181,7 @@ class TestAnnihilate:
         assert "residual_grid" in doc
 
     def test_negative_imaginary_gamma_token(self, tmp_path, capsys):
-        path, f = symmetric_sum_file(tmp_path, FrequencyVector.of(0.5, 0.3j))
+        path, f = symmetric_sum_file(tmp_path, FrequencyVector(0.5, 0.3j))
         grid_path = write(tmp_path, "grid.json", dump_grid(sample(f, 0, (-3, -3), 9, 9)))
         code, out, _ = run(
             capsys, "annihilate", grid_path, "--gamma", "0.5", "-0.3i", "--axis", "x",
@@ -192,7 +192,7 @@ class TestAnnihilate:
         assert doc["residual"] <= 1e-11
 
     def test_wrong_gamma_large_residual(self, tmp_path, capsys):
-        path, f = symmetric_sum_file(tmp_path, FrequencyVector.of(0.8, 0.3))
+        path, f = symmetric_sum_file(tmp_path, FrequencyVector(0.8, 0.3))
         grid = sample(f, 0, (-3, -3), 9, 9)
         grid_path = write(tmp_path, "grid.json", dump_grid(grid))
         code, out, _ = run(
@@ -206,7 +206,7 @@ def test_window_sup_and_chain_taken_once(tmp_path, capsys, monkeypatch):
     from expann import detection, operators
     from expann.expspace import GridSamples
 
-    _, f = symmetric_sum_file(tmp_path, FrequencyVector.of(0.8, 0.3j))
+    _, f = symmetric_sum_file(tmp_path, FrequencyVector(0.8, 0.3j))
     grid = sample(f, 2, (-3, -3), 9, 9)
     sups, chains = [], []
     max_abs, apply_factors = GridSamples.max_abs, operators._apply_factors
@@ -326,8 +326,8 @@ class TestGenerate:
 class TestFileFormats:
     def test_grid_round_trip_bytes(self):
         f = ExponentialSum(
-            ((1.0, FrequencyVector.of(0.5, 1j * 0.7)),
-             (1.0, FrequencyVector.of(0.5, -1j * 0.7)))
+            ((1.0, FrequencyVector(0.5, 1j * 0.7)),
+             (1.0, FrequencyVector(0.5, -1j * 0.7)))
         )
         grid = sample(f, 1, (-1, -1), 4, 4)
         text = dump_grid(grid)
@@ -357,7 +357,7 @@ class TestFileFormats:
 
 
 def _grid_text(level=0, bad=None):
-    f = ExponentialSum(tuple((1.0, m) for m in symmetric_set(FrequencyVector.of(0.8, 0.3))))
+    f = ExponentialSum(tuple((1.0, m) for m in symmetric_set(FrequencyVector(0.8, 0.3))))
     doc = json.loads(dump_grid(sample(f, 0, (-3, -3), 9, 9)))
     doc["level"] = level
     if bad is not None:

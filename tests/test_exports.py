@@ -1,12 +1,13 @@
 import importlib
 import pkgutil
+import re
 import runpy
 from pathlib import Path
 
 import pytest
 
 import expann
-from expann.detection import DEFAULT_STENCILS
+from expann.detection import DEFAULT_STENCILS, Classification
 from expann.expspace import GridSamples
 
 MODULES = ["expann"] + [f"expann.{m.name}" for m in pkgutil.iter_modules(expann.__path__)]
@@ -51,3 +52,12 @@ def test_two_error_kinds():
     assert defined == {InputError, NumericalError}
     assert not issubclass(InputError, NumericalError)
     assert not issubclass(NumericalError, InputError)
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Library example\n+```python\n(.*?)```", readme, re.S).group(1)
+    namespace = {}
+    exec(block, namespace)
+    assert namespace["report"].classification is Classification.FREQUENCY
+    assert "Classification.FREQUENCY" in capsys.readouterr().out

@@ -73,19 +73,49 @@ class TestIntegerStep:
         assert v.x == pytest.approx(0.6) and v.y == pytest.approx(-0.8)
 
 
+_G = FrequencyVector(0.8, 0.3)
+_F = ExponentialSum(((1.0, _G),))
+_S = sample(_F, 0, (0, 0), 4, 4)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: delta_apply_sum(_G, (1.5, 0), _F),
+        lambda: delta_apply_sum(_G, (1, 0), _F),
+        lambda: delta_apply_sum(_G, Direction(1.0, 0.0), _F),
+        lambda: delta_apply_grid(_G, (1.5, 0), _S),
+        lambda: delta_apply_grid(_G, (1, 0), _S),
+        lambda: reduced_chain_for_symmetric_set(_G, (1, 0), (1.5, 0)),
+        lambda: reduced_chain_for_symmetric_set(_G, (1, 0), (1, 1)),
+        lambda: AnnihilatorChain.over_set(symmetric_set(_G), (1.5, 0)),
+        lambda: AnnihilatorChain.over_set(symmetric_set(_G), [(1, 0)] * 5),
+        lambda: ExponentialSum(((1.0, (0.8, 0.3)),)),
+    ],
+    ids=["delta-sum-float", "delta-sum-int", "delta-sum-direction", "delta-grid-float",
+         "delta-grid-int", "extra-float", "extra-int", "over-set-pair", "over-set-list",
+         "term-frequency"],
+)
+def test_tuple_forms_are_rejected(build):
+    # a step is an IntegerStep and a term's frequency a FrequencyVector;
+    # converting a tuple instead would truncate the step (1.5, 0) to (1, 0)
+    with pytest.raises(TypeError):
+        build()
+
+
 class TestDiffApply:
     def test_matching_rate_annihilates(self):
-        g = FrequencyVector.of(0.7, 0.2j)
-        f = ExponentialSum.single(3.0, g)
+        g = FrequencyVector(0.7, 0.2j)
+        f = ExponentialSum(((3.0, g),))
         assert diff_apply(g, Direction(0.3, 0.9), f).is_zero()
 
     def test_unit_axis(self):
-        f = ExponentialSum.single(1.0, FrequencyVector.of(1.0, 0.0))
+        f = ExponentialSum(((1.0, FrequencyVector(1.0, 0.0)),))
         out = diff_apply(FrequencyVector.zero(), Direction(1.0, 0.0), f)
         assert out.terms[0][0] == 1.0
 
     def test_diagonal(self):
-        f = ExponentialSum.single(1.0, FrequencyVector.of(1.0, 1.0))
+        f = ExponentialSum(((1.0, FrequencyVector(1.0, 1.0)),))
         out = diff_apply(FrequencyVector.zero(), Direction(1.0, 1.0), f)
         assert out.terms[0][0] == pytest.approx(1.4142135623730951, rel=1e-15)
 
@@ -95,7 +125,7 @@ class TestDiffApply:
         for _ in range(10):
             g = random_frequency_vector(rng)
             mu = random_frequency_vector(rng)
-            f = ExponentialSum.single(complex(rng.uniform(-2, 2), rng.uniform(-2, 2)), mu)
+            f = ExponentialSum(((complex(rng.uniform(-2, 2), rng.uniform(-2, 2)), mu),))
             wx, wy = rng.uniform(-3, 3), rng.uniform(0.1, 3)
             raw = f.map_coefficients(
                 lambda c, m: c
@@ -106,8 +136,8 @@ class TestDiffApply:
             assert _coeffs_close(unit, scaled, 1e-13)
 
     def test_single_frequency_kernel_both_directions(self):
-        g = FrequencyVector.of(0.9, 0.4)
-        f = ExponentialSum.single(2.5, g)
+        g = FrequencyVector(0.9, 0.4)
+        f = ExponentialSum(((2.5, g),))
         v = Direction(2.0, 1.0)
         assert diff_apply(g, v, f).is_zero()
         assert diff_apply(g, Direction(-v.y, v.x), f).is_zero()
@@ -115,7 +145,7 @@ class TestDiffApply:
     def test_extra_terms_escape_single_factor(self):
         # among representable sums, only the pure g-exponential is killed by
         # both v and v-perp when g.v and g.v_perp are nonzero
-        g = FrequencyVector.of(0.9, 0.4)
+        g = FrequencyVector(0.9, 0.4)
         v = Direction(2.0, 1.0)
         perp = Direction(-v.y, v.x)
         rng = SplitMix64(23)
@@ -130,31 +160,31 @@ class TestDiffApply:
 
 class TestDeltaApplySum:
     def test_matching_rate_annihilates(self):
-        g = FrequencyVector.of(0.4, 1.1j)
-        f = ExponentialSum.single(2.0, g)
+        g = FrequencyVector(0.4, 1.1j)
+        f = ExponentialSum(((2.0, g),))
         assert delta_apply_sum(g, IntegerStep(2, -1), f).is_zero()
 
     def test_constant_term_weight(self):
-        f = ExponentialSum.single(1.0, FrequencyVector.zero())
-        out = delta_apply_sum(FrequencyVector.of(1.0, 0.0), IntegerStep(1, 0), f)
+        f = ExponentialSum(((1.0, FrequencyVector.zero()),))
+        out = delta_apply_sum(FrequencyVector(1.0, 0.0), IntegerStep(1, 0), f)
         assert out.terms[0][0] == pytest.approx(-1.718281828459045, rel=1e-15)
 
     def test_sinh_identity(self):
-        f = ExponentialSum.single(1.0, FrequencyVector.of(0.5, 0.0))
-        out = delta_apply_sum(FrequencyVector.of(-0.5, 0.0), IntegerStep(2, 0), f)
+        f = ExponentialSum(((1.0, FrequencyVector(0.5, 0.0)),))
+        out = delta_apply_sum(FrequencyVector(-0.5, 0.0), IntegerStep(2, 0), f)
         assert out.terms[0][0] == pytest.approx(2.3504023872876028, rel=1e-15)
 
 
 class TestDeltaApplyGrid:
     def test_constant_zero(self):
-        f = ExponentialSum.single(4.0, FrequencyVector.zero())
+        f = ExponentialSum(((4.0, FrequencyVector.zero()),))
         s = sample(f, 0, (0, 0), 5, 5)
         out = delta_apply_grid(FrequencyVector.zero(), IntegerStep(1, 1), s)
         assert np.all(out.values == 0)
         assert out.width == 4 and out.height == 4
 
     def test_factor_identity(self):
-        f = ExponentialSum.single(1.0, FrequencyVector.of(0.6, 0.4))
+        f = ExponentialSum(((1.0, FrequencyVector(0.6, 0.4)),))
         s = sample(f, 0, (0, 0), 4, 5)
         out = delta_apply_grid(FrequencyVector.zero(), IntegerStep(0, 1), s)
         factor = math.exp(0.4) - 1.0
@@ -164,29 +194,29 @@ class TestDeltaApplyGrid:
                 assert out.value_at((x, y)) == pytest.approx(want, rel=1e-14)
 
     def test_matching_rate_annihilates(self):
-        g = FrequencyVector.of(0.8, 0.3j)
-        f = ExponentialSum.single(1.0, g)
+        g = FrequencyVector(0.8, 0.3j)
+        f = ExponentialSum(((1.0, g),))
         s = sample(f, 1, (-2, -2), 6, 6)
         for tv in [(1, 0), (0, 1), (2, -1)]:
             out = delta_apply_grid(g, IntegerStep(*tv), s)
             assert out.max_abs() <= 1e-13 * s.max_abs()
 
     def test_negative_step_window(self):
-        s = sample(ExponentialSum.single(1.0, FrequencyVector.of(0.2, 0.0)), 0, (0, 0), 4, 4)
+        s = sample(ExponentialSum(((1.0, FrequencyVector(0.2, 0.0)),)), 0, (0, 0), 4, 4)
         out = delta_apply_grid(FrequencyVector.zero(), IntegerStep(-1, -2), s)
         assert out.origin == (1, 2)
         assert out.width == 3 and out.height == 2
         assert out.value_at((1, 2)) == pytest.approx(s.value_at((0, 0)) - s.value_at((1, 2)))
 
     def test_empty_window(self):
-        s = sample(ExponentialSum.single(1.0, FrequencyVector.zero()), 0, (0, 0), 3, 3)
+        s = sample(ExponentialSum(((1.0, FrequencyVector.zero()),)), 0, (0, 0), 3, 3)
         with pytest.raises(InputError, match=r"^step \(3, 0\) exhausts a 3x3 window$"):
             delta_apply_grid(FrequencyVector.zero(), IntegerStep(3, 0), s)
 
     def test_level_scaling(self):
         # at level k the weight uses the physical step 2^-k tv
-        g = FrequencyVector.of(1.2, 0.0)
-        f = ExponentialSum.single(1.0, g)
+        g = FrequencyVector(1.2, 0.0)
+        f = ExponentialSum(((1.0, g),))
         s = sample(f, 2, (0, 0), 5, 2)
         out = delta_apply_grid(g, IntegerStep(1, 0), s)
         assert out.max_abs() <= 1e-14 * s.max_abs()
@@ -194,7 +224,7 @@ class TestDeltaApplyGrid:
 
 class TestChains:
     def test_chain_over_set_annihilates_exactly(self):
-        gam = symmetric_set(FrequencyVector.of(0.8, 0.3))
+        gam = symmetric_set(FrequencyVector(0.8, 0.3))
         rng = SplitMix64(5)
         f = ExponentialSum(tuple((rng.uniform(-5, 5), m) for m in gam))
         chain = AnnihilatorChain.over_set(gam, IntegerStep(1, 1))
@@ -204,25 +234,25 @@ class TestChains:
         f = ExponentialSum(
             (
                 (1.0, FrequencyVector.zero()),
-                (1.0, FrequencyVector.of(0.9, 0.0)),
-                (1.0, FrequencyVector.of(-0.9, 0.0)),
+                (1.0, FrequencyVector(0.9, 0.0)),
+                (1.0, FrequencyVector(-0.9, 0.0)),
             )
         )
         s = sample(f, 0, (0, 0), 8, 1)
-        chain = AnnihilatorChain.discrete(
+        chain = AnnihilatorChain(
             (
                 (FrequencyVector.zero(), IntegerStep(1, 0)),
-                (FrequencyVector.of(0.9, 0.0), IntegerStep(1, 0)),
-                (FrequencyVector.of(-0.9, 0.0), IntegerStep(1, 0)),
+                (FrequencyVector(0.9, 0.0), IntegerStep(1, 0)),
+                (FrequencyVector(-0.9, 0.0), IntegerStep(1, 0)),
             )
         )
         out = chain_apply(chain, s)
         assert out.max_abs() <= 1e-12 * s.max_abs()
 
     def test_product_formula_for_nonmember(self):
-        gam = symmetric_set(FrequencyVector.of(0.8, 0.3))
-        mu = FrequencyVector.of(0.37, 0.61)
-        f = ExponentialSum.single(1.0, mu)
+        gam = symmetric_set(FrequencyVector(0.8, 0.3))
+        mu = FrequencyVector(0.37, 0.61)
+        f = ExponentialSum(((1.0, mu),))
         steps = [IntegerStep(1, 0), IntegerStep(0, 1), IntegerStep(1, 1),
                  IntegerStep(-1, 1), IntegerStep(2, 1)]
         expected = 1.0
@@ -236,13 +266,13 @@ class TestChains:
 
     def test_grid_matches_sum_route(self):
         # applying the chain to samples equals sampling the chained sum
-        g = FrequencyVector.of(0.5, 0.25j)
+        g = FrequencyVector(0.5, 0.25j)
         gam = symmetric_set(g)
         rng = SplitMix64(9)
         f = ExponentialSum(tuple((rng.uniform(-2, 2), m) for m in gam))
-        extra = ExponentialSum.single(0.7, FrequencyVector.of(0.15, 0.0))
+        extra = ExponentialSum(((0.7, FrequencyVector(0.15, 0.0)),))
         f = f + extra
-        chain = AnnihilatorChain.discrete(
+        chain = AnnihilatorChain(
             ((g, IntegerStep(1, 0)), (-g, IntegerStep(0, 1)))
         )
         s = sample(f, 0, (0, 0), 6, 6)
@@ -314,7 +344,7 @@ def _random_factors(rng):
         dx, dy = 0, 0
         while dx == 0 and dy == 0:
             dx, dy = (int(k) for k in rng.integers(-2, 3, 2))
-        g = FrequencyVector.of(_random_rate(rng), _random_rate(rng))
+        g = FrequencyVector(_random_rate(rng), _random_rate(rng))
         factors.append((g, IntegerStep(dx, dy)))
     return tuple(factors)
 
@@ -368,14 +398,14 @@ class TestArrayKernelMatchesFactorLoop:
                     delta_apply_grid(g, step, s)
                 continue
             assert _same_grid(delta_apply_grid(g, step, s), want)
-            assert _same_grid(delta_apply_grid(g, (step.dx, step.dy), s), want)
             compared += 1
         assert compared > 200
 
     def test_signed_zero_grids(self):
-        chain = AnnihilatorChain.discrete(
-            ((FrequencyVector.of(0.5, 0.0), (1, 0)), (FrequencyVector.of(0.0, 1j), (-1, 1)))
-        )
+        chain = AnnihilatorChain((
+            (FrequencyVector(0.5, 0.0), IntegerStep(1, 0)),
+            (FrequencyVector(0.0, 1j), IntegerStep(-1, 1)),
+        ))
         for v in (0.0, -0.0, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)):
             s = GridSamples(3, (0, 0), 4, 4, np.full(16, v, dtype=np.complex128))
             assert _same_grid(chain_apply(chain, s), _reference_chain(chain.factors, s))
@@ -383,15 +413,17 @@ class TestArrayKernelMatchesFactorLoop:
 
     def test_later_factor_exhausting_the_window(self):
         s = GridSamples(0, (0, 0), 4, 3, np.arange(12.0))
-        g = FrequencyVector.of(0.3, 0.0)
-        chain = AnnihilatorChain.discrete(((g, (1, 0)), (g, (2, 0)), (g, (1, 1))))
+        g = FrequencyVector(0.3, 0.0)
+        chain = AnnihilatorChain(
+            ((g, IntegerStep(1, 0)), (g, IntegerStep(2, 0)), (g, IntegerStep(1, 1)))
+        )
         for fn in (chain_apply, grid_residual):
             with pytest.raises(InputError, match=r"^step \(1, 1\) exhausts a 1x3 window$"):
                 fn(chain, s)
 
     def test_direction_factor_on_grid(self):
         s = GridSamples(0, (0, 0), 4, 4, np.arange(16.0))
-        g = FrequencyVector.of(0.3, 0.0)
+        g = FrequencyVector(0.3, 0.0)
         for chain in (
             AnnihilatorChain(((g, Direction(1.0, 0.0)),)),
             AnnihilatorChain(((g, IntegerStep(1, 0)), (g, Direction(0.0, 1.0)))),
@@ -404,7 +436,8 @@ class TestArrayKernelMatchesFactorLoop:
 
     def test_grid_objects_built(self, monkeypatch):
         s = GridSamples(0, (0, 0), 9, 9, np.arange(81.0))
-        chain = reduced_chain_for_symmetric_set(FrequencyVector.of(0.8, 0.3), (1, 0), (1, 1))
+        g = FrequencyVector(0.8, 0.3)
+        chain = reduced_chain_for_symmetric_set(g, (1, 0), IntegerStep(1, 1))
         built = []
         post_init = GridSamples.__post_init__
 
@@ -421,14 +454,14 @@ class TestArrayKernelMatchesFactorLoop:
 
 class TestAnnihilates:
     def test_member(self):
-        gam = symmetric_set(FrequencyVector.of(1.2, 0.4j))
+        gam = symmetric_set(FrequencyVector(1.2, 0.4j))
         f = ExponentialSum(tuple((1.0, m) for m in gam))
         chain = AnnihilatorChain.over_set(gam, IntegerStep(1, 1))
         assert annihilates(chain, f)
 
     def test_nonmember(self):
-        gam = symmetric_set(FrequencyVector.of(1.2, 0.4j))
-        f = ExponentialSum.single(1.0, FrequencyVector.of(0.3, 0.9))
+        gam = symmetric_set(FrequencyVector(1.2, 0.4j))
+        f = ExponentialSum(((1.0, FrequencyVector(0.3, 0.9)),))
         chain = AnnihilatorChain.over_set(gam, IntegerStep(1, 1))
         assert not annihilates(chain, f)
 
@@ -436,17 +469,17 @@ class TestAnnihilates:
         # a single factor can kill a non-matching exponential when the rate
         # difference is orthogonal to the step: annihilation along one
         # direction does not certify membership
-        g = FrequencyVector.of(0.5, 0.0)
-        mu = FrequencyVector.of(0.5, 0.8)  # mu - g orthogonal to (1, 0)
-        f = ExponentialSum.single(1.0, mu)
-        chain = AnnihilatorChain.discrete(((g, IntegerStep(1, 0)),))
+        g = FrequencyVector(0.5, 0.0)
+        mu = FrequencyVector(0.5, 0.8)  # mu - g orthogonal to (1, 0)
+        f = ExponentialSum(((1.0, mu),))
+        chain = AnnihilatorChain(((g, IntegerStep(1, 0)),))
         assert annihilates(chain, f)
         assert mu.as_pair() != g.as_pair()
 
 
 class TestGridResidual:
     def test_member_small(self):
-        g = FrequencyVector.of(0.8, 0.3)
+        g = FrequencyVector(0.8, 0.3)
         gam = symmetric_set(g)
         f = ExponentialSum(tuple((1.0, m) for m in gam))
         s = sample(f, 0, (0, 0), 9, 9)
@@ -454,10 +487,10 @@ class TestGridResidual:
         assert grid_residual(chain, s) <= 1e-11
 
     def test_perturbed_large(self):
-        g = FrequencyVector.of(0.8, 0.3)
+        g = FrequencyVector(0.8, 0.3)
         gam = symmetric_set(g)
         f = ExponentialSum(tuple((1.0, m) for m in gam))
-        f = f + ExponentialSum.single(1.0, FrequencyVector.of(0.37, 0.61))
+        f = f + ExponentialSum(((1.0, FrequencyVector(0.37, 0.61)),))
         s = sample(f, 0, (0, 0), 9, 9)
         chain = AnnihilatorChain.over_set(gam, IntegerStep(1, 1))
         assert grid_residual(chain, s) > 1e-3
@@ -466,21 +499,21 @@ class TestGridResidual:
         from expann.expspace import GridSamples
 
         s = GridSamples(0, (0, 0), 5, 5, np.zeros(25))
-        chain = AnnihilatorChain.discrete(((FrequencyVector.zero(), IntegerStep(1, 0)),))
+        chain = AnnihilatorChain(((FrequencyVector.zero(), IntegerStep(1, 0)),))
         assert grid_residual(chain, s) == 0.0
 
 
 class TestReducedChain:
     def test_annihilates_all_members_symbolically(self):
-        g = FrequencyVector.of(0.8, 0.3)
+        g = FrequencyVector(0.8, 0.3)
         chain = reduced_chain_for_symmetric_set(g, (1, 0), IntegerStep(1, 1))
         for m in symmetric_set(g):
-            basis = ExponentialSum.single(1.0, m)
+            basis = ExponentialSum(((1.0, m),))
             out = chain_apply(chain, basis)
             assert out.max_coefficient() <= 1e-14
 
     def test_annihilates_on_both_axes(self):
-        g = FrequencyVector.of(0.6, 1.1j)
+        g = FrequencyVector(0.6, 1.1j)
         gam = symmetric_set(g)
         rng = SplitMix64(31)
         f = ExponentialSum(tuple((rng.uniform(-3, 3), m) for m in gam))
@@ -490,7 +523,7 @@ class TestReducedChain:
             assert grid_residual(chain, s) <= 1e-11
 
     def test_footprint_at_most_six(self):
-        g = FrequencyVector.of(0.8, 0.3)
+        g = FrequencyVector(0.8, 0.3)
         for extra in [IntegerStep(1, 1), IntegerStep(-1, 0), IntegerStep(0, -1)]:
             for e in [(1, 0), (0, 1)]:
                 chain = reduced_chain_for_symmetric_set(g, e, extra)
@@ -510,10 +543,10 @@ class TestReducedChain:
                 assert offs == predicted
 
     def test_collapse_case(self):
-        g = FrequencyVector.of(0.7, 0.0)
+        g = FrequencyVector(0.7, 0.0)
         chain = reduced_chain_for_symmetric_set(g, (0, 1), IntegerStep(1, 1))
         for m in symmetric_set(g):
-            assert chain_apply(chain, ExponentialSum.single(1.0, m)).is_zero()
+            assert chain_apply(chain, ExponentialSum(((1.0, m),))).is_zero()
 
 
 class TestSymmetryIdentities:
@@ -607,7 +640,7 @@ class TestDiscreteCharacterization:
             mu = random_frequency_vector(rng)
             if any(mu.as_pair() == m.as_pair() for m in gam):
                 continue
-            basis = ExponentialSum.single(1.0, mu)
+            basis = ExponentialSum(((1.0, mu),))
             escaped = any(
                 not annihilates(AnnihilatorChain.over_set(gam, steps), basis)
                 for steps in tuples
@@ -622,9 +655,7 @@ class TestDiscreteDifferentialConsistency:
             g = random_frequency_vector(rng)
             gam = symmetric_set(g)
             member = ExponentialSum(tuple((rng.uniform(-2, 2), m) for m in gam))
-            outsider = member + ExponentialSum.single(
-                1.0, FrequencyVector.of(0.29, 0.53)
-            )
+            outsider = member + ExponentialSum(((1.0, FrequencyVector(0.29, 0.53)),))
             diff_chains = []
             delta_chains = []
             for _ in range(15):
@@ -653,7 +684,7 @@ class TestFiniteDifferenceLimit:
             f = ExponentialSum(
                 (
                     (rng.uniform(0.5, 2), g),
-                    (rng.uniform(0.5, 2), FrequencyVector.of(0.3, 0.1)),
+                    (rng.uniform(0.5, 2), FrequencyVector(0.3, 0.1)),
                 )
             )
             v = Direction(rng.uniform(0.2, 1), rng.uniform(0.2, 1))
