@@ -2,15 +2,17 @@
 
 The workhorse is a six-point quotient: with D(b) = S(b + tv) - S(b), the
 ratio (D(a + 2e) + D(a)) / (2 D(a + e)) equals cosh of the frequency
-component along axis e (at the grid's physical step).  When a step tv makes
-the denominator vanish, the next step from a fixed fallback list is tried;
+component along axis e (at the grid's physical step).  The relation holds
+exactly on the family, so a denominator needs no threshold: when a step tv
+makes it exactly zero, the next step from a fixed fallback list is tried;
 if every step fails, the component along that axis is taken as zero.  The
-annihilator residual is the one judge of every answer: an axis taken as
-zero is checked with the plain difference along it, which fails on data
-that varies along it.  ``_six_point`` computes D and the quotient at every
-base point at once; every mode reads its entries from it.  The 1-D
-detector ``detect_univariate`` is a view over the same kernel: a series is
-a grid of one row, and its four-term relation is the quotient along x.
+annihilator residual is the one judge of every answer, however small the
+denominator it was read from, and an axis taken as zero is checked with
+the plain difference along it, which fails on data that varies along it.
+``_six_point`` computes D and the quotient at every base point at once;
+every mode reads its entries from it.  The 1-D detector
+``detect_univariate`` is a view over the same kernel: a series is a grid
+of one row, and its four-term relation is the quotient along x.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ __all__ = [
     "detect_univariate",
 ]
 
-DEFAULT_TOL_DEN = 1e-10
 DEFAULT_TOL_IM = 1e-9
 DEFAULT_TOL_RES = 1e-8
 
@@ -99,12 +100,6 @@ class DetectionReport:
     reason: str = ""
 
 
-def _threshold(sup: float) -> float:
-    """The denominator threshold DEFAULT_TOL_DEN * sup, for sup the window's
-    sup|S|: a denominator at or below it counts as vanishing."""
-    return DEFAULT_TOL_DEN * sup
-
-
 def _six_point(values: np.ndarray, origin, e: tuple[int, int], step: IntegerStep):
     """The six-point quotient at every base point, for axis e and one step.
 
@@ -127,11 +122,11 @@ def _entry(arr: np.ndarray, origin, p) -> complex:
     return complex(arr[j, i])
 
 
-def _estimate(kernel, alpha, e, step, tol: float) -> CoshEstimate | None:
-    """The quotient at alpha, or None when |D(alpha + e)| <= tol."""
+def _estimate(kernel, alpha, e, step) -> CoshEstimate | None:
+    """The quotient at alpha, or None when D(alpha + e) is zero."""
     origin, num, den = kernel
     d1 = _entry(den, origin, alpha)
-    if abs(d1) <= tol:
+    if d1 == 0:
         return None
     return CoshEstimate(e, _entry(num, origin, alpha) / (2.0 * d1), alpha, step, abs(d1))
 
@@ -158,21 +153,20 @@ def _median(x: np.ndarray) -> float:
     return float(p[k]) if x.size % 2 else (float(p[k - 1]) + float(p[k])) / 2
 
 
-def _robust_estimate(kernels, alpha, e, steps, tol: float) -> CoshEstimate | None:
-    """Median of the quotient over every admissible base point and step,
-    reported with the first step that has an admissible base point."""
+def _robust_estimate(kernels, alpha, e, steps) -> CoshEstimate | None:
+    """Median of the quotient over every base point and step with a non-zero
+    denominator, reported with the first step that has one."""
     num, den = (np.concatenate([k[i].ravel() for k in kernels]) for i in (1, 2))
-    mags = np.abs(den)
-    keep = mags > tol
+    keep = den != 0
     if not keep.any():
         return None
-    first = int(keep.argmax())  # the first admissible entry, in step order
+    first = int(keep.argmax())  # the first non-zero entry, in step order
     for step, k in zip(steps, kernels):
         if first < k[2].size:
             break
         first -= k[2].size
     value = complex(_median(_real_quotients(num[keep], den[keep])), 0.0)
-    return CoshEstimate(e, value, alpha, step, _median(mags[keep]))
+    return CoshEstimate(e, value, alpha, step, _median(np.abs(den[keep])))
 
 
 def cosh_to_frequency(c: complex, scale: float) -> Frequency:
@@ -213,20 +207,19 @@ def detect(
     symmetric exponential family.
 
     Per axis, fallback steps are tried in order and the first stencil with
-    a usable denominator wins ("single" mode); "robust" mode instead takes
-    the median over all base points and steps.  Axes whose denominators all
-    vanish contribute a zero component.  The combined frequency is accepted
-    only if its annihilator leaves a relative residual below ``tol_res`` on
-    both axes: the reduced three-factor chain along an estimated axis, the
-    plain difference along an axis taken as zero.  ``tol_res`` is the one
-    tolerance a caller sets; the denominator threshold (``_threshold``) and
-    the imaginary-part bound (``cosh_to_frequency``) are fixed.  A base
-    point outside the window raises ``InputError`` in both modes.
+    a non-zero denominator wins ("single" mode); "robust" mode instead takes
+    the median over all base points and steps.  Axes whose denominators are
+    all exactly zero contribute a zero component.  The combined frequency is
+    accepted only if its annihilator leaves a relative residual below
+    ``tol_res`` on both axes: the reduced three-factor chain along an
+    estimated axis, the plain difference along an axis taken as zero.
+    ``tol_res`` is the one tolerance a caller sets; the imaginary-part bound
+    (``cosh_to_frequency``) is fixed, and a denominator has no threshold.
+    A base point outside the window raises ``InputError`` in both modes.
     """
     if mode not in ("single", "robust"):
         raise ValueError(f"unknown mode {mode!r}")
     sup = s.max_abs()
-    tol = _threshold(sup)
     if not tol_res >= 0.0:  # NaN fails too; inf accepts everything
         raise InputError(f"tol_res must be a non-negative number, got {tol_res}")
     alpha = (_op.index(alpha[0]), _op.index(alpha[1]))
@@ -244,11 +237,11 @@ def detect(
         steps = DEFAULT_STENCILS.for_axis(e)
         if mode == "single":
             kernels = (_six_point(s.values, s.origin, e, st) for st in steps)
-            tried = (_estimate(k, alpha, e, st, tol) for k, st in zip(kernels, steps))
+            tried = (_estimate(k, alpha, e, st) for k, st in zip(kernels, steps))
             est = next((t for t in tried if t is not None), None)
         else:
             kernels = [_six_point(s.values, s.origin, e, st) for st in steps]
-            est = _robust_estimate(kernels, alpha, e, steps, tol)
+            est = _robust_estimate(kernels, alpha, e, steps)
         if est is None:
             components.append(Frequency(0.0))
             continue
@@ -282,20 +275,19 @@ def detect_univariate(samples, level: int, alpha: int) -> Frequency:
     A 1-D view of the grid quotient: the samples form a 1xn grid, and the
     four-term relation (2c + 1) (f(a+1) - f(a)) = f(a+2) - f(a-1) is the
     six-point quotient along x with step (1, 0) at base alpha - 1, which
-    gives c = cosh(2^-level * g).  When the denominator vanishes, the series
+    gives c = cosh(2^-level * g).  When the denominator is zero, the series
     maps to rate zero only if the plain difference along the whole series
     passes detect's residual test; otherwise it is an error.
     """
     row = np.asarray(samples, dtype=np.complex128).reshape(1, -1)
     _check_window(level, row.size, 1)
-    sup = float(abs(row).max())
-    tol = _threshold(sup)
+    alpha = _op.index(alpha)
     e, step = (1, 0), _AXIS_STEPS[(1, 0)]
     h = math.ldexp(1.0, -level)
-    est = _estimate(_six_point(row, (0, 0), e, step), (alpha - 1, 0), e, step, tol)
+    est = _estimate(_six_point(row, (0, 0), e, step), (alpha - 1, 0), e, step)
     if est is not None:
         return cosh_to_frequency(est.value, h)
     delta = _apply_factors(((FrequencyVector.zero(), step),), row, h)[0]
-    if _residual(delta, sup) <= DEFAULT_TOL_RES:
+    if _residual(delta, float(abs(row).max())) <= DEFAULT_TOL_RES:
         return Frequency(0.0)
     raise NumericalError(f"f({alpha + 1}) - f({alpha}) vanishes on non-constant data")

@@ -33,7 +33,9 @@ MAX_LEVEL = 1074
 
 
 def _check_window(level: int, width: int, height: int) -> None:
-    """Raise ``ValueError`` for a level outside 0..MAX_LEVEL or an empty window."""
+    """Raise ``ValueError`` for a level outside 0..MAX_LEVEL or an empty window,
+    and ``TypeError`` for an argument that is not an integer."""
+    level, width, height = _op.index(level), _op.index(width), _op.index(height)
     if not 0 <= level <= MAX_LEVEL:
         raise ValueError(f"level must lie in 0..{MAX_LEVEL}, got {level}")
     if width < 1 or height < 1:

@@ -284,19 +284,23 @@ class TestRefine:
         assert (code, err) == (0, "")
         assert json.loads(out)["values"][0::2] == [2, 3, 4, 5]
 
-    def test_auto_on_non_constant_series_with_vanishing_difference_exits_4(
+    def test_auto_on_series_with_small_difference_against_its_sup(
         self, tmp_path, capsys
     ):
-        # 1 + 2e^{0.8z} + 3e^{-0.8z} at level 6: f(2) - f(1) is below the
-        # threshold of the window's sup, yet the series is far from constant
+        # 1 + 2e^{0.8z} + 3e^{-0.8z} at level 6: f(2) - f(1) is about 1e-2
+        # while the series reaches 3.4e22; a non-zero denominator is read
         z = np.arange(4096) * 2.0**-6
         vals = 1 + 2 * np.exp(0.8 * z) + 3 * np.exp(-0.8 * z)
         path = write(tmp_path, "series.json", dump_series(vals, 6, 0))
         code, out, err = run(capsys, "refine", path, "--rounds", "4", "--auto")
-        assert (code, out) == (4, "")
-        assert err.splitlines() == [
-            "numerical failure: f(2) - f(1) vanishes on non-constant data"
-        ]
+        assert code == 0
+        prefix = "detected frequency: "
+        assert err.startswith(prefix) and err.count("\n") == 1
+        rate = json.loads(err[len(prefix):])
+        assert rate[1] == 0 and abs(rate[0] - 0.8) <= 1e-8 * 0.8
+        doc = json.loads(out)
+        # n samples refine to 2(n - 3) + 1 per round
+        assert (doc["level"], doc["origin"], len(doc["values"])) == (10, 30, 65461)
 
     def test_denominator_failure_exits_4(self, tmp_path, capsys):
         # f(1) == f(2) engineered with otherwise non-constant data

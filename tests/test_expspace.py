@@ -321,6 +321,11 @@ class TestGridSamples:
         with pytest.raises(TypeError):
             sample(ExponentialSum(((1.0, FrequencyVector.zero()),)), 2, origin, 9, 9)
 
+    def test_float_level_rejected(self):
+        # not stored as 2.0 only to fail later in .spacing
+        with pytest.raises(TypeError):
+            GridSamples(2.0, (0, 0), 2, 1, [1, 2])
+
     def test_numpy_integer_origin_accepted(self):
         s = GridSamples(0, (np.int64(-3), np.int32(2)), 2, 1, [1, 2])
         assert s.origin == (-3, 2) and all(type(k) is int for k in s.origin)
