@@ -3,16 +3,18 @@
 The workhorse is a six-point quotient: with D(b) = S(b + tv) - S(b), the
 ratio (D(a + 2e) + D(a)) / (2 D(a + e)) equals cosh of the frequency
 component along axis e (at the grid's physical step).  The relation holds
-exactly on the family, so a denominator needs no threshold: when a step tv
-makes it exactly zero, the next step from a fixed fallback list is tried;
-if every step fails, the component along that axis is taken as zero.  The
-annihilator residual is the one judge of every answer, however small the
-denominator it was read from, and an axis taken as zero is checked with
-the plain difference along it, which fails on data that varies along it.
-``_six_point`` computes D and the quotient at every base point at once;
-every mode reads its entries from it.  The 1-D detector
-``detect_univariate`` is a view over the same kernel: a series is a grid
-of one row, and its four-term relation is the quotient along x.
+exactly on the family, so a denominator needs no threshold.  A step tv is
+passed over for the next one in a fixed fallback list when its denominator
+is exactly zero or the window is flat along it (its differences D pass the
+residual test, so a residual chain built on tv would pass any estimate);
+if every step is passed over, the component along that axis is taken as
+zero.  The annihilator residual is the one judge of every answer: an axis
+taken as zero is checked with the plain difference along it, which fails
+on data that varies along it.  ``_six_point`` computes D and the quotient
+at every base point at once; every mode reads its entries from it.  The
+1-D detector ``detect_univariate`` is a view over the same kernel: a
+series is a grid of one row, and its four-term relation is the quotient
+along x.
 """
 
 from __future__ import annotations
@@ -104,15 +106,15 @@ def _six_point(values: np.ndarray, origin, e: tuple[int, int], step: IntegerStep
     """The six-point quotient at every base point, for axis e and one step.
 
     With D(b) = S(b + step) - S(b) at every b where both samples exist,
-    returns ``(origin, num, den)``: D(a + 2e) + D(a) and D(a + e) at every a
-    whose six samples exist.  Given values[0, 0] at grid index origin, both
-    arrays start at the grid index returned.
+    returns ``(origin, num, den, d)``: D(a + 2e) + D(a) and D(a + e) at every
+    a whose six samples exist, and D itself.  Given values[0, 0] at grid
+    index origin, num and den start at the grid index returned.
     """
     shifted, base, (c, r) = _window_shift(values, step.dx, step.dy)
     d = shifted - base
     d2, d0, _ = _window_shift(d, 2 * e[0], 2 * e[1])
     d1 = d[e[1] : e[1] + d0.shape[0], e[0] : e[0] + d0.shape[1]]
-    return (origin[0] + c, origin[1] + r), d2 + d0, d1
+    return (origin[0] + c, origin[1] + r), d2 + d0, d1, d
 
 
 def _entry(arr: np.ndarray, origin, p) -> complex:
@@ -122,11 +124,19 @@ def _entry(arr: np.ndarray, origin, p) -> complex:
     return complex(arr[j, i])
 
 
-def _estimate(kernel, alpha, e, step) -> CoshEstimate | None:
-    """The quotient at alpha, or None when D(alpha + e) is zero."""
-    origin, num, den = kernel
+def _flat(d: np.ndarray, sup: float) -> bool:
+    """True when the differences D along a step pass the residual test: a
+    residual chain built on that step then annihilates the window whatever
+    the estimate, so the step cannot give one that the residual judges."""
+    return d.size == 0 or _residual(d, sup) <= DEFAULT_TOL_RES
+
+
+def _estimate(kernel, alpha, e, step, sup: float) -> CoshEstimate | None:
+    """The quotient at alpha, or None when D(alpha + e) is zero or the
+    window is flat along the step."""
+    origin, num, den, d = kernel
     d1 = _entry(den, origin, alpha)
-    if d1 == 0:
+    if d1 == 0 or _flat(d, sup):
         return None
     return CoshEstimate(e, _entry(num, origin, alpha) / (2.0 * d1), alpha, step, abs(d1))
 
@@ -153,15 +163,19 @@ def _median(x: np.ndarray) -> float:
     return float(p[k]) if x.size % 2 else (float(p[k - 1]) + float(p[k])) / 2
 
 
-def _robust_estimate(kernels, alpha, e, steps) -> CoshEstimate | None:
+def _robust_estimate(kernels, alpha, e, steps, sup: float) -> CoshEstimate | None:
     """Median of the quotient over every base point and step with a non-zero
-    denominator, reported with the first step that has one."""
-    num, den = (np.concatenate([k[i].ravel() for k in kernels]) for i in (1, 2))
+    denominator, over the steps along which the window is not flat, reported
+    with the first step that has one."""
+    live = [(step, k) for step, k in zip(steps, kernels) if not _flat(k[3], sup)]
+    if not live:
+        return None
+    num, den = (np.concatenate([k[i].ravel() for _, k in live]) for i in (1, 2))
     keep = den != 0
     if not keep.any():
         return None
     first = int(keep.argmax())  # the first non-zero entry, in step order
-    for step, k in zip(steps, kernels):
+    for step, k in live:
         if first < k[2].size:
             break
         first -= k[2].size
@@ -208,13 +222,15 @@ def detect(
 
     Per axis, fallback steps are tried in order and the first stencil with
     a non-zero denominator wins ("single" mode); "robust" mode instead takes
-    the median over all base points and steps.  Axes whose denominators are
-    all exactly zero contribute a zero component.  The combined frequency is
-    accepted only if its annihilator leaves a relative residual below
-    ``tol_res`` on both axes: the reduced three-factor chain along an
-    estimated axis, the plain difference along an axis taken as zero.
-    ``tol_res`` is the one tolerance a caller sets; the imaginary-part bound
-    (``cosh_to_frequency``) is fixed, and a denominator has no threshold.
+    the median over all base points and steps.  Both modes pass over a step
+    along which the window is flat, and an axis left without a denominator
+    contributes a zero component.  The combined frequency is accepted only
+    if its annihilator leaves a relative residual below ``tol_res`` on both
+    axes: the reduced three-factor chain along an estimated axis, the plain
+    difference along an axis taken as zero.  ``tol_res`` is the one
+    tolerance a caller sets; flatness is judged at DEFAULT_TOL_RES, the
+    imaginary-part bound (``cosh_to_frequency``) is fixed, and a denominator
+    has no threshold.
     A base point outside the window raises ``InputError`` in both modes.
     """
     if mode not in ("single", "robust"):
@@ -237,11 +253,11 @@ def detect(
         steps = DEFAULT_STENCILS.for_axis(e)
         if mode == "single":
             kernels = (_six_point(s.values, s.origin, e, st) for st in steps)
-            tried = (_estimate(k, alpha, e, st) for k, st in zip(kernels, steps))
+            tried = (_estimate(k, alpha, e, st, sup) for k, st in zip(kernels, steps))
             est = next((t for t in tried if t is not None), None)
         else:
             kernels = [_six_point(s.values, s.origin, e, st) for st in steps]
-            est = _robust_estimate(kernels, alpha, e, steps)
+            est = _robust_estimate(kernels, alpha, e, steps, sup)
         if est is None:
             components.append(Frequency(0.0))
             continue
@@ -275,19 +291,28 @@ def detect_univariate(samples, level: int, alpha: int) -> Frequency:
     A 1-D view of the grid quotient: the samples form a 1xn grid, and the
     four-term relation (2c + 1) (f(a+1) - f(a)) = f(a+2) - f(a-1) is the
     six-point quotient along x with step (1, 0) at base alpha - 1, which
-    gives c = cosh(2^-level * g).  When the denominator is zero, the series
-    maps to rate zero only if the plain difference along the whole series
-    passes detect's residual test; otherwise it is an error.
+    gives c = cosh(2^-level * g).  As in detect, the annihilator residual
+    along the whole series judges the rate: the reduced chain's output at b
+    is D(b + 2) - 2c D(b + 1) + D(b), with D the plain difference, which is
+    itself the output for rate zero, taken when the denominator is zero or
+    the series is flat.  A rate that fails the test is an error.
     """
     row = np.asarray(samples, dtype=np.complex128).reshape(1, -1)
     _check_window(level, row.size, 1)
     alpha = _op.index(alpha)
     e, step = (1, 0), _AXIS_STEPS[(1, 0)]
-    h = math.ldexp(1.0, -level)
-    est = _estimate(_six_point(row, (0, 0), e, step), (alpha - 1, 0), e, step)
-    if est is not None:
-        return cosh_to_frequency(est.value, h)
-    delta = _apply_factors(((FrequencyVector.zero(), step),), row, h)[0]
-    if _residual(delta, float(abs(row).max())) <= DEFAULT_TOL_RES:
-        return Frequency(0.0)
-    raise NumericalError(f"f({alpha + 1}) - f({alpha}) vanishes on non-constant data")
+    sup = float(abs(row).max())
+    kernel = _six_point(row, (0, 0), e, step)
+    est = _estimate(kernel, (alpha - 1, 0), e, step, sup)
+    _, num, den, d = kernel
+    if est is None:
+        if _flat(d, sup):
+            return Frequency(0.0)
+        raise NumericalError(f"f({alpha + 1}) - f({alpha}) vanishes on non-constant data")
+    g = cosh_to_frequency(est.value, math.ldexp(1.0, -level))
+    residual = _residual(num - 2.0 * est.value.real * den, sup)
+    if not residual <= DEFAULT_TOL_RES:
+        raise NumericalError(
+            f"rate {g.value} leaves annihilator residual {residual:.3e} above {DEFAULT_TOL_RES:.3e}"
+        )
+    return g

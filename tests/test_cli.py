@@ -310,6 +310,15 @@ class TestRefine:
         assert code == 4
         assert "numerical failure" in err
 
+    def test_rounding_level_denominator_exits_4(self, tmp_path, capsys):
+        # f(2) - f(1) is one ulp, so the quotient reads a rate near 37.6; the
+        # annihilator residual along the series rejects it
+        path = write(tmp_path, "series.json",
+                     dump_series([0.0, 1.0, 1.0000000000000002, 5.0, 2.0], 0, 0))
+        code, out, err = run(capsys, "refine", path, "--rounds", "1", "--auto")
+        assert (code, out) == (4, "")
+        assert "numerical failure" in err and "annihilator residual" in err
+
 
 class TestGenerate:
     def test_deterministic_output(self, capsys):
@@ -470,7 +479,7 @@ def test_bad_input_exit_code(tmp_path, capsys, text, argv, code):
 
 @pytest.mark.parametrize("flag, value", [("--tol-den", "1e-10"), ("--tol-im", "1e-9")])
 def test_fixed_tolerances_have_no_flag(tmp_path, capsys, flag, value):
-    # the denominator and imaginary-part thresholds are constants of detection
+    # the imaginary-part bound is a constant of detection; a denominator has none
     path = write(tmp_path, "grid.json", _grid_text())
     with pytest.raises(SystemExit) as exc:
         main(["detect", path, flag, value])

@@ -11,6 +11,7 @@ from expann.detection import (
     CoshEstimate,
     StencilDirectionSet,
     _estimate,
+    _flat,
     _real_quotients,
     _six_point,
     cosh_to_frequency,
@@ -56,7 +57,7 @@ def _symmetric_samples(g, level, origin=(-3, -3), width=9, height=9, seed=1):
 def _quotient(s, alpha, e, step):
     """The six-point quotient at alpha as single-mode detect reads it, or
     None when its denominator is zero."""
-    return _estimate(_six_point(s.values, s.origin, e, step), alpha, e, step)
+    return _estimate(_six_point(s.values, s.origin, e, step), alpha, e, step, s.max_abs())
 
 
 class TestStencilSets:
@@ -240,6 +241,30 @@ class TestDetect:
         x_est = next(e for e in rep.estimates if e.axis == (1, 0))
         assert (x_est.step_used.dx, x_est.step_used.dy) == (1, 1)
 
+    def test_rounding_noise_on_a_flat_step_is_skipped(self):
+        # one ulp at grid index (1, 1) gives the x step (0, 1) a non-zero
+        # denominator at (0, 0) and a quotient of 0; the window is flat along
+        # (0, 1), so a residual chain built on that step would pass any rate,
+        # and the step is skipped as if its denominator were zero
+        f = ExponentialSum(
+            (
+                (1.0, FrequencyVector.zero()),
+                (1.0, FrequencyVector(0.7, 0.0)),
+                (1.0, FrequencyVector(-0.7, 0.0)),
+            )
+        )
+        s = sample(f, 0, (-3, -3), 9, 9)
+        vals = s.values.copy()
+        vals[4, 4] = np.nextafter(vals[4, 4].real, math.inf)
+        s2 = GridSamples(s.level, s.origin, s.width, s.height, vals.ravel())
+        assert _six_point(s2.values, s2.origin, (1, 0), IntegerStep(0, 1))[2][3, 3] != 0
+        for mode in ("single", "robust"):
+            rep = detect(s2, (0, 0), mode=mode)
+            assert rep.classification is Classification.FREQUENCY, mode
+            assert rep.estimates[0].step_used == IntegerStep(1, 1)
+            assert abs(rep.frequency.g1.value - 0.7) <= 1e-12
+            assert abs(rep.frequency.g2.value) <= 1e-7
+
     def test_robust_mode_matches_single_on_clean_data(self):
         g = FrequencyVector(0.5, 1.0j)
         f, s = _symmetric_samples(g, 1)
@@ -307,6 +332,29 @@ def test_wide_window_families_recovered_in_both_modes():
                     assert rep.classification is Classification.FREQUENCY, case
                     pairs = zip(rep.frequency.as_pair(), g.as_pair())
                     assert max(abs(a - b) for a, b in pairs) <= 1e-10, case
+
+
+def test_zero_component_families_with_small_noise_recovered_in_both_modes():
+    # Relative noise from rounding level up to 1e-11 makes the differences
+    # along a step the family is constant along non-zero, but the window
+    # stays flat along it, so no estimate is read from that step.  The rate
+    # error grows like the square root of the noise.
+    for pair in ((0.8, 0.3j), (0.7, 0), (1.5, 0), (0, 0.7), (0, 1.5), (0.9j, 0), (0, 2.5j)):
+        g = FrequencyVector(*pair)
+        f = ExponentialSum(tuple((1.0, m) for m in symmetric_set(g)))
+        for n in (16, 64):
+            s = sample(f, 2, (-3, -3), n, n)
+            rng = np.random.default_rng(7)
+            for noise in (1e-15, 1e-13, 1e-11):
+                vals = s.values * (1 + noise * rng.standard_normal(s.values.shape))
+                noisy = GridSamples(s.level, s.origin, n, n, vals.ravel())
+                for alpha in ((0, 0), (n // 2 - 4, n // 2 - 4)):
+                    for mode in ("single", "robust"):
+                        rep = detect(noisy, alpha, mode=mode)
+                        case = (pair, n, noise, alpha, mode, rep.reason)
+                        assert rep.classification is Classification.FREQUENCY, case
+                        pairs = zip(rep.frequency.as_pair(), g.as_pair())
+                        assert max(abs(a - b) for a, b in pairs) <= 1e3 * math.sqrt(noise), case
 
 
 class TestExactRecoverySweep:
@@ -398,6 +446,12 @@ class TestDetectUnivariate:
         with pytest.raises(NumericalError, match="vanishes on non-constant data"):
             detect_univariate(f, 0, 1)
 
+    def test_rate_failing_the_residual_raises(self):
+        # f(2) - f(1) is one ulp, so the quotient reads a rate near 37.6,
+        # which the reduced chain along the series does not annihilate
+        with pytest.raises(NumericalError, match="annihilator residual"):
+            detect_univariate([0.0, 1.0, 1.0000000000000002, 5.0, 2.0], 0, 1)
+
     def test_float_base_index_rejected(self):
         z = np.arange(8) * 0.5
         f = 1 + 2 * np.exp(0.8 * z) + 3 * np.exp(-0.8 * z)
@@ -468,9 +522,19 @@ def _ref_diff(s, b, step):
     return s.value_at((b[0] + step.dx, b[1] + step.dy)) - s.value_at(b)
 
 
-def _ref_estimate(s, a, e, step):
+def _ref_flat(s, step):
+    diffs = [
+        abs(_ref_diff(s, (x, y), step))
+        for y in range(s.origin[1], s.origin[1] + s.height)
+        for x in range(s.origin[0], s.origin[0] + s.width)
+        if s.contains((x + step.dx, y + step.dy))
+    ]
+    return not diffs or max(diffs) / s.max_abs() <= DEFAULT_TOL_RES
+
+
+def _ref_estimate(s, a, e, step, flat=None):
     d0, d1, d2 = (_ref_diff(s, (a[0] + k * e[0], a[1] + k * e[1]), step) for k in range(3))
-    if d1 == 0:
+    if d1 == 0 or (_ref_flat(s, step) if flat is None else flat):
         return None
     return CoshEstimate(e, (d2 + d0) / (2.0 * d1), a, step, abs(d1))
 
@@ -478,10 +542,11 @@ def _ref_estimate(s, a, e, step):
 def _ref_robust(s, alpha, e, steps):
     ests = []
     for step in steps:
+        flat = _ref_flat(s, step)
         for y in range(s.origin[1], s.origin[1] + s.height):
             for x in range(s.origin[0], s.origin[0] + s.width):
                 try:
-                    est = _ref_estimate(s, (x, y), e, step)
+                    est = _ref_estimate(s, (x, y), e, step, flat)
                 except InputError:  # raised only by value_at, for a stencil off the window
                     continue
                 if est is not None:
@@ -564,7 +629,8 @@ def test_detect_matches_scalar_reference_bitwise(mode):
         assert _bits(rep.residual) == _bits(residual)
         for e, count in zip(((1, 0), (0, 1)), counts):
             kernels = [_six_point(s.values, s.origin, e, st) for st in DEFAULT_STENCILS.for_axis(e)]
-            assert sum(int(np.sum(k[2] != 0)) for k in kernels) == count
+            live = [k for k in kernels if not _flat(k[3], s.max_abs())]
+            assert sum(int(np.sum(k[2] != 0)) for k in live) == count
     assert Classification.FREQUENCY in classes
 
 
