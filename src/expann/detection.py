@@ -4,17 +4,17 @@ The workhorse is a six-point quotient: with D(b) = S(b + tv) - S(b), the
 ratio (D(a + 2e) + D(a)) / (2 D(a + e)) equals cosh of the frequency
 component along axis e (at the grid's physical step).  The relation holds
 exactly on the family, so a denominator needs no threshold.  A step tv is
-passed over for the next one in a fixed fallback list when its denominator
-is exactly zero or the window is flat along it (its differences D pass the
-residual test, so a residual chain built on tv would pass any estimate);
-if every step is passed over, the component along that axis is taken as
-zero.  The annihilator residual is the one judge of every answer: an axis
-taken as zero is checked with the plain difference along it, which fails
-on data that varies along it.  ``_six_point`` computes D and the quotient
-at every base point at once; every mode reads its entries from it.  The
-1-D detector ``detect_univariate`` is a view over the same kernel: a
-series is a grid of one row, and its four-term relation is the quotient
-along x.
+passed over for the next one in a fixed fallback list, one step per
+direction, when its denominator is exactly zero or the window is flat
+along it (its differences D pass the residual test, so a residual chain
+built on tv would pass any estimate); if every step is passed over, the
+component along that axis is taken as zero.  The annihilator residual is
+the one judge of every answer: an axis taken as zero is checked with the
+plain difference along it, which fails on data that varies along it.
+``_six_point`` computes D and the quotient at every base point at once;
+every mode reads its entries from it.  The 1-D detector
+``detect_univariate`` is a view over the same kernel: a series is a grid
+of one row, and its four-term relation is the quotient along x.
 """
 
 from __future__ import annotations
@@ -51,17 +51,15 @@ __all__ = [
 DEFAULT_TOL_IM = 1e-9
 DEFAULT_TOL_RES = 1e-8
 
-def _steps(*pairs) -> tuple[IntegerStep, ...]:
-    return tuple(IntegerStep(*p) for p in pairs)
-
 
 @dataclass(frozen=True)
 class StencilDirectionSet:
     """Fallback step vectors per axis, drawn from the butterfly stencil union,
-    tried in list order."""
+    tried in list order.  No step -v: it reads v's stencils one step over,
+    with D, numerator and denominator negated, so it adds no quotient."""
 
-    set_x = _steps((0, 1), (1, 1), (0, -1), (-1, -1))
-    set_y = _steps((1, 0), (1, 1), (-1, 0), (-1, -1))
+    set_x = (IntegerStep(0, 1), IntegerStep(1, 1))
+    set_y = (IntegerStep(1, 0), IntegerStep(1, 1))
 
     def for_axis(self, e: tuple[int, int]) -> tuple[IntegerStep, ...]:
         return self.set_x if _axis_step(e).dx else self.set_y
@@ -220,9 +218,10 @@ def detect(
     """Identify the frequency pair of grid data assumed to lie in a
     symmetric exponential family.
 
-    Per axis, fallback steps are tried in order and the first stencil with
-    a non-zero denominator wins ("single" mode); "robust" mode instead takes
-    the median over all base points and steps.  Both modes pass over a step
+    Per axis, the fallback steps of ``DEFAULT_STENCILS`` (one per
+    direction) are tried in order and the first stencil with a non-zero
+    denominator wins ("single" mode); "robust" mode instead takes the
+    median over all base points and steps.  Both modes pass over a step
     along which the window is flat, and an axis left without a denominator
     contributes a zero component.  The combined frequency is accepted only
     if its annihilator leaves a relative residual below ``tol_res`` on both

@@ -101,11 +101,17 @@ class TestDetect:
             assert abs(doc["axes"][axis]["cosh"][0] - 0.9238795325112867) <= 1e-10
         assert abs(doc["gamma"][0][1] - math.pi / 8) <= 1e-8
 
-    def test_constant_grid(self, tmp_path, capsys):
+    @pytest.mark.parametrize("mode", ["single", "robust"])
+    @pytest.mark.parametrize(
+        "alpha", [(0, 0), (-3, -3), (0, -3), (-3, 0)], ids=lambda a: f"{a[0]},{a[1]}"
+    )
+    def test_constant_grid(self, tmp_path, capsys, alpha, mode):
+        # base points on the window's first row or column leave no room for
+        # a step back, so no fallback step may need one
         f = ExponentialSum(((7.0, FrequencyVector.zero()),))
         grid = sample(f, 0, (-3, -3), 9, 9)
         grid_path = write(tmp_path, "grid.json", dump_grid(grid))
-        code, out, _ = run(capsys, "detect", grid_path, "--alpha", "0", "0")
+        code, out, _ = run(capsys, "detect", grid_path, "--alpha", *map(str, alpha), "--mode", mode)
         assert code == 0
         assert json.loads(out)["classification"] == "Constant"
 

@@ -61,10 +61,26 @@ def _quotient(s, alpha, e, step):
 
 
 class TestStencilSets:
-    def test_defaults_match_triangle_pairs(self):
+    def test_defaults_are_one_step_per_direction(self):
         s = StencilDirectionSet()
-        assert tuple((v.dx, v.dy) for v in s.set_x) == ((0, 1), (1, 1), (0, -1), (-1, -1))
-        assert tuple((v.dx, v.dy) for v in s.set_y) == ((1, 0), (1, 1), (-1, 0), (-1, -1))
+        assert s.for_axis((1, 0)) == (IntegerStep(0, 1), IntegerStep(1, 1))
+        assert s.for_axis((0, 1)) == (IntegerStep(1, 0), IntegerStep(1, 1))
+
+    def test_negated_step_reads_the_same_stencils_negated(self):
+        # D along -v at b is -D along v at b - v, so the kernel for -v is
+        # the kernel for v negated, its origin moved by v: a list that held
+        # both would read every stencil twice
+        steps = {st for e in ((1, 0), (0, 1)) for st in DEFAULT_STENCILS.for_axis(e)}
+        for s in _kernel_cases():
+            for e in ((1, 0), (0, 1)):
+                for v in steps:
+                    o, num, den, d = _six_point(s.values, s.origin, e, v)
+                    mo, mnum, mden, md = _six_point(
+                        s.values, s.origin, e, IntegerStep(-v.dx, -v.dy)
+                    )
+                    assert mo == (o[0] + v.dx, o[1] + v.dy)
+                    for a, b in ((mnum, num), (mden, den), (md, d)):
+                        assert np.array_equal(a, -b)
 
     def test_members_inside_union(self):
         s = StencilDirectionSet()
@@ -406,7 +422,7 @@ class TestExactRecoverySweep:
 class TestFallbackCompleteness:
     def test_all_denominators_zero_implies_constant_probe(self):
         # constant data: every fallback step gives a zero denominator, and
-        # the five triangle-pair values coincide
+        # the values at the base point and one step from it coincide
         f = ExponentialSum(((4.2, FrequencyVector.zero()),))
         s = sample(f, 0, (-2, -2), 7, 7)
         stencils = StencilDirectionSet()
@@ -558,14 +574,23 @@ def _ref_robust(s, alpha, e, steps):
     return CoshEstimate(e, complex(value, 0.0), alpha, ests[0].step_used, mag), len(ests)
 
 
+# robust mode's median as it was taken with each step and its negation, so
+# that every stencil counts twice; the median of a list taken twice is the
+# median of the list
+_REF_ROBUST_STEPS = {
+    (1, 0): ((0, 1), (1, 1), (0, -1), (-1, -1)),
+    (0, 1): ((1, 0), (1, 1), (-1, 0), (-1, -1)),
+}
+
+
 def _ref_detect(s, alpha, mode):
     estimates, comps, extras, counts = [], [], [], []
     for e in ((1, 0), (0, 1)):
-        steps = DEFAULT_STENCILS.for_axis(e)
         if mode == "single":
-            tried = (_ref_estimate(s, alpha, e, st) for st in steps)
+            tried = (_ref_estimate(s, alpha, e, st) for st in DEFAULT_STENCILS.for_axis(e))
             est = next((t for t in tried if t is not None), None)
         else:
+            steps = [IntegerStep(*p) for p in _REF_ROBUST_STEPS[e]]
             est, count = _ref_robust(s, alpha, e, steps)
             counts.append(count)
         if est is None:
@@ -630,7 +655,7 @@ def test_detect_matches_scalar_reference_bitwise(mode):
         for e, count in zip(((1, 0), (0, 1)), counts):
             kernels = [_six_point(s.values, s.origin, e, st) for st in DEFAULT_STENCILS.for_axis(e)]
             live = [k for k in kernels if not _flat(k[3], s.max_abs())]
-            assert sum(int(np.sum(k[2] != 0)) for k in live) == count
+            assert 2 * sum(int(np.sum(k[2] != 0)) for k in live) == count
     assert Classification.FREQUENCY in classes
 
 
