@@ -9,12 +9,15 @@ direction, when its denominator is exactly zero or the window is flat
 along it (its differences D pass the residual test, so a residual chain
 built on tv would pass any estimate); if every step is passed over, the
 component along that axis is taken as zero.  The annihilator residual is
-the one judge of every answer: an axis taken as zero is checked with the
-plain difference along it, which fails on data that varies along it.
-``_six_point`` computes D and the quotient at every base point at once;
-every mode reads its entries from it.  The 1-D detector
-``detect_univariate`` is a view over the same kernel: a series is a grid
-of one row, and its four-term relation is the quotient along x.
+the one judge of every answer.  Along an estimated axis it is the reduced
+three-factor chain's output D(a + 2e) - 2c D(a + e) + D(a), the quotient's
+numerator less 2c times its denominator; an axis taken as zero is checked
+with the plain difference along it, which fails on data that varies along
+it.  ``_six_point`` computes D, numerator and denominator at every base
+point at once, and ``_axis`` reads one axis's estimate and residual from
+it, for both modes.  The 1-D detector ``detect_univariate`` is a view over
+the same routine: a series is a grid of one row, and its four-term
+relation is the quotient along x.
 """
 
 from __future__ import annotations
@@ -28,15 +31,7 @@ import numpy as np
 
 from .errors import InputError, NumericalError
 from .expspace import Frequency, FrequencyVector, GridSamples, _check_window
-from .operators import (
-    _AXIS_STEPS,
-    IntegerStep,
-    _apply_factors,
-    _axis_step,
-    _residual,
-    _window_shift,
-    reduced_chain_for_symmetric_set,
-)
+from .operators import _AXIS_STEPS, IntegerStep, _axis_step, _residual, _window_shift
 
 __all__ = [
     "StencilDirectionSet",
@@ -161,24 +156,42 @@ def _median(x: np.ndarray) -> float:
     return float(p[k]) if x.size % 2 else (float(p[k - 1]) + float(p[k])) / 2
 
 
-def _robust_estimate(kernels, alpha, e, steps, sup: float) -> CoshEstimate | None:
+def _robust_estimate(kernels, alpha, e, sup: float) -> CoshEstimate | None:
     """Median of the quotient over every base point and step with a non-zero
     denominator, over the steps along which the window is not flat, reported
-    with the first step that has one."""
-    live = [(step, k) for step, k in zip(steps, kernels) if not _flat(k[3], sup)]
-    if not live:
+    with the first step that has one.  ``kernels`` maps each step to its
+    kernel.  A median of -0.0 is reported as +0.0."""
+    live = [(step, k) for step, k in kernels.items() if not _flat(k[3], sup)]
+    step = next((st for st, k in live if k[2].any()), None)
+    if step is None:
         return None
     num, den = (np.concatenate([k[i].ravel() for _, k in live]) for i in (1, 2))
     keep = den != 0
-    if not keep.any():
-        return None
-    first = int(keep.argmax())  # the first non-zero entry, in step order
-    for step, k in live:
-        if first < k[2].size:
-            break
-        first -= k[2].size
-    value = complex(_median(_real_quotients(num[keep], den[keep])), 0.0)
+    value = complex(_median(_real_quotients(num[keep], den[keep])) + 0.0, 0.0)
     return CoshEstimate(e, value, alpha, step, _median(np.abs(den[keep])))
+
+
+def _axis(values, origin, alpha, e, steps, mode: str, sup: float):
+    """Axis e's cosh estimate at alpha, or None for an axis taken as zero, and
+    its annihilator residual: num - 2c den = D(b + 2e) - 2c D(b + e) + D(b) of
+    the kernel the estimate came from, the reduced chain's output for cosh c,
+    or the plain difference along e for an axis taken as zero."""
+    if mode == "single":
+        for step in steps:
+            kernel = _six_point(values, origin, e, step)
+            est = _estimate(kernel, alpha, e, step, sup)
+            if est is not None:
+                break
+    else:
+        kernels = {st: _six_point(values, origin, e, st) for st in steps}
+        est = _robust_estimate(kernels, alpha, e, sup)
+        kernel = kernels[est.step_used] if est else None
+    if est is not None:
+        return est, _residual(kernel[1] - 2.0 * est.value.real * kernel[2], sup)
+    shifted, base, _ = _window_shift(values, *e)
+    if shifted.size == 0:
+        raise InputError(f"step {e} exhausts a {values.shape[1]}x{values.shape[0]} window")
+    return None, _residual(shifted - base, sup)
 
 
 def cosh_to_frequency(c: complex, scale: float) -> Frequency:
@@ -225,8 +238,9 @@ def detect(
     along which the window is flat, and an axis left without a denominator
     contributes a zero component.  The combined frequency is accepted only
     if its annihilator leaves a relative residual below ``tol_res`` on both
-    axes: the reduced three-factor chain along an estimated axis, the plain
-    difference along an axis taken as zero.  ``tol_res`` is the one
+    axes: the reduced three-factor chain along an estimated axis, read from
+    the kernel of the step its estimate came from, and the plain difference
+    along an axis taken as zero.  ``tol_res`` is the one
     tolerance a caller sets; flatness is judged at DEFAULT_TOL_RES, the
     imaginary-part bound (``cosh_to_frequency``) is fixed, and a denominator
     has no threshold.
@@ -248,15 +262,10 @@ def detect(
             Classification.INCONSISTENT, None, tuple(estimates), residual, reason
         )
 
+    residuals = []
     for e in _AXIS_STEPS:
-        steps = DEFAULT_STENCILS.for_axis(e)
-        if mode == "single":
-            kernels = (_six_point(s.values, s.origin, e, st) for st in steps)
-            tried = (_estimate(k, alpha, e, st, sup) for k, st in zip(kernels, steps))
-            est = next((t for t in tried if t is not None), None)
-        else:
-            kernels = [_six_point(s.values, s.origin, e, st) for st in steps]
-            est = _robust_estimate(kernels, alpha, e, steps, sup)
+        est, r = _axis(s.values, s.origin, alpha, e, DEFAULT_STENCILS.for_axis(e), mode, sup)
+        residuals.append(r)
         if est is None:
             components.append(Frequency(0.0))
             continue
@@ -267,13 +276,7 @@ def detect(
             return inconsistent(math.nan, f"axis {e}: {exc}")
 
     g = FrequencyVector(components[0], components[1])
-    used = {est.axis: est.step_used for est in estimates}
-    # along an axis taken as zero, the plain difference annihilates the family
-    chains = (
-        reduced_chain_for_symmetric_set(g, e, used[e]).factors if e in used
-        else ((FrequencyVector.zero(), step),) for e, step in _AXIS_STEPS.items()
-    )
-    residual = max(_residual(_apply_factors(c, s.values, s.spacing)[0], sup) for c in chains)
+    residual = max(residuals)
     if not residual <= tol_res:  # a NaN residual is not accepted either
         return inconsistent(
             residual, f"annihilator residual {residual:.3e} exceeds {tol_res:.3e}"
@@ -290,26 +293,22 @@ def detect_univariate(samples, level: int, alpha: int) -> Frequency:
     A 1-D view of the grid quotient: the samples form a 1xn grid, and the
     four-term relation (2c + 1) (f(a+1) - f(a)) = f(a+2) - f(a-1) is the
     six-point quotient along x with step (1, 0) at base alpha - 1, which
-    gives c = cosh(2^-level * g).  As in detect, the annihilator residual
-    along the whole series judges the rate: the reduced chain's output at b
-    is D(b + 2) - 2c D(b + 1) + D(b), with D the plain difference, which is
+    gives c = cosh(2^-level * g).  Estimate and residual come from detect's
+    per-axis routine with that one step: the reduced chain's output at b is
+    D(b + 2) - 2c D(b + 1) + D(b), with D the plain difference, which is
     itself the output for rate zero, taken when the denominator is zero or
     the series is flat.  A rate that fails the test is an error.
     """
     row = np.asarray(samples, dtype=np.complex128).reshape(1, -1)
     _check_window(level, row.size, 1)
     alpha = _op.index(alpha)
-    e, step = (1, 0), _AXIS_STEPS[(1, 0)]
     sup = float(abs(row).max())
-    kernel = _six_point(row, (0, 0), e, step)
-    est = _estimate(kernel, (alpha - 1, 0), e, step, sup)
-    _, num, den, d = kernel
+    est, residual = _axis(row, (0, 0), (alpha - 1, 0), (1, 0), (_AXIS_STEPS[1, 0],), "single", sup)
     if est is None:
-        if _flat(d, sup):
+        if residual <= DEFAULT_TOL_RES:
             return Frequency(0.0)
         raise NumericalError(f"f({alpha + 1}) - f({alpha}) vanishes on non-constant data")
     g = cosh_to_frequency(est.value, math.ldexp(1.0, -level))
-    residual = _residual(num - 2.0 * est.value.real * den, sup)
     if not residual <= DEFAULT_TOL_RES:
         raise NumericalError(
             f"rate {g.value} leaves annihilator residual {residual:.3e} above {DEFAULT_TOL_RES:.3e}"

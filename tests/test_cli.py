@@ -156,6 +156,21 @@ class TestDetect:
             assert doc["reason"] == "axis (1, 0): cosh estimate -1.25 is not above -1"
             assert doc["residual"] is None
 
+    def test_robust_zero_cosh_prints_positive_zero(self, tmp_path, capsys):
+        # 2 + 4cos(pi x/2)cos(pi y/3) on exact lattice values: the x quotient
+        # is an exact zero of either sign at many stencils
+        cx, cy = (1, 0, -1, 0), (1, 0.5, -0.5, -1, -0.5, 0.5)
+        values = [2 + 4 * cx[x % 4] * cy[y % 6] for y in range(-5, 5) for x in range(-5, 5)]
+        grid_path = write(
+            tmp_path, "grid.json",
+            json.dumps({"level": 0, "origin": [-5, -5], "width": 10, "height": 10,
+                        "values": values}),
+        )
+        code, out, _ = run(capsys, "detect", grid_path, "--alpha", "-5", "-5",
+                           "--mode", "robust")
+        assert code == 0
+        assert '"x": {"cosh": [0, 0], "step": [0, 1]}' in out
+
 
 class TestAnnihilate:
     def test_residual_report_and_grid_file(self, tmp_path, capsys):
@@ -209,6 +224,8 @@ class TestAnnihilate:
 
 
 def test_window_sup_and_chain_taken_once(tmp_path, capsys, monkeypatch):
+    # detect reads each axis's residual from the kernel its estimate came
+    # from; annihilate applies its one chain
     from expann import detection, operators
     from expann.expspace import GridSamples
 
@@ -227,13 +244,16 @@ def test_window_sup_and_chain_taken_once(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(GridSamples, "max_abs", counting_max_abs)
     monkeypatch.setattr(operators, "_apply_factors", counting_apply)
-    monkeypatch.setattr(detection, "_apply_factors", counting_apply)
-    assert detection.detect(grid, (0, 0)).classification is detection.Classification.FREQUENCY
-    assert (len(sups), len(chains)) == (1, 2)  # one sup, one residual chain per axis
+    # also under its own name in detection, should detection import it again
+    monkeypatch.setattr(detection, "_apply_factors", counting_apply, raising=False)
+    for mode in ("single", "robust"):
+        sups.clear()
+        rep = detection.detect(grid, (0, 0), mode=mode)
+        assert rep.classification is detection.Classification.FREQUENCY
+        assert (len(sups), len(chains)) == (1, 0)
 
     grid_path = write(tmp_path, "grid.json", dump_grid(grid))
     sups.clear()
-    chains.clear()
     code, _, _ = run(capsys, "annihilate", grid_path, "--gamma", "0.8", "0.3i", "--axis", "x")
     assert code == 0
     assert (len(sups), len(chains)) == (1, 1)
@@ -395,6 +415,7 @@ _HUGE_ROWS = _grid_9x9(lambda j: (-1) ** j * 1e308)  # differences overflow to N
 _CONSTANT = _grid_9x9(lambda j: 2.5)
 _HUGE_SERIES = '{"level": 0, "values": [1e308, 1e308, 1e308, 1e308, 1e308, 1e308]}'
 _SERIES = '{"level": 0, "values": [1, 2, 4, 8, 16, 32]}'
+_ONE_SAMPLE = '{"level": 0, "origin": [0, 0], "width": 1, "height": 1, "values": [1]}'
 _ANNIHILATE_X = ("annihilate", "@", "--gamma", "0.5", "0", "--axis", "x")
 # The interpreter's int-to-string digit limit; 0 where there is none.
 _DIGITS = getattr(sys, "get_int_max_str_digits", int)()
@@ -442,6 +463,7 @@ def _series_with_origin(digits):
         (_CONSTANT, ("annihilate", "@", "--gamma", "1e308", "0", "--axis", "x"), 4),
         (_CONSTANT, ("detect", "@", "--tol-res", "nan"), 2),
         (_grid_text(), ("detect", "@", "--alpha", "1000", "1000", "--mode", "robust"), 2),
+        (_ONE_SAMPLE, ("detect", "@", "--mode", "robust"), 2),
         (_SERIES, ("refine", "@", "--gamma", "0.5", "--rounds", "-1"), 2),
         (_SERIES, ("refine", "@", "--gamma", "800"), 4),
         (None, ("detect", "@"), 2),
@@ -465,7 +487,7 @@ def _series_with_origin(digits):
         "sample-width-0", "sample-overflow", "sample-level-minus-5000", "inf-series", "series-level-2000",
         "nan-report-single", "nan-report-robust", "nan-annihilate-residual",
         "nan-refine-gamma", "nan-refine-auto", "extra-step-0-0", "weight-overflow",
-        "tol-res-nan", "alpha-outside-window-robust",
+        "tol-res-nan", "alpha-outside-window-robust", "exhausted-window-robust",
         "rounds-minus-1", "gamma-800-cosh-overflow", "unreadable-file", "invalid-json",
         "top-level-not-object", "empty-series", "non-utf8-file", "nested-100000",
         "integer-past-digit-limit", "refine-origin-past-digit-limit",

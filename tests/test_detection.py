@@ -308,6 +308,13 @@ class TestDetect:
         assert rep.classification is Classification.CONSTANT
         assert rep.residual == 0.0
 
+    def test_robust_mode_axis_without_a_difference_exhausts_the_window(self):
+        # no step fits a 1x1 window, and neither does the plain difference
+        # that would judge the axis taken as zero
+        s = GridSamples(0, (0, 0), 1, 1, np.ones(1))
+        with pytest.raises(InputError, match=r"^step \(1, 0\) exhausts a 1x1 window$"):
+            detect(s, (0, 0), mode="robust")
+
     def test_robust_mode_vanishing_axis_judged_by_residual(self):
         # no x-axis denominator reads column 3, so the x component is taken as
         # zero; the plain x difference reads the 2.0 at grid index (3, 2)
@@ -583,8 +590,30 @@ _REF_ROBUST_STEPS = {
 }
 
 
+def _ref_axis_residual(s, e, est):
+    """An axis's annihilator residual, one point at a time: the reduced
+    chain's output (D(b + 2e) + D(b)) - 2c D(b + e) along the estimate's
+    step, or the plain difference along e for an axis taken as zero."""
+    outs = []
+    for y in range(s.origin[1], s.origin[1] + s.height):
+        for x in range(s.origin[0], s.origin[0] + s.width):
+            try:
+                if est is None:
+                    outs.append(abs(_ref_diff(s, (x, y), IntegerStep(*e))))
+                    continue
+                d0, d1, d2 = (
+                    _ref_diff(s, (x + k * e[0], y + k * e[1]), est.step_used) for k in range(3)
+                )
+            except InputError:  # raised only by value_at, for a stencil off the window
+                continue
+            outs.append(abs((d2 + d0) - 2.0 * est.value.real * d1))
+    return max(outs) / s.max_abs()
+
+
 def _ref_detect(s, alpha, mode):
-    estimates, comps, extras, counts = [], [], [], []
+    """Classification, frequency, estimates, residual, the chain residual of
+    the frequency and robust mode's stencil counts."""
+    estimates, comps, axis_ests, counts = [], [], [], []
     for e in ((1, 0), (0, 1)):
         if mode == "single":
             tried = (_ref_estimate(s, alpha, e, st) for st in DEFAULT_STENCILS.for_axis(e))
@@ -593,31 +622,33 @@ def _ref_detect(s, alpha, mode):
             steps = [IntegerStep(*p) for p in _REF_ROBUST_STEPS[e]]
             est, count = _ref_robust(s, alpha, e, steps)
             counts.append(count)
+        axis_ests.append(est)
         if est is None:
             comps.append(Frequency(0.0))
-            extras.append(None)
             continue
         estimates.append(est)
-        extras.append(est.step_used)
         try:
             comps.append(cosh_to_frequency(est.value, s.spacing))
         except NumericalError:
-            return Classification.INCONSISTENT, None, estimates, math.nan, counts
+            return Classification.INCONSISTENT, None, estimates, math.nan, math.nan, counts
     g = FrequencyVector(*comps)
+    axes = ((1, 0), (0, 1))
+    residual = max(_ref_axis_residual(s, e, est) for e, est in zip(axes, axis_ests))
     zero = FrequencyVector.zero()
-    residual = max(
+    chain_residual = max(
         grid_residual(
-            reduced_chain_for_symmetric_set(g, e, x) if x
+            reduced_chain_for_symmetric_set(g, e, est.step_used) if est
             else AnnihilatorChain(((zero, IntegerStep(*e)),)),
             s,
         )
-        for e, x in zip(((1, 0), (0, 1)), extras)
+        for e, est in zip(axes, axis_ests)
     )
+    out = estimates, residual, chain_residual, counts
     if not residual <= DEFAULT_TOL_RES:
-        return Classification.INCONSISTENT, None, estimates, residual, counts
+        return Classification.INCONSISTENT, None, *out
     if not estimates:
-        return Classification.CONSTANT, None, estimates, residual, counts
-    return Classification.FREQUENCY, g, estimates, residual, counts
+        return Classification.CONSTANT, None, *out
+    return Classification.FREQUENCY, g, *out
 
 
 def _kernel_cases():
@@ -646,12 +677,14 @@ def test_detect_matches_scalar_reference_bitwise(mode):
     for s in _kernel_cases():
         alpha = (s.origin[0] + s.width // 2 - 1, s.origin[1] + s.height // 2 - 1)
         rep = detect(s, alpha, mode=mode)
-        cls, freq, ests, residual, counts = _ref_detect(s, alpha, mode)
+        cls, freq, ests, residual, chain_residual, counts = _ref_detect(s, alpha, mode)
         classes.add(cls)
         assert rep.classification is cls
         assert rep.frequency == freq
         assert [_est_bits(x) for x in rep.estimates] == [_est_bits(x) for x in ests]
-        assert _bits(rep.residual) == _bits(residual)
+        # numpy's complex abs rounds some moduli an ulp or two apart from abs()
+        assert abs(rep.residual - residual) <= 4 * math.ulp(residual)
+        assert abs(rep.residual - chain_residual) <= 1e-14
         for e, count in zip(((1, 0), (0, 1)), counts):
             kernels = [_six_point(s.values, s.origin, e, st) for st in DEFAULT_STENCILS.for_axis(e)]
             live = [k for k in kernels if not _flat(k[3], s.max_abs())]
