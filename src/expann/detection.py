@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import InputError, NumericalError
 from .expspace import Frequency, FrequencyVector, GridSamples, _check_window
-from .operators import _AXIS_STEPS, IntegerStep, _axis_step, _residual, _window_shift
+from .operators import _AXIS_STEPS, IntegerStep, _axis_step, _residual, _step_shift, _window_shift
 
 __all__ = [
     "StencilDirectionSet",
@@ -188,9 +188,7 @@ def _axis(values, origin, alpha, e, steps, mode: str, sup: float):
         kernel = kernels[est.step_used] if est else None
     if est is not None:
         return est, _residual(kernel[1] - 2.0 * est.value.real * kernel[2], sup)
-    shifted, base, _ = _window_shift(values, *e)
-    if shifted.size == 0:
-        raise InputError(f"step {e} exhausts a {values.shape[1]}x{values.shape[0]} window")
+    shifted, base, _ = _step_shift(values, *e)
     return None, _residual(shifted - base, sup)
 
 
@@ -276,11 +274,9 @@ def detect(
             return inconsistent(math.nan, f"axis {e}: {exc}")
 
     g = FrequencyVector(components[0], components[1])
-    residual = max(residuals)
+    residual = float(np.max(residuals))  # max() would drop a NaN on the second axis
     if not residual <= tol_res:  # a NaN residual is not accepted either
-        return inconsistent(
-            residual, f"annihilator residual {residual:.3e} exceeds {tol_res:.3e}"
-        )
+        return inconsistent(residual, f"annihilator residual {residual:.3e} exceeds {tol_res:.3e}")
     if not estimates:
         return DetectionReport(Classification.CONSTANT, None, (), residual)
     return DetectionReport(Classification.FREQUENCY, g, tuple(estimates), residual)

@@ -156,6 +156,13 @@ def _window_shift(values, dx: int, dy: int):
     return shifted, base, (c1, r1)
 
 
+def _step_shift(values, dx: int, dy: int):
+    """``_window_shift`` for a difference along (dx, dy), which must fit."""
+    if values.shape[0] <= abs(dy) or values.shape[1] <= abs(dx):
+        raise InputError(f"step ({dx}, {dy}) exhausts a {values.shape[1]}x{values.shape[0]} window")
+    return _window_shift(values, dx, dy)
+
+
 def _apply_factors(factors, values, spacing: float):
     """Apply difference factors in list order to a raw sample array: the output
     array, and its (column, row) offset in ``values``."""
@@ -163,12 +170,9 @@ def _apply_factors(factors, values, spacing: float):
     for gamma, step in factors:
         if not isinstance(step, IntegerStep):
             raise TypeError("differential factors cannot act on grid samples")
-        (h, w), dx, dy = out.shape, step.dx, step.dy
-        shifted, base, (c1, r1) = _window_shift(out, dx, dy)
-        if shifted.size == 0:
-            raise InputError(f"step ({dx}, {dy}) exhausts a {w}x{h} window")
+        shifted, base, (c1, r1) = _step_shift(out, step.dx, step.dy)
         try:
-            weight = cmath.exp(gamma.dot(dx * spacing, dy * spacing))
+            weight = cmath.exp(gamma.dot(step.dx * spacing, step.dy * spacing))
         except OverflowError as exc:
             msg = "a difference weight overflows the floating-point range"
             raise NumericalError(msg) from exc

@@ -534,6 +534,26 @@ class TestNonFiniteResidual:
         assert rep.classification is Classification.INCONSISTENT
         assert math.isnan(rep.residual)
 
+    @pytest.mark.parametrize("mode", ["single", "robust"])
+    @pytest.mark.parametrize(
+        "column, alpha",
+        [
+            # cosh 1e308 along y: 2c overflows, and 2c times a zero
+            # denominator is NaN; x reads cosh 1 with residual 0
+            ([-1e300, 0.0, 1e-8, 1e300, 1e300, 1e300], (1, 0)),
+            # x is taken as zero with residual 0; y reads cosh -1/2, and
+            # differences of +-1e308 overflow, so num - 2c den is inf - inf
+            ([0.0, 0.0, 1.0, 0.0, -1e308, 1e308, -1e308, 1e308], (0, 0)),
+        ],
+    )
+    def test_nan_on_the_second_axis_alone_is_inconsistent(self, column, alpha, mode):
+        # every column is the same, so only y can see the overflow
+        vals = np.tile(np.array(column)[:, None], (1, 6))
+        with np.errstate(all="ignore"):
+            rep = detect(GridSamples(0, (0, 0), 6, len(column), vals.ravel()), alpha, mode=mode)
+        assert rep.classification is Classification.INCONSISTENT
+        assert not rep.residual <= DEFAULT_TOL_RES
+
 
 # --- scalar per-point reference for the array kernel ----------------------
 #
