@@ -13,11 +13,14 @@ the one judge of every answer.  Along an estimated axis it is the reduced
 three-factor chain's output D(a + 2e) - 2c D(a + e) + D(a), the quotient's
 numerator less 2c times its denominator; an axis taken as zero is checked
 with the plain difference along it, which fails on data that varies along
-it.  ``_six_point`` computes D, numerator and denominator at every base
+it.  ``_Differences`` takes each step's D, and its residual, once per call
+for both axes; the plain difference along an axis is D of its unit step.
+``_six_point`` computes numerator and denominator from D at every base
 point at once, and ``_axis`` reads one axis's estimate and residual from
-it, for both modes.  The 1-D detector ``detect_univariate`` is a view over
-the same routine: a series is a grid of one row, and its four-term
-relation is the quotient along x.
+them, for both modes.  All of it runs in the samples' own arithmetic: real
+for real samples, complex otherwise.  The 1-D detector
+``detect_univariate`` is a view over the same routine: a series is a grid
+of one row, and its four-term relation is the quotient along x.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .expspace import Frequency, FrequencyVector, GridSamples, _check_window
+from .expspace import Frequency, FrequencyVector, GridSamples, _check_window, _sample_array
 from .operators import _AXIS_STEPS, IntegerStep, _axis_step, _residual, _step_shift, _window_shift
 
 __all__ = [
@@ -95,19 +98,35 @@ class DetectionReport:
     reason: str = ""
 
 
-def _six_point(values: np.ndarray, origin, e: tuple[int, int], step: IntegerStep):
-    """The six-point quotient at every base point, for axis e and one step.
+class _Differences(dict):
+    """D(b) = S(b + step) - S(b) per step, taken on first use and kept for one
+    call, so both axes share it.  Maps a step to ``(origin, d, res)``: the grid
+    index of d[0, 0], given values[0, 0] at grid index origin, D at every b
+    where both samples exist (possibly none), and its residual max|D| / sup,
+    zero when D is empty."""
 
-    With D(b) = S(b + step) - S(b) at every b where both samples exist,
-    returns ``(origin, num, den, d)``: D(a + 2e) + D(a) and D(a + e) at every
-    a whose six samples exist, and D itself.  Given values[0, 0] at grid
-    index origin, num and den start at the grid index returned.
-    """
-    shifted, base, (c, r) = _window_shift(values, step.dx, step.dy)
-    d = shifted - base
+    __slots__ = ("values", "origin", "sup")
+
+    def __init__(self, values: np.ndarray, origin, sup: float):
+        self.values, self.origin, self.sup = values, origin, sup
+
+    def __missing__(self, step: IntegerStep):
+        shifted, base, (c, r) = _window_shift(self.values, step.dx, step.dy)
+        d = shifted - base
+        res = _residual(d, self.sup) if d.size else 0.0
+        self[step] = entry = (self.origin[0] + c, self.origin[1] + r), d, res
+        return entry
+
+
+def _six_point(diff, e: tuple[int, int]):
+    """The six-point quotient's parts at every base point, for axis e, from one
+    step's entry ``diff`` of ``_Differences``: returns ``(origin, num, den)``,
+    D(a + 2e) + D(a) and D(a + e) at every a whose six samples exist, num and
+    den starting at grid index origin."""
+    origin, d, _ = diff
     d2, d0, _ = _window_shift(d, 2 * e[0], 2 * e[1])
     d1 = d[e[1] : e[1] + d0.shape[0], e[0] : e[0] + d0.shape[1]]
-    return (origin[0] + c, origin[1] + r), d2 + d0, d1, d
+    return origin, d2 + d0, d1
 
 
 def _entry(arr: np.ndarray, origin, p) -> complex:
@@ -117,19 +136,20 @@ def _entry(arr: np.ndarray, origin, p) -> complex:
     return complex(arr[j, i])
 
 
-def _flat(d: np.ndarray, sup: float) -> bool:
-    """True when the differences D along a step pass the residual test: a
-    residual chain built on that step then annihilates the window whatever
-    the estimate, so the step cannot give one that the residual judges."""
-    return d.size == 0 or _residual(d, sup) <= DEFAULT_TOL_RES
+def _flat(diff) -> bool:
+    """True when the differences D of ``diff``, an entry of ``_Differences``,
+    pass the residual test: a residual chain built on that step then
+    annihilates the window whatever the estimate, so the step cannot give one
+    that the residual judges."""
+    return diff[2] <= DEFAULT_TOL_RES
 
 
-def _estimate(kernel, alpha, e, step, sup: float) -> CoshEstimate | None:
+def _estimate(kernel, diff, alpha, e, step) -> CoshEstimate | None:
     """The quotient at alpha, or None when D(alpha + e) is zero or the
     window is flat along the step."""
-    origin, num, den, d = kernel
+    origin, num, den = kernel
     d1 = _entry(den, origin, alpha)
-    if d1 == 0 or _flat(d, sup):
+    if d1 == 0 or _flat(diff):
         return None
     return CoshEstimate(e, _entry(num, origin, alpha) / (2.0 * d1), alpha, step, abs(d1))
 
@@ -142,40 +162,42 @@ def _median(x: np.ndarray) -> float:
     return float(p[k]) if x.size % 2 else (float(p[k - 1]) + float(p[k])) / 2
 
 
-def _robust_estimate(kernels, alpha, e, sup: float) -> CoshEstimate | None:
+def _robust_estimate(kernels, alpha, e) -> CoshEstimate | None:
     """Median of the quotient over every base point and step with a non-zero
-    denominator, over the steps along which the window is not flat, reported
-    with the first step that has one.  ``kernels`` maps each step to its
-    kernel.  A median of -0.0 is reported as +0.0."""
-    live = [(step, k) for step, k in kernels.items() if not _flat(k[3], sup)]
-    step = next((st for st, k in live if k[2].any()), None)
+    denominator, reported with the first step that has one.  ``kernels`` maps
+    each step along which the window is not flat to its kernel; quotients
+    divide in the samples' own arithmetic, real for real samples.  A median of
+    -0.0 is reported as +0.0."""
+    step = next((st for st, k in kernels.items() if k[2].any()), None)
     if step is None:
         return None
-    num, den = (np.concatenate([k[i].ravel() for _, k in live]) for i in (1, 2))
+    num, den = (np.concatenate([k[i].ravel() for k in kernels.values()]) for i in (1, 2))
     keep = den != 0
-    value = complex(_median((num[keep] / (2.0 * den[keep])).real) + 0.0, 0.0)
-    return CoshEstimate(e, value, alpha, step, _median(np.abs(den[keep])))
+    den = den[keep]
+    value = complex(_median((num[keep] / (2.0 * den)).real) + 0.0, 0.0)
+    return CoshEstimate(e, value, alpha, step, _median(np.abs(den)))
 
 
-def _axis(values, origin, alpha, e, steps, mode: str, sup: float):
+def _axis(diffs: _Differences, alpha, e, steps, mode: str):
     """Axis e's cosh estimate at alpha, or None for an axis taken as zero, and
     its annihilator residual: num - 2c den = D(b + 2e) - 2c D(b + e) + D(b) of
     the kernel the estimate came from, the reduced chain's output for cosh c,
     or the plain difference along e for an axis taken as zero."""
     if mode == "single":
         for step in steps:
-            kernel = _six_point(values, origin, e, step)
-            est = _estimate(kernel, alpha, e, step, sup)
+            diff = diffs[step]
+            kernel = _six_point(diff, e)
+            est = _estimate(kernel, diff, alpha, e, step)
             if est is not None:
                 break
     else:
-        kernels = {st: _six_point(values, origin, e, st) for st in steps}
-        est = _robust_estimate(kernels, alpha, e, sup)
+        kernels = {st: _six_point(diffs[st], e) for st in steps if not _flat(diffs[st])}
+        est = _robust_estimate(kernels, alpha, e)
         kernel = kernels[est.step_used] if est else None
     if est is not None:
-        return est, _residual(kernel[1] - 2.0 * est.value.real * kernel[2], sup)
-    shifted, base, _ = _step_shift(values, *e)
-    return None, _residual(shifted - base, sup)
+        return est, _residual(kernel[1] - 2.0 * est.value.real * kernel[2], diffs.sup)
+    _step_shift(diffs.values, *e)  # raises when the plain difference along e does not fit
+    return None, diffs[_AXIS_STEPS[e]][2]
 
 
 def cosh_to_frequency(c: complex, scale: float) -> Frequency:
@@ -246,9 +268,10 @@ def detect(
             Classification.INCONSISTENT, None, tuple(estimates), residual, reason
         )
 
+    diffs = _Differences(s.values, s.origin, sup)
     residuals = []
     for e in _AXIS_STEPS:
-        est, r = _axis(s.values, s.origin, alpha, e, DEFAULT_STENCILS.for_axis(e), mode, sup)
+        est, r = _axis(diffs, alpha, e, DEFAULT_STENCILS.for_axis(e), mode)
         residuals.append(r)
         if est is None:
             components.append(Frequency(0.0))
@@ -281,11 +304,11 @@ def detect_univariate(samples, level: int, alpha: int) -> Frequency:
     itself the output for rate zero, taken when the denominator is zero or
     the series is flat.  A rate that fails the test is an error.
     """
-    row = np.asarray(samples, dtype=np.complex128).reshape(1, -1)
+    row = _sample_array(samples).reshape(1, -1)
     _check_window(level, row.size, 1)
     alpha = _op.index(alpha)
-    sup = float(abs(row).max())
-    est, residual = _axis(row, (0, 0), (alpha - 1, 0), (1, 0), (_AXIS_STEPS[1, 0],), "single", sup)
+    diffs = _Differences(row, (0, 0), float(abs(row).max()))
+    est, residual = _axis(diffs, (alpha - 1, 0), (1, 0), (_AXIS_STEPS[1, 0],), "single")
     if est is None:
         if residual <= DEFAULT_TOL_RES:
             return Frequency(0.0)

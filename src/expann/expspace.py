@@ -210,9 +210,18 @@ class ExponentialSum:
     __rmul__ = __mul__
 
 
+def _sample_array(values) -> np.ndarray:
+    """values as an array of float64 when they are real (float, int or bool),
+    of complex128 otherwise, so real data is computed on in real arithmetic."""
+    arr = np.asarray(values)
+    return arr.astype(np.float64 if arr.dtype.kind in "biuf" else np.complex128, copy=False)
+
+
 @dataclass(frozen=True, eq=False)
 class GridSamples:
-    """Complex samples of a function on the dyadic grid 2^-level * Z^2.
+    """Samples of a function on the dyadic grid 2^-level * Z^2, stored as a
+    read-only float64 array for real input (float, int or bool) and as
+    complex128 otherwise.
 
     ``values[j, i]`` holds the sample at integer index
     ``(origin[0] + i, origin[1] + j)``; the flattened array is therefore
@@ -227,7 +236,7 @@ class GridSamples:
 
     def __post_init__(self) -> None:
         _check_window(self.level, self.width, self.height)
-        arr = np.asarray(self.values, dtype=np.complex128)
+        arr = _sample_array(self.values)
         if arr.size != self.width * self.height:
             raise ValueError(
                 f"expected {self.width * self.height} values, got {arr.size}"

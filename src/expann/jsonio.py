@@ -5,9 +5,11 @@ Grid files:   {"level": k, "origin": [i, j], "width": w, "height": h,
 Sum files:    {"terms": [{"coeff": [re, im], "freq": [[re, im], [re, im]]}]}
 Series files: {"level": k, "origin": i, "values": [...]}
 
-A value is a plain number or an [re, im] pair; everything is normalized to
-complex on load.  Every byte expann writes comes from ``dumps``: floats
-carry 17 significant digits, so a rerun reproduces files byte for byte.
+A value is a plain number or an [re, im] pair.  Grid and series values load
+as float64 when every value in the file is a plain number, and as complex128
+otherwise; a sum's values load as complex.  Every byte expann writes comes
+from ``dumps``: floats carry 17 significant digits, so a rerun reproduces
+files byte for byte.
 """
 
 from __future__ import annotations
@@ -112,16 +114,17 @@ def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= _FLOAT_MAX
 
 
-def _parse_value(raw) -> complex | None:
-    """A finite number or [re, im] pair as complex; None for anything else."""
+def _parse_value(raw) -> float | complex | None:
+    """A finite number as float or an [re, im] pair as complex; None for
+    anything else."""
     if _is_number(raw):
-        return complex(raw)
+        return float(raw)
     if isinstance(raw, list) and len(raw) == 2 and _is_number(raw[0]) and _is_number(raw[1]):
         return complex(raw[0], raw[1])
     return None
 
 
-def _require_value(raw, where: str) -> complex:
+def _require_value(raw, where: str) -> float | complex:
     value = _parse_value(raw)
     if value is None:
         raise InputError(f"{where}: expected a finite number or [re, im] pair, got {raw!r}")
@@ -129,9 +132,10 @@ def _require_value(raw, where: str) -> complex:
 
 
 def _bulk_values(raw: list) -> np.ndarray | None:
-    """raw as a flat complex array, each kind of value (plain number, [re, im]
-    pair) converted by one numpy call; None unless every value is one that
-    ``_parse_value`` accepts and every part lies strictly inside the float range."""
+    """raw as a flat float64 array, or complex128 if it holds an [re, im] pair,
+    each kind of value (plain number, pair) converted by one numpy call; None
+    unless every value is one that ``_parse_value`` accepts and every part
+    lies strictly inside the float range."""
     is_pair = list(map(operator.is_, map(type, raw), repeat(list)))
     pairs = list(compress(raw, is_pair))
     plain = list(compress(raw, map(operator.not_, is_pair))) if pairs else raw
@@ -149,6 +153,8 @@ def _bulk_values(raw: list) -> np.ndarray | None:
     # per-value scan, which tells the largest float from an integer above it
     if not ((np.abs(numbers) < _FLOAT_MAX).all() and (np.abs(pair_parts) < _FLOAT_MAX).all()):
         return None
+    if not pairs:
+        return numbers
     values = np.empty(len(raw), dtype=np.complex128)
     mask = np.array(is_pair, dtype=bool)
     values[~mask] = numbers
@@ -164,7 +170,7 @@ def _parse_values(raw: list, what: str) -> np.ndarray:
         if None in parsed:
             i = parsed.index(None)
             _require_value(raw[i], f"{what}: values[{i}]")  # raises
-        values = np.array(parsed, dtype=np.complex128)
+        values = np.array(parsed)  # float64, or complex128 if one value is a pair
     return values
 
 

@@ -1,5 +1,7 @@
 import math
+import re
 import statistics
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from expann.detection import (
     Classification,
     CoshEstimate,
     StencilDirectionSet,
+    _Differences,
     _estimate,
     _flat,
     _six_point,
@@ -56,7 +59,8 @@ def _symmetric_samples(g, level, origin=(-3, -3), width=9, height=9, seed=1):
 def _quotient(s, alpha, e, step):
     """The six-point quotient at alpha as single-mode detect reads it, or
     None when its denominator is zero."""
-    return _estimate(_six_point(s.values, s.origin, e, step), alpha, e, step, s.max_abs())
+    diff = _Differences(s.values, s.origin, s.max_abs())[step]
+    return _estimate(_six_point(diff, e), diff, alpha, e, step)
 
 
 class TestStencilSets:
@@ -72,11 +76,11 @@ class TestStencilSets:
         steps = {st for e in ((1, 0), (0, 1)) for st in DEFAULT_STENCILS.for_axis(e)}
         for s in _kernel_cases():
             for e in ((1, 0), (0, 1)):
+                diffs = _Differences(s.values, s.origin, s.max_abs())
                 for v in steps:
-                    o, num, den, d = _six_point(s.values, s.origin, e, v)
-                    mo, mnum, mden, md = _six_point(
-                        s.values, s.origin, e, IntegerStep(-v.dx, -v.dy)
-                    )
+                    minus = IntegerStep(-v.dx, -v.dy)
+                    (o, num, den), d = _six_point(diffs[v], e), diffs[v][1]
+                    (mo, mnum, mden), md = _six_point(diffs[minus], e), diffs[minus][1]
                     assert mo == (o[0] + v.dx, o[1] + v.dy)
                     for a, b in ((mnum, num), (mden, den), (md, d)):
                         assert np.array_equal(a, -b)
@@ -272,7 +276,8 @@ class TestDetect:
         vals = s.values.copy()
         vals[4, 4] = np.nextafter(vals[4, 4].real, math.inf)
         s2 = GridSamples(s.level, s.origin, s.width, s.height, vals.ravel())
-        assert _six_point(s2.values, s2.origin, (1, 0), IntegerStep(0, 1))[2][3, 3] != 0
+        diff = _Differences(s2.values, s2.origin, s2.max_abs())[IntegerStep(0, 1)]
+        assert _six_point(diff, (1, 0))[2][3, 3] != 0
         for mode in ("single", "robust"):
             rep = detect(s2, (0, 0), mode=mode)
             assert rep.classification is Classification.FREQUENCY, mode
@@ -576,7 +581,7 @@ def _ref_flat(s, step):
 
 def _ref_estimate(s, a, e, step, flat=None, as_complex=complex):
     """The quotient at a, divided as ``as_complex`` divides: Python's complex
-    for single mode, np.complex128 for robust mode, whose quotients numpy takes."""
+    for single mode, and for robust mode as numpy divides the samples."""
     d0, d1, d2 = (_ref_diff(s, (a[0] + k * e[0], a[1] + k * e[1]), step) for k in range(3))
     if d1 == 0 or (_ref_flat(s, step) if flat is None else flat):
         return None
@@ -584,13 +589,16 @@ def _ref_estimate(s, a, e, step, flat=None, as_complex=complex):
 
 
 def _ref_robust(s, alpha, e, steps):
+    # numpy divides complex samples; real samples divide as floats, which
+    # Python's complex division matches on operands with zero imaginary parts
+    as_complex = np.complex128 if np.iscomplexobj(s.values) else complex
     ests = []
     for step in steps:
         flat = _ref_flat(s, step)
         for y in range(s.origin[1], s.origin[1] + s.height):
             for x in range(s.origin[0], s.origin[0] + s.width):
                 try:
-                    est = _ref_estimate(s, (x, y), e, step, flat, np.complex128)
+                    est = _ref_estimate(s, (x, y), e, step, flat, as_complex)
                 except InputError:  # raised only by value_at, for a stencil off the window
                     continue
                 if est is not None:
@@ -681,6 +689,10 @@ def _kernel_cases():
         yield sample(random_symmetric_sum(rng, g), 3, (-n // 2, -n // 2), n, n)
 
 
+def _real_part(s):
+    return GridSamples(s.level, s.origin, s.width, s.height, s.values.real)
+
+
 def _bits(x: float) -> str:
     return float(x).hex()
 
@@ -695,7 +707,7 @@ def _est_bits(est):
 @pytest.mark.parametrize("mode", ["single", "robust"])
 def test_detect_matches_scalar_reference_bitwise(mode):
     classes = set()
-    for s in _kernel_cases():
+    for s in (g for c in _kernel_cases() for g in (c, _real_part(c))):
         alpha = (s.origin[0] + s.width // 2 - 1, s.origin[1] + s.height // 2 - 1)
         rep = detect(s, alpha, mode=mode)
         cls, freq, ests, residual, chain_residual, counts = _ref_detect(s, alpha, mode)
@@ -707,7 +719,61 @@ def test_detect_matches_scalar_reference_bitwise(mode):
         assert abs(rep.residual - residual) <= 4 * math.ulp(residual)
         assert abs(rep.residual - chain_residual) <= 1e-14
         for e, count in zip(((1, 0), (0, 1)), counts):
-            kernels = [_six_point(s.values, s.origin, e, st) for st in DEFAULT_STENCILS.for_axis(e)]
-            live = [k for k in kernels if not _flat(k[3], s.max_abs())]
+            diffs = _Differences(s.values, s.origin, s.max_abs())
+            steps = DEFAULT_STENCILS.for_axis(e)
+            live = [_six_point(diffs[st], e) for st in steps if not _flat(diffs[st])]
             assert 2 * sum(int(np.sum(k[2] != 0)) for k in live) == count
     assert Classification.FREQUENCY in classes
+
+
+def _report_bits(rep):
+    freq = rep.frequency and [_bits(x) for v in rep.frequency.as_pair() for x in (v.real, v.imag)]
+    ests = [_est_bits(x) for x in rep.estimates]
+    return rep.classification, freq, ests, _bits(rep.residual), rep.reason
+
+
+def test_single_mode_same_bits_for_real_and_complex_storage():
+    # the same real grid stored as float64 and as complex128: single mode
+    # divides as Python's complex and judges by |.|, exact on zero imaginary parts
+    for c in _kernel_cases():
+        r = _real_part(c)
+        z = GridSamples(r.level, r.origin, r.width, r.height, r.values.astype(np.complex128))
+        assert (r.values.dtype, z.values.dtype) == (np.float64, np.complex128)
+        centre = (r.origin[0] + r.width // 2 - 1, r.origin[1] + r.height // 2 - 1)
+        for alpha in (centre, r.origin):
+            try:
+                want = _report_bits(detect(z, alpha))
+            except InputError as exc:
+                with pytest.raises(InputError, match=re.escape(str(exc))):
+                    detect(r, alpha)
+                continue
+            assert _report_bits(detect(r, alpha)) == want
+
+
+@pytest.mark.parametrize("mode", ["single", "robust"])
+@pytest.mark.parametrize("kind", ["frequency", "constant"])
+def test_each_difference_taken_once(mode, kind, monkeypatch):
+    # both axes share each step's differences D, and an axis taken as zero
+    # reuses D of its unit step; the step (1, 1) serves both axes
+    from expann import detection
+
+    if kind == "frequency":
+        grid = _symmetric_samples(FrequencyVector(0.8, 0.3j), 2)[1]
+    else:
+        grid = GridSamples(0, (0, 0), 6, 6, np.full(36, 3.0))
+    taken = Counter()
+    window_shift = detection._window_shift
+
+    def counting(values, dx, dy):
+        if values is grid.values:
+            taken[dx, dy] += 1
+        return window_shift(values, dx, dy)
+
+    monkeypatch.setattr(detection, "_window_shift", counting)
+    rep = detect(grid, (1, 1), mode=mode)
+    assert rep.classification is (
+        Classification.FREQUENCY if kind == "frequency" else Classification.CONSTANT
+    )
+    assert max(taken.values()) == 1
+    if mode == "robust" or kind == "constant":
+        assert taken[1, 1] == 1

@@ -211,7 +211,7 @@ class TestSample:
         with pytest.raises(NumericalError, match="overflows the floating-point range"):
             sample(f, 0, (10**400, 0), 1, 1)
 
-    def test_matches_scalar_reference_bitwise(self):
+    def test_matches_scalar_reference_within_bound(self):
         rng = np.random.default_rng(5)
         outcomes = Counter()
         for _ in range(400):
@@ -342,6 +342,27 @@ class TestGridSamples:
     def test_numpy_integer_origin_accepted(self):
         s = GridSamples(0, (np.int64(-3), np.int32(2)), 2, 1, [1, 2])
         assert s.origin == (-3, 2) and all(type(k) is int for k in s.origin)
+
+    @pytest.mark.parametrize(
+        "data, dtype",
+        [
+            (np.array([1.5, -2.0]), np.float64),
+            (np.array([1.5, -2.0], dtype=np.float32), np.float64),
+            ([1, -2], np.float64),
+            (np.array([1, 2], dtype=np.uint8), np.float64),
+            ([True, False], np.float64),
+            ([1.5, 2j], np.complex128),
+            (np.array([1.5, -2.0], dtype=np.complex64), np.complex128),
+        ],
+    )
+    def test_real_data_stored_real(self, data, dtype):
+        # real input (float, int or bool) is stored as float64, anything
+        # else as complex128, each as a read-only copy
+        s = GridSamples(0, (0, 0), 2, 1, data)
+        assert s.values.dtype == dtype
+        assert not s.values.flags.writeable
+        assert not np.shares_memory(s.values, data)
+        assert s.values.tolist() == [[complex(v) for v in data]]
 
 
 class TestSymmetricSet:

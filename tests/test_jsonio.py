@@ -177,6 +177,26 @@ def test_loaded_bits_match_reference(text):
     assert _bits(grid.values) == _bits(reference_load(raw))
 
 
+@pytest.mark.parametrize(
+    "text, dtype",
+    [
+        ("[1.5, -2, 0]", np.float64),
+        ("[1.5, [-2, 0.5], 0]", np.complex128),
+        # the largest float takes the per-value scan instead of the bulk path
+        ("[1.7976931348623157e308, -2, 0]", np.float64),
+        ("[1.7976931348623157e308, [-2, 0], 0]", np.complex128),
+    ],
+)
+def test_values_load_real_unless_a_pair(text, dtype):
+    # a file of plain numbers loads as float64; one [re, im] pair makes it complex128
+    values, _, _ = jsonio.load_series(_series(text))
+    assert values.dtype == dtype
+    grid = jsonio.load_grid(
+        f'{{"level": 0, "origin": [0, 0], "width": 3, "height": 1, "values": {text}}}'
+    )
+    assert grid.values.dtype == dtype
+
+
 BAD_TOKENS = [
     "true", "false", "null", '"1.5"', "[1.0]", "[1, 2, 3]", "[]", "[1.0, true]",
     "[false, 1.0]", "[[1, 2], 3]", "[1, null]", '[1, "2"]', "{}", str(10**400),
