@@ -68,17 +68,11 @@ DEFAULT_STENCILS = StencilDirectionSet()
 
 @dataclass(frozen=True)
 class CoshEstimate:
-    """One cosh value extracted from a six-point stencil."""
+    """One axis's cosh value and the step of the six-point stencils it came from."""
 
     axis: tuple[int, int]
     value: complex
-    base: tuple[int, int]
     step_used: IntegerStep
-    denominator_magnitude: float
-
-    def __post_init__(self) -> None:
-        if self.denominator_magnitude <= 0.0:
-            raise ValueError("denominator magnitude must be positive")
 
 
 class Classification(enum.Enum):
@@ -151,7 +145,7 @@ def _estimate(kernel, diff, alpha, e, step) -> CoshEstimate | None:
     d1 = _entry(den, origin, alpha)
     if d1 == 0 or _flat(diff):
         return None
-    return CoshEstimate(e, _entry(num, origin, alpha) / (2.0 * d1), alpha, step, abs(d1))
+    return CoshEstimate(e, _entry(num, origin, alpha) / (2.0 * d1), step)
 
 
 def _median(x: np.ndarray) -> float:
@@ -162,20 +156,19 @@ def _median(x: np.ndarray) -> float:
     return float(p[k]) if x.size % 2 else (float(p[k - 1]) + float(p[k])) / 2
 
 
-def _robust_estimate(kernels, alpha, e) -> CoshEstimate | None:
+def _robust_estimate(kernels, e) -> CoshEstimate | None:
     """Median of the quotient over every base point and step with a non-zero
-    denominator, reported with the first step that has one.  ``kernels`` maps
-    each step along which the window is not flat to its kernel; quotients
-    divide in the samples' own arithmetic, real for real samples.  A median of
-    -0.0 is reported as +0.0."""
+    denominator, reported with the first step that has one (its kernel gives
+    the residual).  ``kernels`` maps each step along which the window is not
+    flat to its kernel; quotients divide in the samples' own arithmetic, real
+    for real samples.  A median of -0.0 is reported as +0.0."""
     step = next((st for st, k in kernels.items() if k[2].any()), None)
     if step is None:
         return None
     num, den = (np.concatenate([k[i].ravel() for k in kernels.values()]) for i in (1, 2))
     keep = den != 0
-    den = den[keep]
-    value = complex(_median((num[keep] / (2.0 * den)).real) + 0.0, 0.0)
-    return CoshEstimate(e, value, alpha, step, _median(np.abs(den)))
+    value = complex(_median((num[keep] / (2.0 * den[keep])).real) + 0.0, 0.0)
+    return CoshEstimate(e, value, step)
 
 
 def _axis(diffs: _Differences, alpha, e, steps, mode: str):
@@ -192,7 +185,7 @@ def _axis(diffs: _Differences, alpha, e, steps, mode: str):
                 break
     else:
         kernels = {st: _six_point(diffs[st], e) for st in steps if not _flat(diffs[st])}
-        est = _robust_estimate(kernels, alpha, e)
+        est = _robust_estimate(kernels, e)
         kernel = kernels[est.step_used] if est else None
     if est is not None:
         return est, _residual(kernel[1] - 2.0 * est.value.real * kernel[2], diffs.sup)

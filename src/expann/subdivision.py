@@ -6,6 +6,8 @@ half-argument recursion c_{k+1} = sqrt((c_k + 1) / 2).  The inserted-point
 weights follow from two exactness conditions (constants and the symmetric
 exponential pair), whose solution has the closed form w = -1/(8c(c + 1)),
 u = 1/2 - w per level (Dyn, Levin & Luzzatto, Found. Comput. Math. 3, 2003).
+A real or imaginary rate gives a real c_k and real weights, so real data is
+refined in real arithmetic, as ``expspace`` keeps real samples real.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 
 from .detection import detect_univariate
 from .errors import InputError, NumericalError
-from .expspace import Frequency
+from .expspace import Frequency, _sample_array
 
 __all__ = [
     "InsertionRule",
@@ -64,17 +66,19 @@ def synthesize_rule(c_half: complex) -> InsertionRule:
     c = cosh(x).  The second condition minus c times the first shares a
     factor (c - 1) with its right-hand side; cancelling it leaves
     8c(c + 1) w = -1, so w = -1/(8c(c + 1)) and u = 1/2 - w, exact through
-    the polynomial limit c = 1 and singular only at c in {0, -1}.
+    the polynomial limit c = 1 and singular only at c in {0, -1}.  The
+    weights are floats when ``c_half`` is real, complex otherwise.
     """
     c = complex(c_half)
     if abs(c) <= 1e-12 or abs(c + 1.0) <= 1e-12:
         raise NumericalError(f"insertion weights undefined at cosh value {c}")
+    c = c.real if c.imag == 0.0 else c
     w = -1.0 / (8.0 * c * (c + 1.0))
     return InsertionRule(outer=w, inner=0.5 - w)
 
 
 def _samples(values) -> np.ndarray:
-    f = np.asarray(values, dtype=np.complex128)
+    f = _sample_array(values)
     if f.size < 4:
         raise InputError(f"need at least 4 samples, got {f.size}")
     return f
@@ -87,12 +91,13 @@ def refine(values, c_half: complex) -> np.ndarray:
     Even outputs copy the inputs; odd outputs insert midpoints.  Boundary
     stencils are truncated rather than extrapolated, so n inputs yield
     2(n - 3) + 1 outputs and the result starts half a coarse step after the
-    first retained input.
+    first retained input.  The output is real when the data and the rule's
+    weights are, complex otherwise.
     """
     f = _samples(values)
     n = f.size
     rule = synthesize_rule(c_half)
-    out = np.empty(2 * (n - 3) + 1, dtype=np.complex128)
+    out = np.empty(2 * (n - 3) + 1, dtype=np.result_type(f, rule.outer))
     out[0::2] = f[1 : n - 1]
     out[1::2] = rule.insert(f[0 : n - 3], f[1 : n - 2], f[2 : n - 1], f[3:n])
     return out

@@ -413,6 +413,8 @@ _SAMPLE = ("sample", "@", "--width", "3", "--height", "3")
 _HUGE_ROWS = _grid_9x9(lambda j: (-1) ** j * 1e308)  # differences overflow to NaN
 _CONSTANT = _grid_9x9(lambda j: 2.5)
 _HUGE_SERIES = '{"level": 0, "values": [1e308, 1e308, 1e308, 1e308, 1e308, 1e308]}'
+_OVERFLOW_SERIES = '{"level": 0, "origin": 0, "values": [1e308, -1e308, 1e308, 5.0, 1.0]}'
+_OVERFLOW_REFINE = ("refine", "@", "--gamma", "2.5i", "--rounds", "3")
 _SERIES = '{"level": 0, "values": [1, 2, 4, 8, 16, 32]}'
 _ONE_SAMPLE = '{"level": 0, "origin": [0, 0], "width": 1, "height": 1, "values": [1]}'
 _ANNIHILATE_X = ("annihilate", "@", "--gamma", "0.5", "0", "--axis", "x")
@@ -491,6 +493,7 @@ def test_non_finite_report_exits_3(tmp_path, capsys, text, mode, alpha, x_step, 
         (_HUGE_ROWS, _ANNIHILATE_X, 4),
         (_HUGE_SERIES, ("refine", "@", "--gamma", "0.5"), 4),
         (_HUGE_SERIES, ("refine", "@", "--auto"), 4),
+        (_OVERFLOW_SERIES, _OVERFLOW_REFINE, 4),
         (_CONSTANT, (*_ANNIHILATE_X, "--extra-step", "0", "0"), 2),
         (_CONSTANT, ("annihilate", "@", "--gamma", "1e308", "0", "--axis", "x"), 4),
         (_CONSTANT, ("detect", "@", "--tol-res", "nan"), 2),
@@ -518,7 +521,8 @@ def test_non_finite_report_exits_3(tmp_path, capsys, text, mode, alpha, x_step, 
         "gamma-beyond-pi", "grid-level-2000", "nan-coefficient", "sample-level-minus-1",
         "sample-width-0", "sample-overflow", "sample-level-minus-5000", "inf-series", "series-level-2000",
         "nan-annihilate-residual",
-        "nan-refine-gamma", "nan-refine-auto", "extra-step-0-0", "weight-overflow",
+        "nan-refine-gamma", "nan-refine-auto", "overflow-refine-imaginary-gamma",
+        "extra-step-0-0", "weight-overflow",
         "tol-res-nan", "alpha-outside-window-robust", "exhausted-window-robust",
         "rounds-minus-1", "gamma-800-cosh-overflow", "unreadable-file", "invalid-json",
         "top-level-not-object", "empty-series", "non-utf8-file", "nested-100000",
@@ -535,6 +539,15 @@ def test_bad_input_exit_code(tmp_path, capsys, text, argv, code):
     assert (got, out) == (code, "")
     [line] = err.splitlines()
     assert line.startswith("error: " if code == 2 else "numerical failure: ")
+
+
+def test_refinement_overflow_names_the_real_value(tmp_path, capsys):
+    # real data with an imaginary rate is refined in real arithmetic, so the
+    # first non-finite output is the -inf it overflows to, not a complex NaN
+    path = write(tmp_path, "series.json", _OVERFLOW_SERIES)
+    code, out, err = run(capsys, *(path if a == "@" else a for a in _OVERFLOW_REFINE))
+    assert (code, out) == (4, "")
+    assert err == "numerical failure: cannot write the non-finite number -inf\n"
 
 
 @pytest.mark.parametrize("flag, value", [("--tol-den", "1e-10"), ("--tol-im", "1e-9")])

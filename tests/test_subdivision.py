@@ -82,6 +82,7 @@ class TestSynthesizeRule:
         rule = synthesize_rule(1.0)
         assert rule.outer == -1.0 / 16.0
         assert rule.inner == 9.0 / 16.0
+        assert type(rule.outer) is float and type(rule.inner) is float
 
     def test_polynomial_limit(self):
         rule = synthesize_rule(1.0 + 1e-10)
@@ -226,3 +227,38 @@ class TestAutoRefine:
     def test_too_short(self):
         with pytest.raises(InputError, match="need at least 4 samples"):
             auto_refine([1.0, 2.0, 3.0], 0, 1)
+
+
+# a real and an imaginary rate, each with real data in its span at level 0
+_SPANS = {
+    0.8: [1.0 + math.exp(0.8 * z) + 2.0 * math.exp(-0.8 * z) for z in range(12)],
+    2.0j: [1.0 + 2.0 * math.cos(2.0 * z) - math.sin(2.0 * z) for z in range(12)],
+}
+_CALLS = {
+    "refine": lambda f, g: refine(f, refine_parameter(cmath.cosh(g))),
+    "refine_rounds": lambda f, g: refine_rounds(f, g, 0, 3),
+    "auto_refine": lambda f, g: auto_refine(f, 0, 3)[0],
+}
+
+
+class TestRealArithmetic:
+    """Real data with a real or imaginary rate is refined in float64, to the
+    bits of the same call on a complex128 copy; anything else stays complex."""
+
+    @pytest.mark.parametrize("g", list(_SPANS), ids=["real-rate", "imaginary-rate"])
+    @pytest.mark.parametrize("call", list(_CALLS))
+    def test_real_data_stays_real(self, call, g):
+        f = np.array(_SPANS[g])
+        got, want = _CALLS[call](f, g), _CALLS[call](f.astype(np.complex128), g)
+        assert (got.dtype, want.dtype) == (np.float64, np.complex128)
+        assert np.array_equal(want.imag, np.zeros(want.size))
+        assert np.array_equal(got.view(np.uint64), want.real.view(np.uint64))
+
+    def test_non_real_rate_gives_complex(self):
+        out = refine_rounds(_VALS, 0.3 + 0.2j, 0, 2)
+        assert out.dtype == np.complex128 and np.any(out.imag != 0)
+
+    @pytest.mark.parametrize("call", list(_CALLS))
+    def test_complex_data_stays_complex(self, call):
+        f = np.array(_SPANS[0.8]) * (1.0 + 0.5j)
+        assert _CALLS[call](f, 0.8).dtype == np.complex128
