@@ -276,7 +276,8 @@ def detect(
             return inconsistent(math.nan, f"axis {e}: {exc}")
 
     g = FrequencyVector(components[0], components[1])
-    residual = float(np.max(residuals))  # max() would drop a NaN on the second axis
+    rx, ry = residuals
+    residual = rx if rx >= ry or rx != rx else ry  # max() would drop a NaN on y
     if not residual <= tol_res:  # a NaN residual is not accepted either
         return inconsistent(residual, f"annihilator residual {residual:.3e} exceeds {tol_res:.3e}")
     if not estimates:

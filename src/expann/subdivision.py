@@ -32,9 +32,14 @@ __all__ = [
 ]
 
 
+def _insert(outer, inner, f0, f1, f2, f3):
+    return outer * (f0 + f3) + inner * (f1 + f2)
+
+
 @dataclass(frozen=True)
 class InsertionRule:
-    """Symmetric four-point insertion weights (outer, inner, inner, outer)."""
+    """Symmetric four-point insertion weights (outer, inner, inner, outer).  The
+    weight-sum check guards hand-built weights; the closed form meets it."""
 
     outer: complex
     inner: complex
@@ -46,7 +51,7 @@ class InsertionRule:
 
     def insert(self, f0, f1, f2, f3):
         """The value inserted between f1 and f2; elementwise on arrays."""
-        return self.outer * (f0 + f3) + self.inner * (f1 + f2)
+        return _insert(self.outer, self.inner, f0, f1, f2, f3)
 
 
 def refine_parameter(c: complex) -> complex:
@@ -67,14 +72,18 @@ def synthesize_rule(c_half: complex) -> InsertionRule:
     factor (c - 1) with its right-hand side; cancelling it leaves
     8c(c + 1) w = -1, so w = -1/(8c(c + 1)) and u = 1/2 - w, exact through
     the polynomial limit c = 1 and singular only at c in {0, -1}.  The
-    weights are floats when ``c_half`` is real, complex otherwise.
+    weights, which ``refine`` shares, are real when ``c_half`` is real.
     """
+    return InsertionRule(*_weights(c_half))
+
+
+def _weights(c_half: complex):
     c = complex(c_half)
     if abs(c) <= 1e-12 or abs(c + 1.0) <= 1e-12:
         raise NumericalError(f"insertion weights undefined at cosh value {c}")
     c = c.real if c.imag == 0.0 else c
     w = -1.0 / (8.0 * c * (c + 1.0))
-    return InsertionRule(outer=w, inner=0.5 - w)
+    return w, 0.5 - w
 
 
 def _samples(values) -> np.ndarray:
@@ -91,15 +100,15 @@ def refine(values, c_half: complex) -> np.ndarray:
     Even outputs copy the inputs; odd outputs insert midpoints.  Boundary
     stencils are truncated rather than extrapolated, so n inputs yield
     2(n - 3) + 1 outputs and the result starts half a coarse step after the
-    first retained input.  The output is real when the data and the rule's
-    weights are, complex otherwise.
+    first retained input.  Midpoints take ``synthesize_rule``'s weights, but
+    no rule is built; the output is real when the data and weights are real.
     """
     f = _samples(values)
     n = f.size
-    rule = synthesize_rule(c_half)
-    out = np.empty(2 * (n - 3) + 1, dtype=np.result_type(f, rule.outer))
+    odd = _insert(*_weights(c_half), f[0 : n - 3], f[1 : n - 2], f[2 : n - 1], f[3:n])
+    out = np.empty(2 * (n - 3) + 1, dtype=odd.dtype)
     out[0::2] = f[1 : n - 1]
-    out[1::2] = rule.insert(f[0 : n - 3], f[1 : n - 2], f[2 : n - 1], f[3:n])
+    out[1::2] = odd
     return out
 
 

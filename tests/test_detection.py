@@ -537,18 +537,17 @@ class TestNonFiniteResidual:
         assert rep.classification is Classification.INCONSISTENT
         assert math.isnan(rep.residual)
 
+    _OVERFLOWS = [
+        # cosh 1e308 along y: 2c overflows, and 2c times a zero
+        # denominator is NaN; x reads cosh 1 with residual 0
+        ([-1e300, 0.0, 1e-8, 1e300, 1e300, 1e300], (1, 0)),
+        # x is taken as zero with residual 0; y reads cosh -1/2, and
+        # differences of +-1e308 overflow, so num - 2c den is inf - inf
+        ([0.0, 0.0, 1.0, 0.0, -1e308, 1e308, -1e308, 1e308], (0, 0)),
+    ]
+
     @pytest.mark.parametrize("mode", ["single", "robust"])
-    @pytest.mark.parametrize(
-        "column, alpha",
-        [
-            # cosh 1e308 along y: 2c overflows, and 2c times a zero
-            # denominator is NaN; x reads cosh 1 with residual 0
-            ([-1e300, 0.0, 1e-8, 1e300, 1e300, 1e300], (1, 0)),
-            # x is taken as zero with residual 0; y reads cosh -1/2, and
-            # differences of +-1e308 overflow, so num - 2c den is inf - inf
-            ([0.0, 0.0, 1.0, 0.0, -1e308, 1e308, -1e308, 1e308], (0, 0)),
-        ],
-    )
+    @pytest.mark.parametrize("column, alpha", _OVERFLOWS)
     def test_nan_on_the_second_axis_alone_is_inconsistent(self, column, alpha, mode):
         # every column is the same, so only y can see the overflow
         vals = np.tile(np.array(column)[:, None], (1, 6))
@@ -556,6 +555,33 @@ class TestNonFiniteResidual:
             rep = detect(GridSamples(0, (0, 0), 6, len(column), vals.ravel()), alpha, mode=mode)
         assert rep.classification is Classification.INCONSISTENT
         assert not rep.residual <= DEFAULT_TOL_RES
+
+    @pytest.mark.parametrize("mode", ["single", "robust"])
+    @pytest.mark.parametrize("row, alpha", _OVERFLOWS)
+    def test_nan_on_the_first_axis_is_inconsistent(self, row, alpha, mode):
+        # the transposed grids: every row is the same, so x sees the overflow
+        # and y reads residual 0, except in robust mode on the second grid,
+        # where y's stencils, which difference along x, see it too
+        vals = np.tile(np.array(row)[None, :], (6, 1))
+        with np.errstate(all="ignore"):
+            rep = detect(GridSamples(0, (0, 0), len(row), 6, vals.ravel()), alpha[::-1], mode=mode)
+        assert rep.classification is Classification.INCONSISTENT
+        assert not rep.residual <= DEFAULT_TOL_RES
+        if mode == "single":
+            assert math.isnan(rep.residual)
+
+    def test_an_infinite_first_axis_residual_beats_a_finite_second(self):
+        # robust mode on the first transposed grid: the median of x's quotients
+        # is finite, and num - 2c den overflows to inf without a NaN; y reads
+        # cosh 1 with residual 0
+        row, alpha = self._OVERFLOWS[0]
+        vals = np.tile(np.array(row)[None, :], (6, 1))
+        with np.errstate(all="ignore"):
+            rep = detect(GridSamples(0, (0, 0), len(row), 6, vals.ravel()), alpha[::-1], mode="robust")
+        assert [e.axis for e in rep.estimates] == [(1, 0), (0, 1)]
+        assert rep.estimates[1].value == 1.0
+        assert rep.classification is Classification.INCONSISTENT
+        assert rep.residual == math.inf
 
 
 # --- scalar per-point reference for the array kernel ----------------------

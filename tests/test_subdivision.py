@@ -45,6 +45,14 @@ class TestLevelParameter:
         auto_refine([1.0 + math.cosh(0.5 * z) for z in range(12)], 0, 4)
         assert len(calls) == 4
 
+    def test_refine_called_once_per_round(self, monkeypatch):
+        # each round goes through the module's public refine
+        calls = []
+        step = subdivision.refine
+        monkeypatch.setattr(subdivision, "refine", lambda v, c: calls.append(c) or step(v, c))
+        refine_rounds(np.linspace(0.0, 1.0, 12), 0.5, 0, 4)
+        assert len(calls) == 4
+
     def test_short_data_fails_before_the_parameter(self):
         # cosh(3.14159265i) rounds to -1, where refine_parameter raises
         with pytest.raises(InputError, match="need at least 4 samples"):
@@ -158,6 +166,16 @@ class TestRefine:
         vals = np.array([0.3, 1.7, -2.2, 0.9, 4.4, -0.1])
         out = refine(vals, 1.2)
         assert np.array_equal(out[0::2], vals[1:-1].astype(complex))
+
+    @pytest.mark.parametrize("c", [math.cosh(0.45), math.cos(1.2), cmath.cosh(0.3 + 0.2j)])
+    @pytest.mark.parametrize("vals", [_VALS, _VALS * (1 - 0.5j)], ids=["real", "complex"])
+    def test_midpoints_are_the_rule_insert(self, vals, c):
+        # refine and InsertionRule.insert share one four-point formula
+        n = vals.size
+        slices = vals[0 : n - 3], vals[1 : n - 2], vals[2 : n - 1], vals[3:n]
+        odd, expected = refine(vals, c)[1::2].copy(), synthesize_rule(c).insert(*slices)
+        assert odd.dtype == expected.dtype
+        assert np.array_equal(odd.view(np.uint64), expected.view(np.uint64))
 
     def test_hyperbolic_reproduction(self):
         f = hyperbolic(1.0, 1.0, 0.9)
