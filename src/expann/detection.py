@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .expspace import Frequency, FrequencyVector, GridSamples, _check_window, _sample_array
+from .expspace import Frequency, FrequencyVector, GridSamples, _check_window, _series
 from .operators import _AXIS_STEPS, IntegerStep, _axis_step, _residual, _step_shift, _window_shift
 
 __all__ = [
@@ -116,10 +116,14 @@ def _six_point(diff, e: tuple[int, int]):
     """The six-point quotient's parts at every base point, for axis e, from one
     step's entry ``diff`` of ``_Differences``: returns ``(origin, num, den)``,
     D(a + 2e) + D(a) and D(a + e) at every a whose six samples exist, num and
-    den starting at grid index origin."""
+    den starting at grid index origin.  e is a unit axis, so the three parts
+    are slices of D at offsets 0, e and 2e, and num starts where D does."""
     origin, d, _ = diff
-    d2, d0, _ = _window_shift(d, 2 * e[0], 2 * e[1])
-    d1 = d[e[1] : e[1] + d0.shape[0], e[0] : e[0] + d0.shape[1]]
+    dx, dy = e
+    rows, cols = max(d.shape[0] - 2 * dy, 0), max(d.shape[1] - 2 * dx, 0)
+    d0 = d[:rows, :cols]
+    d1 = d[dy : dy + rows, dx : dx + cols]
+    d2 = d[2 * dy : 2 * dy + rows, 2 * dx : 2 * dx + cols]
     return origin, d2 + d0, d1
 
 
@@ -161,13 +165,24 @@ def _robust_estimate(kernels, e) -> CoshEstimate | None:
     denominator, reported with the first step that has one (its kernel gives
     the residual).  ``kernels`` maps each step along which the window is not
     flat to its kernel; quotients divide in the samples' own arithmetic, real
-    for real samples.  A median of -0.0 is reported as +0.0."""
-    step = next((st for st, k in kernels.items() if k[2].any()), None)
-    if step is None:
+    for real samples.  The axis's numerators and denominators are joined once
+    and divided in one pass; only when some denominator is exactly zero are
+    both masked first.  A median of -0.0 is reported as +0.0."""
+    if not kernels:
         return None
-    num, den = (np.concatenate([k[i].ravel() for k in kernels.values()]) for i in (1, 2))
-    keep = den != 0
-    value = complex(_median((num[keep] / (2.0 * den[keep])).real) + 0.0, 0.0)
+    num = np.concatenate([k[1] for k in kernels.values()], axis=None)
+    den = np.concatenate([k[2] for k in kernels.values()], axis=None)
+    if den.size and den.all():
+        # every denominator is non-zero, so the first step with one is the
+        # first whose kernel is not empty
+        step = next(st for st, k in kernels.items() if k[2].size)
+    else:
+        step = next((st for st, k in kernels.items() if k[2].any()), None)
+        if step is None:
+            return None
+        keep = den != 0
+        num, den = num[keep], den[keep]
+    value = complex(_median((num / (2.0 * den)).real) + 0.0, 0.0)
     return CoshEstimate(e, value, step)
 
 
@@ -298,7 +313,7 @@ def detect_univariate(samples, level: int, alpha: int) -> Frequency:
     itself the output for rate zero, taken when the denominator is zero or
     the series is flat.  A rate that fails the test is an error.
     """
-    row = _sample_array(samples).reshape(1, -1)
+    row = _series(samples).reshape(1, -1)
     _check_window(level, row.size, 1)
     alpha = _op.index(alpha)
     diffs = _Differences(row, (0, 0), float(abs(row).max()))

@@ -217,6 +217,14 @@ def _sample_array(values) -> np.ndarray:
     return arr.astype(np.float64 if arr.dtype.kind in "biuf" else np.complex128, copy=False)
 
 
+def _series(values) -> np.ndarray:
+    """``_sample_array`` of a series, which must be one-dimensional."""
+    arr = _sample_array(values)
+    if arr.ndim != 1:
+        raise InputError(f"a series must be one-dimensional, got an array of shape {arr.shape}")
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class GridSamples:
     """Samples of a function on the dyadic grid 2^-level * Z^2, stored as a

@@ -20,7 +20,7 @@ import numpy as np
 
 from .detection import detect_univariate
 from .errors import InputError, NumericalError
-from .expspace import Frequency, _sample_array
+from .expspace import Frequency, _series
 
 __all__ = [
     "InsertionRule",
@@ -87,7 +87,7 @@ def _weights(c_half: complex):
 
 
 def _samples(values) -> np.ndarray:
-    f = _sample_array(values)
+    f = _series(values)
     if f.size < 4:
         raise InputError(f"need at least 4 samples, got {f.size}")
     return f

@@ -341,6 +341,51 @@ class TestDetect:
             assert rep.residual > 1e-4
             assert rep.estimates[0].step_used == IntegerStep(1, 1)
 
+    _ROWS = np.array([[1, 2, 4, 8, 16, 32], [3, 1, 4, 1, 5, 9]])
+    _X, _Y = np.arange(-1, 2.0), np.arange(-2, 4.0)
+    # 1 + (2^x + 2^-x)(4^y + 4^-y): rates ln 2 and ln 4, exact in binary
+    _DYADIC = 1 + (2.0**_X + 2.0**-_X)[None, :] * (4.0**_Y + 4.0**-_Y)[:, None]
+    _NARROW = {
+        # no y stencil fits two rows, so y's kernels are empty and y is taken as zero
+        "2x6": (GridSamples(0, (0, 0), 6, 2, _ROWS), (0, 0)),
+        "6x2": (GridSamples(0, (0, 0), 2, 6, _ROWS.T), (0, 0)),
+        # three columns fit no x stencil along (1, 1): an empty kernel after a full one
+        "3x6": (GridSamples(0, (-1, -2), 3, 6, _DYADIC), (-1, -2)),
+    }
+    _NARROW_REPORTS = {
+        ("2x6", "single"): (
+            "Inconsistent", [((1, 0), (0, 1), -1.0)], "nan",
+            "axis (1, 0): cosh estimate -1.0 is not above -1",
+        ),
+        ("2x6", "robust"): (
+            "Inconsistent", [((1, 0), (0, 1), 10 / 21)], "0x1.7000000000000p-1",
+            "annihilator residual 7.188e-01 exceeds 1.000e-08",
+        ),
+        ("6x2", "single"): "the stencil at (0, 0) leaves the sample window",
+        ("6x2", "robust"): (
+            "Inconsistent", [((0, 1), (1, 0), 10 / 21)], "0x1.7000000000000p-1",
+            "annihilator residual 7.188e-01 exceeds 1.000e-08",
+        ),
+        ("3x6", "single"): ("Frequency", [((1, 0), (0, 1), 1.25), ((0, 1), (1, 0), 2.125)], "0x0.0p+0", ""),
+        ("3x6", "robust"): ("Frequency", [((1, 0), (0, 1), 1.25), ((0, 1), (1, 0), 2.125)], "0x0.0p+0", ""),
+    }
+
+    @pytest.mark.parametrize("mode", ["single", "robust"])
+    @pytest.mark.parametrize("name", list(_NARROW))
+    def test_narrow_windows(self, name, mode):
+        # pinned reports on windows too narrow for some six-point stencils;
+        # an empty kernel has no denominator, so robust mode must not take it
+        # for an axis whose every denominator is non-zero
+        s, alpha = self._NARROW[name]
+        want = self._NARROW_REPORTS[name, mode]
+        if isinstance(want, str):
+            with pytest.raises(InputError, match=f"^{re.escape(want)}$"):
+                detect(s, alpha, mode=mode)
+            return
+        rep = detect(s, alpha, mode=mode)
+        ests = [(x.axis, (x.step_used.dx, x.step_used.dy), x.value) for x in rep.estimates]
+        assert (rep.classification.value, ests, rep.residual.hex(), rep.reason) == want
+
 
 def test_wide_window_families_recovered_in_both_modes():
     # Exact data spans many orders of magnitude on wide windows, so a
@@ -491,6 +536,14 @@ class TestDetectUnivariate:
             with pytest.raises(ValueError, match=rf"^level must lie in 0\.\.1074, got {level}$"):
                 detect_univariate([1.0, 2.0, 4.0, 8.0], level, 1)
 
+    @pytest.mark.parametrize("shape", [(1, 6), (6, 1), (3, 4)])
+    def test_rejects_input_that_is_not_one_dimensional(self, shape):
+        # a 3x4 array is not read as a 12-sample series
+        f = (1 + np.cosh(0.5 * np.arange(12.0)))[: shape[0] * shape[1]].reshape(shape)
+        msg = f"a series must be one-dimensional, got an array of shape {shape}"
+        with pytest.raises(InputError, match=f"^{re.escape(msg)}$"):
+            detect_univariate(f, 0, 1)
+
     def test_matches_bivariate_cosh(self):
         # the 1-D detector is the grid quotient on a 1xn row, with the
         # difference step along the axis at base alpha - 1: bit for bit
@@ -630,7 +683,7 @@ def _ref_robust(s, e, steps):
                     ests.append(est)
     if not ests:
         return None, 0
-    value = statistics.median(est.value.real for est in ests)
+    value = statistics.median(est.value.real for est in ests) + 0.0  # detect reports +0.0
     return CoshEstimate(e, complex(value, 0.0), ests[0].step_used), len(ests)
 
 
@@ -746,6 +799,43 @@ def test_detect_matches_scalar_reference_bitwise(mode):
             live = [_six_point(diffs[st], e) for st in steps if not _flat(diffs[st])]
             assert 2 * sum(int(np.sum(k[2] != 0)) for k in live) == count
     assert Classification.FREQUENCY in classes
+
+
+def _integer_windows():
+    # small integer values, so many differences, and many denominators, are
+    # exactly zero; every fourth window is complex
+    rng = np.random.default_rng(24)
+    for k in range(200):
+        w, h = (int(n) for n in rng.integers(2, 9, 2))
+        vals = rng.integers(-1, 2, (h, w)) * rng.integers(0, 2, (h, w)) + 2
+        if k % 4 == 0:
+            vals = vals + 1j * rng.integers(-1, 2, (h, w))
+        yield GridSamples(int(k % 3), (int(rng.integers(-3, 4)), int(rng.integers(-3, 4))), w, h, vals)
+    # x's first step (0, 1) varies only in column 0, which no x denominator
+    # reads: it is not flat, but every denominator along it is zero
+    x, y = np.arange(6.0), np.arange(5.0)
+    yield GridSamples(0, (0, 0), 6, 5, x[None, :] ** 2 + np.where(x == 0, y[:, None], 0.0))
+
+
+def test_robust_masked_path_matches_scalar_reference_bitwise():
+    masked = 0
+    for s in _integer_windows():
+        alpha = (s.origin[0] + s.width // 2 - 1, s.origin[1] + s.height // 2 - 1)
+        rep = detect(s, alpha, mode="robust")
+        cls, freq, ests, residual, _, _ = _ref_detect(s, alpha, "robust")
+        assert rep.classification is cls
+        assert rep.frequency == freq
+        assert [_est_bits(x) for x in rep.estimates] == [_est_bits(x) for x in ests]
+        if math.isnan(residual):
+            assert math.isnan(rep.residual)
+        else:
+            assert abs(rep.residual - residual) <= 4 * math.ulp(residual)
+        diffs = _Differences(s.values, s.origin, s.max_abs())
+        for e in ((1, 0), (0, 1)):
+            dens = [_six_point(diffs[st], e)[2] for st in DEFAULT_STENCILS.for_axis(e) if not _flat(diffs[st])]
+            masked += any(d.any() for d in dens) and not all(d.all() for d in dens)
+    assert masked >= 100, masked
+    assert (rep.estimates[0].axis, rep.estimates[0].step_used) == ((1, 0), IntegerStep(1, 1))
 
 
 def _report_bits(rep):

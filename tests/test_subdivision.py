@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -280,3 +281,13 @@ class TestRealArithmetic:
     def test_complex_data_stays_complex(self, call):
         f = np.array(_SPANS[0.8]) * (1.0 + 0.5j)
         assert _CALLS[call](f, 0.8).dtype == np.complex128
+
+
+@pytest.mark.parametrize("shape", [(1, 6), (6, 1), (3, 4)])
+@pytest.mark.parametrize("call", list(_CALLS))
+def test_rejects_input_that_is_not_one_dimensional(call, shape):
+    # not numpy's broadcast error, and not a flattened series
+    f = np.array(_SPANS[0.8])[: shape[0] * shape[1]].reshape(shape)
+    msg = f"a series must be one-dimensional, got an array of shape {shape}"
+    with pytest.raises(InputError, match=f"^{re.escape(msg)}$"):
+        _CALLS[call](f, 0.8)
