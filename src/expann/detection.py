@@ -94,10 +94,10 @@ class DetectionReport:
 
 class _Differences(dict):
     """D(b) = S(b + step) - S(b) per step, taken on first use and kept for one
-    call, so both axes share it.  Maps a step to ``(origin, d, res)``: the grid
-    index of d[0, 0], given values[0, 0] at grid index origin, D at every b
+    call, so both axes share it.  Maps a step to ``(d, res)``: D at every b
     where both samples exist (possibly none), and its residual max|D| / sup,
-    zero when D is empty."""
+    zero when D is empty.  Every step detection takes has non-negative
+    components, so d[0, 0] is D at values[0, 0], grid index ``origin``."""
 
     __slots__ = ("values", "origin", "sup")
 
@@ -105,33 +105,24 @@ class _Differences(dict):
         self.values, self.origin, self.sup = values, origin, sup
 
     def __missing__(self, step: IntegerStep):
-        shifted, base, (c, r) = _window_shift(self.values, step.dx, step.dy)
+        shifted, base, _ = _window_shift(self.values, step.dx, step.dy)
         d = shifted - base
-        res = _residual(d, self.sup) if d.size else 0.0
-        self[step] = entry = (self.origin[0] + c, self.origin[1] + r), d, res
+        self[step] = entry = d, (_residual(d, self.sup) if d.size else 0.0)
         return entry
 
 
-def _six_point(diff, e: tuple[int, int]):
+def _six_point(d, e: tuple[int, int]):
     """The six-point quotient's parts at every base point, for axis e, from one
-    step's entry ``diff`` of ``_Differences``: returns ``(origin, num, den)``,
-    D(a + 2e) + D(a) and D(a + e) at every a whose six samples exist, num and
-    den starting at grid index origin.  e is a unit axis, so the three parts
-    are slices of D at offsets 0, e and 2e, and num starts where D does."""
-    origin, d, _ = diff
+    step's differences d: returns ``(num, den)``, D(a + 2e) + D(a) and
+    D(a + e) at every a whose six samples exist.  e is a unit axis, so the
+    three parts are slices of D at offsets 0, e and 2e, and num and den start
+    where D does."""
     dx, dy = e
     rows, cols = max(d.shape[0] - 2 * dy, 0), max(d.shape[1] - 2 * dx, 0)
     d0 = d[:rows, :cols]
     d1 = d[dy : dy + rows, dx : dx + cols]
     d2 = d[2 * dy : 2 * dy + rows, 2 * dx : 2 * dx + cols]
-    return origin, d2 + d0, d1
-
-
-def _entry(arr: np.ndarray, origin, p) -> complex:
-    i, j = p[0] - origin[0], p[1] - origin[1]
-    if not (0 <= i < arr.shape[1] and 0 <= j < arr.shape[0]):
-        raise InputError(f"the stencil at {tuple(p)} leaves the sample window")
-    return complex(arr[j, i])
+    return d2 + d0, d1
 
 
 def _flat(diff) -> bool:
@@ -139,17 +130,7 @@ def _flat(diff) -> bool:
     pass the residual test: a residual chain built on that step then
     annihilates the window whatever the estimate, so the step cannot give one
     that the residual judges."""
-    return diff[2] <= DEFAULT_TOL_RES
-
-
-def _estimate(kernel, diff, alpha, e, step) -> CoshEstimate | None:
-    """The quotient at alpha, or None when D(alpha + e) is zero or the
-    window is flat along the step."""
-    origin, num, den = kernel
-    d1 = _entry(den, origin, alpha)
-    if d1 == 0 or _flat(diff):
-        return None
-    return CoshEstimate(e, _entry(num, origin, alpha) / (2.0 * d1), step)
+    return diff[1] <= DEFAULT_TOL_RES
 
 
 def _median(x: np.ndarray) -> float:
@@ -170,14 +151,14 @@ def _robust_estimate(kernels, e) -> CoshEstimate | None:
     both masked first.  A median of -0.0 is reported as +0.0."""
     if not kernels:
         return None
-    num = np.concatenate([k[1] for k in kernels.values()], axis=None)
-    den = np.concatenate([k[2] for k in kernels.values()], axis=None)
+    num = np.concatenate([k[0] for k in kernels.values()], axis=None)
+    den = np.concatenate([k[1] for k in kernels.values()], axis=None)
     if den.size and den.all():
         # every denominator is non-zero, so the first step with one is the
         # first whose kernel is not empty
-        step = next(st for st, k in kernels.items() if k[2].size)
+        step = next(st for st, k in kernels.items() if k[1].size)
     else:
-        step = next((st for st, k in kernels.items() if k[2].any()), None)
+        step = next((st for st, k in kernels.items() if k[1].any()), None)
         if step is None:
             return None
         keep = den != 0
@@ -190,22 +171,29 @@ def _axis(diffs: _Differences, alpha, e, steps, mode: str):
     """Axis e's cosh estimate at alpha, or None for an axis taken as zero, and
     its annihilator residual: num - 2c den = D(b + 2e) - 2c D(b + e) + D(b) of
     the kernel the estimate came from, the reduced chain's output for cosh c,
-    or the plain difference along e for an axis taken as zero."""
+    or the plain difference along e for an axis taken as zero.  Single mode
+    takes the quotient at alpha from the first step whose denominator there
+    is non-zero and along which the window is not flat."""
+    est = None
     if mode == "single":
+        i, j = alpha[0] - diffs.origin[0], alpha[1] - diffs.origin[1]
         for step in steps:
             diff = diffs[step]
-            kernel = _six_point(diff, e)
-            est = _estimate(kernel, diff, alpha, e, step)
-            if est is not None:
+            num, den = kernel = _six_point(diff[0], e)
+            if not (0 <= i < den.shape[1] and 0 <= j < den.shape[0]):
+                raise InputError(f"the stencil at {alpha} leaves the sample window")
+            d1 = complex(den[j, i])
+            if d1 != 0 and not _flat(diff):
+                est = CoshEstimate(e, complex(num[j, i]) / (2.0 * d1), step)
                 break
     else:
-        kernels = {st: _six_point(diffs[st], e) for st in steps if not _flat(diffs[st])}
+        kernels = {st: _six_point(diffs[st][0], e) for st in steps if not _flat(diffs[st])}
         est = _robust_estimate(kernels, e)
         kernel = kernels[est.step_used] if est else None
     if est is not None:
-        return est, _residual(kernel[1] - 2.0 * est.value.real * kernel[2], diffs.sup)
+        return est, _residual(kernel[0] - 2.0 * est.value.real * kernel[1], diffs.sup)
     _step_shift(diffs.values, *e)  # raises when the plain difference along e does not fit
-    return None, diffs[_AXIS_STEPS[e]][2]
+    return None, diffs[_AXIS_STEPS[e]][1]
 
 
 def cosh_to_frequency(c: complex, scale: float) -> Frequency:

@@ -14,13 +14,14 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator as _op
 from dataclasses import dataclass
 
 import numpy as np
 
 from .detection import detect_univariate
 from .errors import InputError, NumericalError
-from .expspace import Frequency, _series
+from .expspace import Frequency, _check_window, _series
 
 __all__ = [
     "InsertionRule",
@@ -114,15 +115,20 @@ def refine(values, c_half: complex) -> np.ndarray:
 
 def refine_rounds(values, g: Frequency | complex, level: int, rounds: int):
     """Refine data at ``level`` ``rounds`` times with the rules of rate g,
-    starting from the level parameter c_level = cosh(2^-level * g)."""
+    starting from the level parameter c_level = cosh(2^-level * g).  The
+    series is checked once, zero rounds included; a level outside
+    0..MAX_LEVEL or a negative round count is a ``ValueError``."""
+    _check_window(level, 1, 1)
+    if _op.index(rounds) < 0:
+        raise ValueError(f"rounds must be non-negative, got {rounds}")
     rate = g.value if isinstance(g, Frequency) else complex(g)
     try:
         c = cmath.cosh(math.ldexp(1.0, -level) * rate)
     except OverflowError as exc:
         raise NumericalError(f"cosh of rate {rate} overflows at level {level}") from exc
+    # short data is an input error even where c is not above -1
+    values = _samples(values)
     for _ in range(rounds):
-        # short data is an input error even where c is not above -1
-        values = _samples(values)
         c = refine_parameter(c)
         values = refine(values, c)
     return values

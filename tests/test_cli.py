@@ -465,7 +465,8 @@ def test_non_finite_report_exits_3(tmp_path, capsys, text, mode, alpha, x_step, 
 # Each input once ended in a traceback (exit 1); or in exit 0 with a
 # "Frequency" report and a null residual (the NaN grid in single mode), a
 # robust report whose base point lies outside the window, a series file
-# expann cannot read back (--rounds -1), or a report that ignored the
+# expann cannot read back (--rounds -1), a series too short to refine
+# passed through unchecked (--rounds 0), or a report that ignored the
 # tolerance (--tol-res nan always Inconsistent). Rows from
 # "unreadable-file" on take the exit-2 paths of the file reader, the JSON
 # parser and the writers, which no well-formed file reaches: an integer past
@@ -500,6 +501,8 @@ def test_non_finite_report_exits_3(tmp_path, capsys, text, mode, alpha, x_step, 
         (_grid_text(), ("detect", "@", "--alpha", "1000", "1000", "--mode", "robust"), 2),
         (_ONE_SAMPLE, ("detect", "@", "--mode", "robust"), 2),
         (_SERIES, ("refine", "@", "--gamma", "0.5", "--rounds", "-1"), 2),
+        ('{"level": 0, "values": [1, 2, 3]}', ("refine", "@", "--gamma", "0.8", "--rounds", "0"), 2),
+        ('{"level": 0, "values": [1, 2, 3]}', ("refine", "@", "--auto", "--rounds", "0"), 2),
         (_SERIES, ("refine", "@", "--gamma", "800"), 4),
         (None, ("detect", "@"), 2),
         ("{not json", ("detect", "@"), 2),
@@ -524,7 +527,8 @@ def test_non_finite_report_exits_3(tmp_path, capsys, text, mode, alpha, x_step, 
         "nan-refine-gamma", "nan-refine-auto", "overflow-refine-imaginary-gamma",
         "extra-step-0-0", "weight-overflow",
         "tol-res-nan", "alpha-outside-window-robust", "exhausted-window-robust",
-        "rounds-minus-1", "gamma-800-cosh-overflow", "unreadable-file", "invalid-json",
+        "rounds-minus-1", "short-series-0-rounds-gamma", "short-series-0-rounds-auto",
+        "gamma-800-cosh-overflow", "unreadable-file", "invalid-json",
         "top-level-not-object", "empty-series", "non-utf8-file", "nested-100000",
         "integer-past-digit-limit", "refine-origin-past-digit-limit",
         "annihilate-origin-past-digit-limit", "output-missing-directory",

@@ -12,8 +12,8 @@ from expann.detection import (
     Classification,
     CoshEstimate,
     StencilDirectionSet,
+    _axis,
     _Differences,
-    _estimate,
     _flat,
     _six_point,
     cosh_to_frequency,
@@ -32,6 +32,7 @@ from expann.expspace import (
 from expann.operators import (
     AnnihilatorChain,
     IntegerStep,
+    _window_shift,
     grid_residual,
     reduced_chain_for_symmetric_set,
 )
@@ -59,8 +60,7 @@ def _symmetric_samples(g, level, origin=(-3, -3), width=9, height=9, seed=1):
 def _quotient(s, alpha, e, step):
     """The six-point quotient at alpha as single-mode detect reads it, or
     None when its denominator is zero."""
-    diff = _Differences(s.values, s.origin, s.max_abs())[step]
-    return _estimate(_six_point(diff, e), diff, alpha, e, step)
+    return _axis(_Differences(s.values, s.origin, s.max_abs()), alpha, e, (step,), "single")[0]
 
 
 class TestStencilSets:
@@ -71,17 +71,19 @@ class TestStencilSets:
 
     def test_negated_step_reads_the_same_stencils_negated(self):
         # D along -v at b is -D along v at b - v, so the kernel for -v is
-        # the kernel for v negated, its origin moved by v: a list that held
-        # both would read every stencil twice
+        # the kernel for v negated, moved by v: a list that held both would
+        # read every stencil twice.  D along v starts at the window's corner,
+        # D along -v at offset v
         steps = {st for e in ((1, 0), (0, 1)) for st in DEFAULT_STENCILS.for_axis(e)}
         for s in _kernel_cases():
             for e in ((1, 0), (0, 1)):
                 diffs = _Differences(s.values, s.origin, s.max_abs())
                 for v in steps:
                     minus = IntegerStep(-v.dx, -v.dy)
-                    (o, num, den), d = _six_point(diffs[v], e), diffs[v][1]
-                    (mo, mnum, mden), md = _six_point(diffs[minus], e), diffs[minus][1]
-                    assert mo == (o[0] + v.dx, o[1] + v.dy)
+                    assert _window_shift(s.values, v.dx, v.dy)[2] == (0, 0)
+                    assert _window_shift(s.values, minus.dx, minus.dy)[2] == (v.dx, v.dy)
+                    (num, den), d = _six_point(diffs[v][0], e), diffs[v][0]
+                    (mnum, mden), md = _six_point(diffs[minus][0], e), diffs[minus][0]
                     for a, b in ((mnum, num), (mden, den), (md, d)):
                         assert np.array_equal(a, -b)
 
@@ -95,7 +97,7 @@ class TestStencilSets:
 
 
 class TestCoshFromStencil:
-    """The cosh estimate of one six-point stencil, as ``_estimate`` reads it."""
+    """The cosh estimate of one six-point stencil, as single-mode ``_axis`` reads it."""
 
     def test_single_exponential(self):
         f = ExponentialSum(((1.0, FrequencyVector(0.6, 0.4)),))
@@ -134,6 +136,14 @@ class TestCoshFromStencil:
         for mode in ("single", "robust"):  # a base point outside the window
             with pytest.raises(InputError, match=r"^the stencil at \(4, 0\) leaves"):
                 detect(s, (4, 0), mode=mode)
+
+    def test_out_of_window_is_checked_before_flatness(self):
+        # flat data would take every step as flat and read Constant and rate 0
+        flat = GridSamples(0, (0, 0), 4, 4, np.full(16, 3.0))
+        with pytest.raises(InputError, match=r"^the stencil at \(3, 0\) leaves the sample window$"):
+            detect(flat, (3, 0))
+        with pytest.raises(InputError, match=r"^the stencil at \(3, 0\) leaves the sample window$"):
+            detect_univariate([3.0] * 6, 0, 4)
 
 
 class TestClassifyConstant:
@@ -276,7 +286,7 @@ class TestDetect:
         vals[4, 4] = np.nextafter(vals[4, 4].real, math.inf)
         s2 = GridSamples(s.level, s.origin, s.width, s.height, vals.ravel())
         diff = _Differences(s2.values, s2.origin, s2.max_abs())[IntegerStep(0, 1)]
-        assert _six_point(diff, (1, 0))[2][3, 3] != 0
+        assert _six_point(diff[0], (1, 0))[1][3, 3] != 0
         for mode in ("single", "robust"):
             rep = detect(s2, (0, 0), mode=mode)
             assert rep.classification is Classification.FREQUENCY, mode
@@ -796,8 +806,8 @@ def test_detect_matches_scalar_reference_bitwise(mode):
         for e, count in zip(((1, 0), (0, 1)), counts):
             diffs = _Differences(s.values, s.origin, s.max_abs())
             steps = DEFAULT_STENCILS.for_axis(e)
-            live = [_six_point(diffs[st], e) for st in steps if not _flat(diffs[st])]
-            assert 2 * sum(int(np.sum(k[2] != 0)) for k in live) == count
+            live = [_six_point(diffs[st][0], e) for st in steps if not _flat(diffs[st])]
+            assert 2 * sum(int(np.sum(k[1] != 0)) for k in live) == count
     assert Classification.FREQUENCY in classes
 
 
@@ -832,7 +842,7 @@ def test_robust_masked_path_matches_scalar_reference_bitwise():
             assert abs(rep.residual - residual) <= 4 * math.ulp(residual)
         diffs = _Differences(s.values, s.origin, s.max_abs())
         for e in ((1, 0), (0, 1)):
-            dens = [_six_point(diffs[st], e)[2] for st in DEFAULT_STENCILS.for_axis(e) if not _flat(diffs[st])]
+            dens = [_six_point(diffs[st][0], e)[1] for st in DEFAULT_STENCILS.for_axis(e) if not _flat(diffs[st])]
             masked += any(d.any() for d in dens) and not all(d.all() for d in dens)
     assert masked >= 100, masked
     assert (rep.estimates[0].axis, rep.estimates[0].step_used) == ((1, 0), IntegerStep(1, 1))

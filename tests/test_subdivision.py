@@ -63,6 +63,28 @@ class TestLevelParameter:
         with pytest.raises(NumericalError, match="^cosh of rate"):
             refine_rounds(_VALS, 800.0, 0, 1)
 
+    def test_zero_rounds_checks_the_series(self):
+        # as one round does: a short or two-dimensional series is an error
+        with pytest.raises(InputError, match="need at least 4 samples"):
+            refine_rounds([1, 2, 3], 0.8, 0, 0)
+        with pytest.raises(InputError, match="must be one-dimensional"):
+            refine_rounds(np.ones((3, 4)), 0.8, 0, 0)
+        out = refine_rounds([1, 2, 3, 4], 0.8, 0, 0)
+        assert isinstance(out, np.ndarray) and (out.dtype, out.shape) == (np.float64, (4,))
+        assert np.array_equal(out, [1.0, 2.0, 3.0, 4.0])
+
+    @pytest.mark.parametrize("level", [-1, 1075])
+    def test_rejects_a_level_outside_the_range(self, level):
+        # the levels detect_univariate rejects
+        with pytest.raises(ValueError, match=rf"^level must lie in 0\.\.1074, got {level}$"):
+            refine_rounds(_VALS, 0.8, level, 1)
+
+    def test_rejects_a_negative_round_count(self):
+        with pytest.raises(ValueError, match="^rounds must be non-negative, got -1$"):
+            refine_rounds(list(_VALS), 0.8, 0, -1)
+        with pytest.raises(TypeError):  # an integer argument, as the level is
+            refine_rounds(_VALS, 0.8, 0, 2.0)
+
 
 class TestRefineParameter:
     def test_fixed_point_at_one(self):
