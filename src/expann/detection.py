@@ -253,7 +253,8 @@ def detect(
     sup = s.max_abs()
     if not tol_res >= 0.0:  # NaN fails too; inf accepts everything
         raise InputError(f"tol_res must be a non-negative number, got {tol_res}")
-    alpha = (_op.index(alpha[0]), _op.index(alpha[1]))
+    i, j = map(_op.index, alpha)
+    alpha = (i, j)
     if not s.contains(alpha):
         raise InputError(f"the stencil at {alpha} leaves the sample window")
     estimates: list[CoshEstimate] = []

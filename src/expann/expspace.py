@@ -218,10 +218,13 @@ def _sample_array(values) -> np.ndarray:
 
 
 def _series(values) -> np.ndarray:
-    """``_sample_array`` of a series, which must be one-dimensional."""
+    """``_sample_array`` of a series, which must be one-dimensional and hold the
+    four samples that the 1-D annihilator and the insertion rule each read."""
     arr = _sample_array(values)
     if arr.ndim != 1:
         raise InputError(f"a series must be one-dimensional, got an array of shape {arr.shape}")
+    if arr.size < 4:
+        raise InputError(f"need at least 4 samples, got {arr.size}")
     return arr
 
 
@@ -252,16 +255,16 @@ class GridSamples:
         arr = arr.reshape(self.height, self.width).copy()
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
-        object.__setattr__(self, "origin", (_op.index(self.origin[0]), _op.index(self.origin[1])))
+        o1, o2 = map(_op.index, self.origin)
+        object.__setattr__(self, "origin", (o1, o2))
 
     @property
     def spacing(self) -> float:
         return math.ldexp(1.0, -self.level)
 
     def contains(self, alpha: tuple[int, int]) -> bool:
-        i = alpha[0] - self.origin[0]
-        j = alpha[1] - self.origin[1]
-        return 0 <= i < self.width and 0 <= j < self.height
+        i, j = alpha
+        return 0 <= i - self.origin[0] < self.width and 0 <= j - self.origin[1] < self.height
 
     def value_at(self, alpha: tuple[int, int]) -> complex:
         if not self.contains(alpha):
@@ -326,7 +329,7 @@ def sample(
     """
     _check_window(level, width, height)
     h = math.ldexp(1.0, -level)
-    o1, o2 = _op.index(origin[0]), _op.index(origin[1])
+    o1, o2 = map(_op.index, origin)
     try:
         # float(index) * h, each index rounded once as Python rounds an int
         x = np.array(range(o1, o1 + width), dtype=np.float64) * h

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detection import detect_univariate
-from .errors import InputError, NumericalError
+from .errors import NumericalError
 from .expspace import Frequency, _check_window, _series
 
 __all__ = [
@@ -87,13 +87,6 @@ def _weights(c_half: complex):
     return w, 0.5 - w
 
 
-def _samples(values) -> np.ndarray:
-    f = _series(values)
-    if f.size < 4:
-        raise InputError(f"need at least 4 samples, got {f.size}")
-    return f
-
-
 def refine(values, c_half: complex) -> np.ndarray:
     """One step of binary interpolatory refinement, inserting with the rule
     of the level parameter ``c_half`` = c_{k+1} of the finer level.
@@ -104,7 +97,7 @@ def refine(values, c_half: complex) -> np.ndarray:
     first retained input.  Midpoints take ``synthesize_rule``'s weights, but
     no rule is built; the output is real when the data and weights are real.
     """
-    f = _samples(values)
+    f = _series(values)
     n = f.size
     odd = _insert(*_weights(c_half), f[0 : n - 3], f[1 : n - 2], f[2 : n - 1], f[3:n])
     out = np.empty(2 * (n - 3) + 1, dtype=odd.dtype)
@@ -127,7 +120,7 @@ def refine_rounds(values, g: Frequency | complex, level: int, rounds: int):
     except OverflowError as exc:
         raise NumericalError(f"cosh of rate {rate} overflows at level {level}") from exc
     # short data is an input error even where c is not above -1
-    values = _samples(values)
+    values = _series(values)
     for _ in range(rounds):
         c = refine_parameter(c)
         values = refine(values, c)
@@ -136,7 +129,8 @@ def refine_rounds(values, g: Frequency | complex, level: int, rounds: int):
 
 def auto_refine(values, level: int, rounds: int) -> tuple[np.ndarray, Frequency]:
     """Detect the rate of the data at its leftmost full stencil (base index
-    1), then refine it ``rounds`` times; returns the data and the level-0 rate."""
-    f = _samples(values)
-    g = detect_univariate(f, level, alpha=1)
-    return refine_rounds(f, g, level, rounds), g
+    1), then refine it ``rounds`` times; returns the data and the level-0 rate.
+    ``detect_univariate`` checks the series first, so a short or 2-D series
+    fails here as it fails ``refine``."""
+    g = detect_univariate(values, level, alpha=1)
+    return refine_rounds(values, g, level, rounds), g

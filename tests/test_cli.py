@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from expann import cli, expspace
 from expann.cli import build_parser, main
 from expann.expspace import ExponentialSum, FrequencyVector, sample, symmetric_set
 from expann.jsonio import dump_grid, dump_series, dump_sum, load_grid, load_sum
@@ -651,3 +652,31 @@ def test_output_beyond_memory_exits_2(tmp_path):
                                  "--width", "1000", "--height", "1000")
     assert (done.returncode, done.stdout) == (2, "")
     assert done.stderr == "error: the input or its output does not fit in memory\n"
+
+
+# In-process forms of the three memory exits above: a callee raises
+# MemoryError, so each handler runs without allocating anything large.
+def _out_of_memory(*args):
+    raise MemoryError
+
+
+def test_window_out_of_memory_in_process(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(expspace, "_exp_sum", _out_of_memory)
+    path = write(tmp_path, "sum.json", _SUM % (1, 0.5))
+    code, out, err = run(capsys, "sample", path, "--level", "0", "--width", "9", "--height", "7")
+    assert (code, out, err) == (2, "", "error: a 9x7 window does not fit in memory\n")
+
+
+@pytest.mark.parametrize("callee, flag", [("refine_rounds", ("--gamma", "0.5")),
+                                          ("auto_refine", ("--auto",))])
+def test_refinement_out_of_memory_in_process(tmp_path, capsys, monkeypatch, callee, flag):
+    monkeypatch.setattr(cli, callee, _out_of_memory)
+    path = write(tmp_path, "series.json", dump_series([1.0 + 0.1 * i * i for i in range(10)], 0, 0))
+    code, out, err = run(capsys, "refine", path, "--rounds", "3", *flag)
+    assert (code, out, err) == (2, "", "error: 3 rounds of refinement do not fit in memory\n")
+
+
+def test_output_out_of_memory_in_process(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "random_instance", _out_of_memory)
+    code, out, err = run(capsys, "generate", "--seed", "0")
+    assert (code, out, err) == (2, "", "error: the input or its output does not fit in memory\n")

@@ -87,6 +87,10 @@ class TestStencilSets:
                     for a, b in ((mnum, num), (mden, den), (md, d)):
                         assert np.array_equal(a, -b)
 
+    def test_rejects_an_axis_that_is_not_a_unit_axis(self):
+        with pytest.raises(ValueError, match=r"^axis must be \(1, 0\) or \(0, 1\)$"):
+            DEFAULT_STENCILS.for_axis((1, 1))
+
     def test_members_inside_union(self):
         s = StencilDirectionSet()
         for v in s.set_x + s.set_y:
@@ -224,6 +228,19 @@ class TestDetect:
         s = sample(f, 2, (-3, -3), 9, 9)
         with pytest.raises(TypeError):  # not truncated to (0, 0)
             detect(s, (0.9, 0.9))
+
+    @pytest.mark.parametrize("alpha", [(0, 0, 5), (0,)])
+    def test_base_point_must_be_a_pair(self, alpha):
+        # not truncated to (0, 0), nor numpy's IndexError
+        f = ExponentialSum(tuple((1.0, m) for m in symmetric_set(FrequencyVector(0.8, 0.3))))
+        s = sample(f, 2, (-3, -3), 9, 9)
+        with pytest.raises(ValueError, match="values to unpack"):
+            detect(s, alpha)
+
+    def test_unknown_mode_rejected(self):
+        s = GridSamples(0, (0, 0), 4, 4, np.arange(16.0))
+        with pytest.raises(ValueError, match="^unknown mode 'fast'$"):
+            detect(s, (0, 0), mode="fast")
 
     def test_constant(self):
         f = ExponentialSum(((5.0, FrequencyVector.zero()),))
@@ -540,7 +557,7 @@ class TestDetectUnivariate:
             detect_univariate(f, 1, 1.5)
 
     def test_rejects_empty_series_and_bad_level(self):
-        with pytest.raises(ValueError, match="^window must be at least 1x1$"):
+        with pytest.raises(InputError, match="^need at least 4 samples, got 0$"):
             detect_univariate([], 0, 1)
         for level in (-1, 1075):
             with pytest.raises(ValueError, match=rf"^level must lie in 0\.\.1074, got {level}$"):

@@ -1,4 +1,5 @@
 import importlib
+import json
 import pkgutil
 import re
 import runpy
@@ -38,6 +39,18 @@ def test_benchmark_names_resolve():
     ]
     assert missing == []
     assert callable(DEFAULT_STENCILS.for_axis) and isinstance(GridSamples, type)
+
+
+def test_ci_smoke_step_names_benchmark_entries():
+    # the workflow's smoke step names workloads and traced layers by hand;
+    # read as text, since PyYAML is not a test dependency
+    root = Path(__file__).resolve().parents[1]
+    bench = json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
+    workflow = (root / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
+    [loop] = re.findall(r"for w in ([^;]+); do", workflow)
+    assert loop.split() == [w["name"] for w in bench["workloads"]]
+    listed = {n for names in re.findall(r'layers="([^"]*)"', workflow) for n in names.split()}
+    assert listed and listed <= {layer["name"] for layer in bench["per_layer"]}
 
 
 def test_two_error_kinds():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from expann import expspace
 from expann.errors import InputError, NumericalError
 from expann.expspace import (
     ExponentialSum,
@@ -211,6 +212,21 @@ class TestSample:
         with pytest.raises(NumericalError, match="overflows the floating-point range"):
             sample(f, 0, (10**400, 0), 1, 1)
 
+    @pytest.mark.parametrize("origin", [(-3, -3, 99), (-3,)])
+    def test_origin_must_be_a_pair(self, origin):
+        f = ExponentialSum(((1.0, FrequencyVector.zero()),))
+        with pytest.raises(ValueError, match="values to unpack"):
+            sample(f, 2, origin, 9, 9)
+
+    def test_window_that_does_not_fit_in_memory(self, monkeypatch):
+        def out_of_memory(terms, x, y):
+            raise MemoryError
+
+        monkeypatch.setattr(expspace, "_exp_sum", out_of_memory)
+        f = ExponentialSum(((1.0, FrequencyVector.zero()),))
+        with pytest.raises(InputError, match="^a 9x7 window does not fit in memory$"):
+            sample(f, 2, (0, 0), 9, 7)
+
     def test_matches_scalar_reference_within_bound(self):
         rng = np.random.default_rng(5)
         outcomes = Counter()
@@ -342,6 +358,20 @@ class TestGridSamples:
     def test_numpy_integer_origin_accepted(self):
         s = GridSamples(0, (np.int64(-3), np.int32(2)), 2, 1, [1, 2])
         assert s.origin == (-3, 2) and all(type(k) is int for k in s.origin)
+
+    @pytest.mark.parametrize("origin", [(-3, -3, 7), (-3,)])
+    def test_origin_must_be_a_pair(self, origin):
+        # not truncated to its first two components, nor numpy's IndexError
+        with pytest.raises(ValueError, match="values to unpack"):
+            GridSamples(2, origin, 2, 1, [1, 2])
+
+    @pytest.mark.parametrize("alpha", [(0, 0, 9), (0,)])
+    def test_base_index_must_be_a_pair(self, alpha):
+        # value_at goes through contains
+        s = GridSamples(0, (0, 0), 2, 2, [1, 2, 3, 4])
+        for lookup in (s.contains, s.value_at):
+            with pytest.raises(ValueError, match="values to unpack"):
+                lookup(alpha)
 
     @pytest.mark.parametrize(
         "data, dtype",

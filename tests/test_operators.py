@@ -230,6 +230,20 @@ class TestChains:
         chain = AnnihilatorChain.over_set(gam, IntegerStep(1, 1))
         assert chain_apply(chain, f).is_zero()
 
+    def test_malformed_chains_rejected(self):
+        gam = symmetric_set(FrequencyVector(0.8, 0.3))
+        with pytest.raises(ValueError, match="^chain must have at least one factor$"):
+            AnnihilatorChain(())
+        with pytest.raises(TypeError, match="^chain factor frequency must be a FrequencyVector$"):
+            AnnihilatorChain(((0.8, IntegerStep(1, 0)),))
+        with pytest.raises(ValueError, match="^need one step per frequency$"):
+            AnnihilatorChain.over_set(gam, [IntegerStep(1, 0)] * (len(gam) - 1))
+
+    def test_apply_to_an_unknown_kind_rejected(self):
+        chain = AnnihilatorChain(((FrequencyVector.zero(), IntegerStep(1, 0)),))
+        with pytest.raises(TypeError, match="^cannot apply chain to list$"):
+            chain_apply(chain, [1, 2])
+
     def test_univariate_embedding(self):
         f = ExponentialSum(
             (
@@ -464,6 +478,10 @@ class TestAnnihilates:
         f = ExponentialSum(((1.0, FrequencyVector(0.3, 0.9)),))
         chain = AnnihilatorChain.over_set(gam, IntegerStep(1, 1))
         assert not annihilates(chain, f)
+
+    def test_zero_sum_is_annihilated(self):
+        chain = AnnihilatorChain(((FrequencyVector(0.3, 0.9), IntegerStep(1, 0)),))
+        assert annihilates(chain, ExponentialSum()) is True
 
     def test_degenerate_step_false_positive(self):
         # a single factor can kill a non-matching exponential when the rate

@@ -5,8 +5,9 @@ import re
 import numpy as np
 import pytest
 
+from expann.detection import detect_univariate
 from expann.errors import InputError, NumericalError
-from expann import subdivision
+from expann import expspace, subdivision
 from expann.subdivision import (
     InsertionRule,
     auto_refine,
@@ -313,3 +314,26 @@ def test_rejects_input_that_is_not_one_dimensional(call, shape):
     msg = f"a series must be one-dimensional, got an array of shape {shape}"
     with pytest.raises(InputError, match=f"^{re.escape(msg)}$"):
         _CALLS[call](f, 0.8)
+
+
+@pytest.mark.parametrize("n", range(4))
+@pytest.mark.parametrize("call", [*_CALLS, "detect_univariate"])
+def test_one_series_rule_for_every_series_call(call, n):
+    # the 1-D annihilator and the insertion rule each read four samples
+    f = _SPANS[0.8][:n]
+    run = _CALLS.get(call, lambda f, g: detect_univariate(f, 0, 1))
+    with pytest.raises(InputError, match=f"^need at least 4 samples, got {n}$"):
+        run(f, 0.8)
+
+
+def test_auto_refine_converts_nothing_itself(monkeypatch):
+    # each series conversion is detect_univariate's or refine_rounds'
+    calls = []
+    convert = expspace._sample_array
+    monkeypatch.setattr(expspace, "_sample_array", lambda v: calls.append(1) or convert(v))
+    f = _SPANS[0.8]
+    g = detect_univariate(f, 2, 1)
+    refine_rounds(f, g, 2, 4)
+    parts = len(calls)
+    auto_refine(f, 2, 4)
+    assert len(calls) == 2 * parts
