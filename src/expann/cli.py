@@ -99,7 +99,7 @@ def cmd_detect(args) -> int:
     else:
         alpha = tuple(args.alpha)
     report = detect(grid, alpha, mode=args.mode, tol_res=args.tol_res)
-    print(jsonio.dumps(_report_doc(report, args.mode)))
+    jsonio.write(_report_doc(report, args.mode), sys.stdout)
     if report.classification is Classification.INCONSISTENT:
         return EXIT_INCONSISTENT
     return EXIT_OK
@@ -122,15 +122,14 @@ def cmd_annihilate(args) -> int:
         "extra_step": [extra.dx, extra.dy],
     }
     if args.output:
-        text = jsonio.dump_grid(out_grid) + "\n"
         try:
-            Path(args.output).write_text(text, encoding="utf-8")
+            jsonio.write(jsonio.grid_doc(out_grid), Path(args.output))
         except OSError as exc:
             raise InputError(f"cannot write {args.output}: {exc.strerror}") from exc
         doc["output"] = args.output
     else:
         doc["residual_grid"] = jsonio.grid_doc(out_grid)
-    print(jsonio.dumps(doc))
+    jsonio.write(doc, sys.stdout)
     return EXIT_OK
 
 
@@ -159,12 +158,12 @@ def cmd_refine(args) -> int:
 
 def cmd_generate(args) -> int:
     g, f, grid = random_instance(args.seed)
-    print(jsonio.dumps({
+    jsonio.write({
         "seed": args.seed,
         "frequency": [g.g1.value, g.g2.value],
         "sum": jsonio.sum_doc(f),
         "grid": jsonio.grid_doc(grid),
-    }))
+    }, sys.stdout)
     return EXIT_OK
 
 
@@ -238,7 +237,7 @@ def main(argv=None) -> int:
             try:
                 return args.func(args)
             except MemoryError as exc:
-                # each command builds all its output text before printing any,
+                # each command builds all its output text before writing any,
                 # so stdout is still empty when that text does not fit
                 raise InputError("the input or its output does not fit in memory") from exc
     except InputError as exc:

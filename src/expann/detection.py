@@ -255,7 +255,7 @@ def detect(
         raise InputError(f"tol_res must be a non-negative number, got {tol_res}")
     i, j = map(_op.index, alpha)
     alpha = (i, j)
-    if not s.contains(alpha):
+    if not s._contains(i, j):
         raise InputError(f"the stencil at {alpha} leaves the sample window")
     estimates: list[CoshEstimate] = []
     components: list[Frequency] = []

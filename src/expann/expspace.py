@@ -189,8 +189,8 @@ class ExponentialSum:
 
     def evaluate(self, z) -> complex:
         """Value at the real point z; one point of the kernel ``sample`` uses."""
-        x, y = np.array([float(z[0])]), np.array([float(z[1])])
-        return complex(_exp_sum(self.terms, x, y)[0, 0])
+        x, y = z
+        return complex(_exp_sum(self.terms, np.array([float(x)]), np.array([float(y)]))[0, 0])
 
     def map_coefficients(self, fn) -> "ExponentialSum":
         """New sum with coefficient c of frequency g replaced by fn(c, g)."""
@@ -263,17 +263,24 @@ class GridSamples:
         return math.ldexp(1.0, -self.level)
 
     def contains(self, alpha: tuple[int, int]) -> bool:
-        i, j = alpha
+        """True when the integer index alpha lies in the window; an index
+        that is not a pair of integers raises ``TypeError`` or ``ValueError``."""
+        i, j = map(_op.index, alpha)
+        return self._contains(i, j)
+
+    def _contains(self, i: int, j: int) -> bool:
+        # the window test for an index already coerced to integers
         return 0 <= i - self.origin[0] < self.width and 0 <= j - self.origin[1] < self.height
 
     def value_at(self, alpha: tuple[int, int]) -> complex:
-        if not self.contains(alpha):
+        i, j = map(_op.index, alpha)
+        if not self._contains(i, j):
             raise InputError(
-                f"index {tuple(alpha)} outside window "
+                f"index {(i, j)} outside window "
                 f"[{self.origin[0]}, {self.origin[0] + self.width}) x "
                 f"[{self.origin[1]}, {self.origin[1] + self.height})"
             )
-        return complex(self.values[alpha[1] - self.origin[1], alpha[0] - self.origin[0]])
+        return complex(self.values[j - self.origin[1], i - self.origin[0]])
 
     def max_abs(self) -> float:
         return float(np.abs(self.values).max())

@@ -8,8 +8,10 @@ Series files: {"level": k, "origin": i, "values": [...]}
 A value is a plain number or an [re, im] pair.  Grid and series values load
 as float64 when every value in the file is a plain number, and as complex128
 otherwise; a sum's values load as complex.  Every byte expann writes comes
-from ``dumps``: floats carry 17 significant digits, so a rerun reproduces
-files byte for byte.
+from one piece builder, ``_pieces``: ``dumps`` joins its pieces into one
+string, and ``write`` writes them to a stream or file unjoined, so a large
+grid's text is never copied whole.  Floats carry 17 significant digits, so
+a rerun reproduces files byte for byte.
 """
 
 from __future__ import annotations
@@ -17,16 +19,18 @@ from __future__ import annotations
 import json
 import math
 import operator
+import os
 import sys
 from itertools import chain, compress, repeat
 
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .expspace import MAX_LEVEL, ExponentialSum, FrequencyVector, GridSamples
+from .expspace import MAX_LEVEL, ExponentialSum, FrequencyVector, GridSamples, _sample_array
 
 __all__ = [
     "dumps",
+    "write",
     "grid_doc",
     "sum_doc",
     "load_grid",
@@ -45,53 +49,94 @@ _NUMBER_TYPES = frozenset((int, float))  # exact types: json reads true and fals
 _BLOCK = 4096
 _PLAIN, _PAIR = "%.17g", "[%.17g, %.17g]"  # the float branch's f"{x:.17g}"
 _PLAIN_BLOCK = ", ".join([_PLAIN] * _BLOCK)
+_ARRAY_DTYPES = (np.dtype(np.float64), np.dtype(np.complex128))
 
 
 def dumps(obj) -> str:
     """JSON text of the types the outputs use: a complex is always written
-    as [re, im], and a float with 17 significant digits.  A flat complex
-    ndarray is written as the list of its plain values would be: a value
-    with a zero imaginary part as a number, any other as [re, im]."""
-    if isinstance(obj, np.ndarray) and obj.dtype == np.complex128 and obj.ndim == 1:
-        return _dump_values(obj)
-    if isinstance(obj, float):
-        if not math.isfinite(obj):
-            raise NumericalError(f"cannot write the non-finite number {obj}")
-        return f"{obj:.17g}"
-    if isinstance(obj, complex):
-        return f"[{dumps(obj.real)}, {dumps(obj.imag)}]"
-    if isinstance(obj, list):
-        return f"[{', '.join(map(dumps, obj))}]"
-    if isinstance(obj, dict):
-        return "{" + ", ".join(f"{json.dumps(k)}: {dumps(v)}" for k, v in obj.items()) + "}"
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, int) and not isinstance(obj, bool):
+    as [re, im], and a float with 17 significant digits.  A flat float64
+    ndarray is written as a list of plain numbers, and a flat complex
+    ndarray as the list of its plain values would be: a value with a zero
+    imaginary part as a number, any other as [re, im]."""
+    return "".join(_pieces(obj, []))
+
+
+def write(obj, target) -> None:
+    """Write ``dumps(obj)`` and a newline to target, a text stream or a path,
+    as the unjoined pieces of the text.  Every piece is built before the
+    first is written, so a value that cannot be written, or text that does
+    not fit in memory, raises with target untouched: a path is opened only
+    then, and an ``OSError`` from it passes to the caller."""
+    pieces = _pieces(obj, [])
+    pieces.append("\n")
+    if isinstance(target, os.PathLike):
+        with open(target, "w", encoding="utf-8") as stream:
+            stream.writelines(pieces)
+    else:
+        target.writelines(pieces)
+
+
+def _pieces(obj, out: list) -> list:
+    """Append the JSON text of obj to out, in order, and return out; the
+    owner of every output byte.  A sample array's text is one piece per
+    block of values, so it is never joined unless ``dumps`` joins it."""
+    if isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype in _ARRAY_DTYPES:
+        _array_pieces(obj, out)
+    elif isinstance(obj, float):
+        out.append(_number(obj))
+    elif isinstance(obj, complex):
+        out.append(f"[{_number(obj.real)}, {_number(obj.imag)}]")
+    elif isinstance(obj, list):
+        out.append("[")
+        for k, v in enumerate(obj):
+            if k:
+                out.append(", ")
+            _pieces(v, out)
+        out.append("]")
+    elif isinstance(obj, dict):
+        out.append("{")
+        for k, (key, v) in enumerate(obj.items()):
+            if k:
+                out.append(", ")
+            out.append(f"{json.dumps(key)}: ")
+            _pieces(v, out)
+        out.append("}")
+    elif isinstance(obj, str):
+        out.append(json.dumps(obj))
+    elif isinstance(obj, int) and not isinstance(obj, bool):
         try:
-            return str(obj)
+            out.append(str(obj))
         except ValueError as exc:  # past the interpreter's int-to-string digit limit
             raise InputError(
                 f"cannot write an integer of more than {sys.get_int_max_str_digits()} digits"
             ) from exc
-    if obj is None:
-        return "null"
-    raise TypeError(f"cannot write {type(obj).__name__} as JSON")
+    elif obj is None:
+        out.append("null")
+    else:
+        raise TypeError(f"cannot write {type(obj).__name__} as JSON")
+    return out
 
 
-def _dump_values(values: np.ndarray) -> str:
-    re, im = values.real, values.imag
-    bad = ~(np.isfinite(re) & np.isfinite(im))
-    if bad.any():
+def _number(x: float) -> str:
+    if not math.isfinite(x):
+        raise NumericalError(f"cannot write the non-finite number {x}")
+    return f"{x:.17g}"
+
+
+def _array_pieces(values: np.ndarray, out: list) -> None:
+    finite = np.isfinite(values)  # a complex value is finite when both parts are
+    if not finite.all():
         # the first non-finite part in write order: a real part precedes its
         # imaginary part, and a non-finite imaginary part is never zero
-        i = int(bad.argmax())
-        part = float(re[i]) if not math.isfinite(re[i]) else float(im[i])
-        raise NumericalError(f"cannot write the non-finite number {part}")
-    blocks = []
+        v = complex(values[int(finite.argmin())])
+        _number(v.imag if math.isfinite(v.real) else v.real)  # raises
+    out.append("[")
     for start in range(0, len(values), _BLOCK):
+        if start:
+            out.append(", ")
         block = values[start:start + _BLOCK]
-        is_pair = block.imag != 0.0
-        if is_pair.any():
+        # a real array has no imaginary parts to test: every value is plain
+        if values.dtype == np.complex128 and (is_pair := block.imag != 0.0).any():
             fmt = ", ".join([_PAIR if p else _PLAIN for p in is_pair.tolist()])
             # re0, im0, re1, ... with the imaginary part of each plain value dropped
             keep = np.ones(2 * len(block), dtype=bool)
@@ -100,13 +145,14 @@ def _dump_values(values: np.ndarray) -> str:
         else:
             fmt = _PLAIN_BLOCK if len(block) == _BLOCK else ", ".join([_PLAIN] * len(block))
             args = block.real
-        blocks.append(fmt % tuple(args.tolist()))
-    return f"[{', '.join(blocks)}]"
+        out.append(fmt % tuple(args.tolist()))
+    out.append("]")
 
 
 def _flat_values(values) -> np.ndarray:
-    """Grid and series values as the flat complex array ``dumps`` writes."""
-    return np.asarray(values, dtype=np.complex128).ravel()
+    """Grid and series values as the flat array ``_pieces`` writes: float64
+    for real values, as they are computed, and complex128 otherwise."""
+    return _sample_array(values).ravel()
 
 
 def _is_number(x) -> bool:

@@ -654,6 +654,19 @@ def test_output_beyond_memory_exits_2(tmp_path):
     assert done.stderr == "error: the input or its output does not fit in memory\n"
 
 
+def test_inline_residual_grid_written_unjoined(tmp_path):
+    # a 1000x1000 grid of digits loads in little memory, while its residual
+    # grid's text takes about 19 MB: under this cap the text fits once, as
+    # the pieces write leaves unjoined, but not joined and copied again
+    digits = np.random.default_rng(0).integers(0, 10, 10**6).tolist()
+    path = write(tmp_path, "grid.json", json.dumps(
+        {"level": 0, "origin": [0, 0], "width": 1000, "height": 1000, "values": digits}))
+    done = run_under_address_cap(66, "annihilate", path, "--gamma", "0.3", "0.2", "--axis", "x")
+    assert (done.returncode, done.stderr) == (0, "")
+    doc = json.loads(done.stdout)
+    assert len(doc["residual_grid"]["values"]) == 997 * 999
+
+
 # In-process forms of the three memory exits above: a callee raises
 # MemoryError, so each handler runs without allocating anything large.
 def _out_of_memory(*args):

@@ -207,6 +207,13 @@ class TestSample:
             for x in range(s.origin[0], s.origin[0] + s.width):
                 assert s.value_at((x, y)) == f.evaluate((x * s.spacing, y * s.spacing))
 
+    @pytest.mark.parametrize("z", [(0.0, 0.0, 5.0), (0.0,)])
+    def test_evaluate_point_must_be_a_pair(self, z):
+        # not truncated to its first two components, nor IndexError
+        f = ExponentialSum(((1.0, FrequencyVector(0.3, 0.2)),))
+        with pytest.raises(ValueError, match="values to unpack"):
+            f.evaluate(z)
+
     def test_index_beyond_float_range_raises(self):
         f = ExponentialSum(((1.0, FrequencyVector(0.0, 0.0)),))
         with pytest.raises(NumericalError, match="overflows the floating-point range"):
@@ -372,6 +379,19 @@ class TestGridSamples:
         for lookup in (s.contains, s.value_at):
             with pytest.raises(ValueError, match="values to unpack"):
                 lookup(alpha)
+
+    @pytest.mark.parametrize("alpha", [(0.5, 0), (0, 1.0), (np.float64(1.0), 0)])
+    def test_float_index_rejected(self, alpha):
+        # coerced as the origin is: a float is no index, even an integral one
+        s = GridSamples(0, (0, 0), 2, 2, [1, 2, 3, 4])
+        for lookup in (s.contains, s.value_at):
+            with pytest.raises(TypeError):
+                lookup(alpha)
+
+    def test_numpy_integer_index_accepted(self):
+        s = GridSamples(0, (0, 0), 2, 2, [1, 2, 3, 4])
+        assert s.contains((np.int64(1), np.int32(0)))
+        assert s.value_at((np.int64(1), np.int32(1))) == 4
 
     @pytest.mark.parametrize(
         "data, dtype",

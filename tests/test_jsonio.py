@@ -1,22 +1,26 @@
 """Parity of the bulk value emitter and loader with per-value references.
 
-``dumps`` writes a flat complex array block by block with one ``%`` format
-per block, and the loaders convert a values list with numpy.  The
+``dumps`` writes a flat float64 or complex array block by block with one
+``%`` format per block, and the loaders convert a values list with numpy.  The
 references below do the same one value at a time, as expann's per-value
 code did: every written byte, every loaded bit and every error text must
 match them.
 """
 
+import io
 import json
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from expann import jsonio
+from expann.cli import main
 from expann.errors import InputError, NumericalError
+from expann.oracle import random_instance
 
 BLOCK = jsonio._BLOCK
 
@@ -109,9 +113,18 @@ def test_strided_array():
 
 
 def test_other_arrays_rejected():
-    for arr in (np.zeros(3), np.zeros((2, 2), dtype=np.complex128)):
+    for arr in (np.zeros((2, 2), dtype=np.complex128), np.zeros((2, 2)), np.arange(3)):
         with pytest.raises(TypeError, match="cannot write ndarray as JSON"):
             jsonio.dumps(arr)
+    assert jsonio.dumps(np.zeros(3)) == jsonio.dumps(np.zeros(3, dtype=np.complex128))
+
+
+@pytest.mark.parametrize("n", [0, 3, BLOCK, BLOCK + 5])
+def test_real_array_writes_as_its_complex_form(n):
+    rng = np.random.default_rng(n)
+    arr = rng.standard_normal(n) * 10.0 ** rng.integers(-320, 300, n)
+    arr[::7] = -0.0
+    assert jsonio.dumps(arr) == jsonio.dumps(arr.astype(np.complex128)) == reference_text(arr)
 
 
 def _reference_error(values) -> str:
@@ -138,6 +151,18 @@ def test_non_finite_error_text(bad, at):
     assert str(exc.value) == _reference_error(arr)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=repr)
+@pytest.mark.parametrize("at", [0, BLOCK, 2 * BLOCK + 2])
+def test_non_finite_error_text_real(bad, at):
+    arr = np.linspace(-1.0, 1.0, 2 * BLOCK + 3)
+    arr[at] = bad
+    if at < len(arr) - 1:
+        arr[-1] = -math.inf  # a later non-finite value is never the one named
+    with pytest.raises(NumericalError) as exc:
+        jsonio.dumps(arr)
+    assert str(exc.value) == _reference_error(arr)
+
+
 finite = st.floats(allow_nan=False, allow_infinity=False)
 
 
@@ -147,6 +172,61 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
 def test_random_arrays(parts):
     arr = np.array([complex(re, im) for re, im in parts], dtype=np.complex128)
     assert jsonio.dumps(arr) == reference_text(arr)
+
+
+# --- writer ------------------------------------------------------------------
+
+GOLDEN = Path(__file__).parent / "golden" / "cli_pipeline.json"
+
+
+def _written(doc) -> str:
+    stream = io.StringIO()
+    jsonio.write(doc, stream)
+    return stream.getvalue()
+
+
+def test_write_matches_dumps_on_golden_documents():
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    docs = [json.loads(entry[1]) for runs in golden.values()
+            for entry in runs.values() if isinstance(entry, list)]
+    assert len(docs) == 8 * len(golden)
+    for doc in docs:
+        assert _written(doc) == jsonio.dumps(doc) + "\n"
+
+
+@pytest.mark.parametrize("seed", range(21))
+def test_write_matches_dumps_on_generated_instances(seed, capsys):
+    g, f, grid = random_instance(seed)
+    doc = {"seed": seed, "frequency": [g.g1.value, g.g2.value],
+           "sum": jsonio.sum_doc(f), "grid": jsonio.grid_doc(grid)}
+    assert _written(doc) == jsonio.dumps(doc) + "\n"
+    assert main(["generate", "--seed", str(seed)]) == 0
+    assert capsys.readouterr().out == _written(doc)
+
+
+def _late_non_finite() -> dict:
+    return {"values": np.linspace(-1.0, 1.0, 2 * BLOCK + 3), "residual": math.inf}
+
+
+def test_write_of_a_late_non_finite_value_writes_nothing():
+    stream = io.StringIO()
+    with pytest.raises(NumericalError, match="non-finite number inf"):
+        jsonio.write(_late_non_finite(), stream)
+    assert stream.getvalue() == ""
+
+
+def test_write_to_a_path(tmp_path):
+    doc = {"values": np.arange(BLOCK + 3, dtype=np.float64) / 7}
+    path = tmp_path / "out.json"
+    jsonio.write(doc, path)
+    assert path.read_text(encoding="utf-8") == jsonio.dumps(doc) + "\n"
+    # the file is opened only once the text is built, so a failure leaves it as it was
+    with pytest.raises(NumericalError):
+        jsonio.write(_late_non_finite(), path)
+    assert path.read_text(encoding="utf-8") == jsonio.dumps(doc) + "\n"
+    with pytest.raises(NumericalError):
+        jsonio.write(_late_non_finite(), tmp_path / "new.json")
+    assert not (tmp_path / "new.json").exists()
 
 
 # --- loader ------------------------------------------------------------------
