@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import os
 import re
 import sys
 from pathlib import Path
@@ -235,7 +236,9 @@ def main(argv=None) -> int:
         # a non-finite result already ends in exit 3 or 4; numpy's warnings add nothing
         with np.errstate(all="ignore"):
             try:
-                return args.func(args)
+                code = args.func(args)
+                sys.stdout.flush()  # buffered output meets a closed stdout here
+                return code
             except MemoryError as exc:
                 # each command builds all its output text before writing any,
                 # so stdout is still empty when that text does not fit
@@ -246,6 +249,10 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except BrokenPipeError as exc:
+        print(f"error: cannot write to standard output: {exc.strerror}", file=sys.stderr)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # so exit's flush succeeds
+        return EXIT_INPUT
 
 
 def entry() -> None:

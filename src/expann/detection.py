@@ -133,22 +133,23 @@ def _flat(diff) -> bool:
     return diff[1] <= DEFAULT_TOL_RES
 
 
-def _median(x: np.ndarray) -> float:
-    """The middle entry, or the mean of the two middle ones; np.median would
-    import numpy.ma, a megabyte of resident memory, on its first call."""
+def _median(x: np.ndarray) -> float | complex:
+    """The middle entry, or the mean of the two middle ones, of the array's kind
+    (numpy orders complex values by real, then imaginary part); np.median
+    would import numpy.ma, a megabyte of resident memory, on its first call."""
     k = x.size // 2
     p = np.partition(x, [k] if x.size % 2 else [k - 1, k])
-    return float(p[k]) if x.size % 2 else (float(p[k - 1]) + float(p[k])) / 2
+    return p[k].item() if x.size % 2 else (p[k - 1].item() + p[k].item()) / 2
 
 
 def _robust_estimate(kernels, e) -> CoshEstimate | None:
     """Median of the quotient over every base point and step with a non-zero
-    denominator, reported with the first step that has one (its kernel gives
-    the residual).  ``kernels`` maps each step along which the window is not
-    flat to its kernel; quotients divide in the samples' own arithmetic, real
-    for real samples.  The axis's numerators and denominators are joined once
-    and divided in one pass; only when some denominator is exactly zero are
-    both masked first.  A median of -0.0 is reported as +0.0."""
+    denominator, with the first step that has one (its kernel gives the
+    residual).  ``kernels`` maps each step along which the window is not flat
+    to its kernel.  Quotients divide in the samples' own arithmetic, in one
+    pass, masked first only when some denominator is exactly zero; a complex
+    median keeps its imaginary part for ``cosh_to_frequency`` to judge, as
+    single mode's quotient does.  A real part of -0.0 is reported as +0.0."""
     if not kernels:
         return None
     num = np.concatenate([k[0] for k in kernels.values()], axis=None)
@@ -163,7 +164,7 @@ def _robust_estimate(kernels, e) -> CoshEstimate | None:
             return None
         keep = den != 0
         num, den = num[keep], den[keep]
-    value = complex(_median((num / (2.0 * den)).real) + 0.0, 0.0)
+    value = complex(_median(num / (2.0 * den))) + 0.0
     return CoshEstimate(e, value, step)
 
 

@@ -262,12 +262,6 @@ class GridSamples:
     def spacing(self) -> float:
         return math.ldexp(1.0, -self.level)
 
-    def contains(self, alpha: tuple[int, int]) -> bool:
-        """True when the integer index alpha lies in the window; an index
-        that is not a pair of integers raises ``TypeError`` or ``ValueError``."""
-        i, j = map(_op.index, alpha)
-        return self._contains(i, j)
-
     def _contains(self, i: int, j: int) -> bool:
         # the window test for an index already coerced to integers
         return 0 <= i - self.origin[0] < self.width and 0 <= j - self.origin[1] < self.height

@@ -26,7 +26,7 @@ from itertools import chain, compress, repeat
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .expspace import MAX_LEVEL, ExponentialSum, FrequencyVector, GridSamples, _sample_array
+from .expspace import ExponentialSum, FrequencyVector, GridSamples, _check_window, _sample_array
 
 __all__ = [
     "dumps",
@@ -260,10 +260,6 @@ def load_grid(text: str) -> GridSamples:
     raw = doc.get("values")
     if not isinstance(raw, list):
         raise InputError("grid file: field 'values' must be an array")
-    if len(raw) != width * height:
-        raise InputError(
-            f"grid file: expected {width * height} values, got {len(raw)}"
-        )
     values = _parse_values(raw, "grid file")
     try:
         return GridSamples(level, (origin[0], origin[1]), width, height, values)
@@ -315,8 +311,10 @@ def load_series(text: str) -> tuple[np.ndarray, int, int]:
     """Returns (values, level, origin); origin defaults to 0."""
     doc = _parse_json(text, "series file")
     level = _require_int(doc, "level", "series file")
-    if not 0 <= level <= MAX_LEVEL:
-        raise InputError(f"series file: level must lie in 0..{MAX_LEVEL}")
+    try:
+        _check_window(level, 1, 1)
+    except ValueError as exc:
+        raise InputError(f"series file: {exc}") from exc
     origin = doc.get("origin", 0)
     if not isinstance(origin, int) or isinstance(origin, bool):
         raise InputError("series file: field 'origin' must be an integer")

@@ -12,7 +12,7 @@ import pytest
 
 from expann import cli, expspace
 from expann.cli import build_parser, main
-from expann.expspace import ExponentialSum, FrequencyVector, sample, symmetric_set
+from expann.expspace import ExponentialSum, FrequencyVector, GridSamples, sample, symmetric_set
 from expann.jsonio import dump_grid, dump_series, dump_sum, load_grid, load_sum
 
 
@@ -156,6 +156,22 @@ class TestDetect:
             assert doc["classification"] == "Inconsistent"
             assert doc["reason"] == "axis (1, 0): cosh estimate -1.25 is not above -1"
             assert doc["residual"] is None
+
+    def test_non_real_cosh_exits_3_in_both_modes(self, tmp_path, capsys):
+        # exp((0.3 + 0.4i) x + 0.5 y) at level 8: robust mode once kept only
+        # the real part of its x quotients and reported Frequency
+        z = np.arange(12) * 2.0**-8
+        values = np.exp(np.add.outer(0.5 * z, (0.3 + 0.4j) * z))
+        grid_path = write(tmp_path, "grid.json",
+                          dump_grid(GridSamples(8, (0, 0), 12, 12, values)))
+        for mode in ("single", "robust"):
+            code, out, err = run(capsys, "detect", grid_path, "--alpha", "4", "4",
+                                 "--mode", mode)
+            assert (code, err) == (3, "")
+            doc = json.loads(out)
+            assert (doc["classification"], doc["residual"]) == ("Inconsistent", None)
+            assert re.fullmatch(r"axis \(1, 0\): cosh estimate \(.*\) has a non-real part",
+                                doc["reason"])
 
     def test_robust_zero_cosh_prints_positive_zero(self, tmp_path, capsys):
         # 2 + 4cos(pi x/2)cos(pi y/3) on exact lattice values: the x quotient
@@ -386,6 +402,24 @@ class TestFileFormats:
             load_grid('{"level": 0, "origin": [0, 0], "width": 2, "height": 2, '
                       '"values": [1, 2, 3]}')
 
+    def test_grid_value_named_before_count(self):
+        from expann.errors import InputError
+
+        # GridSamples counts the values once each has been read
+        with pytest.raises(InputError, match=r"^grid file: values\[1\]: expected a finite "
+                                             r"number or \[re, im\] pair, got None$"):
+            load_grid('{"level": 0, "origin": [0, 0], "width": 2, "height": 2, '
+                      '"values": [1, null, 3]}')
+
+    @pytest.mark.parametrize("level", [-1, 1075])
+    def test_series_level_checked(self, level):
+        from expann.errors import InputError
+        from expann.jsonio import load_series
+
+        with pytest.raises(InputError,
+                           match=rf"^series file: level must lie in 0\.\.1074, got {level}$"):
+            load_series('{"level": %d, "values": [1, 2, 3, 4]}' % level)
+
     def test_complex_entries_normalized(self):
         grid = load_grid(
             '{"level": 0, "origin": [0, 0], "width": 2, "height": 1, '
@@ -595,6 +629,31 @@ def test_numpy_warnings_stay_off_stderr(tmp_path):
     assert (done.returncode, done.stdout) == (4, "")
     [line] = done.stderr.splitlines()
     assert line.startswith("numerical failure: ")
+
+
+@pytest.mark.parametrize("unbuffered", [True, False])
+@pytest.mark.parametrize("argv", [("generate", "--seed", "0"), ("refine", "@", "--gamma", "0.5")],
+                         ids=["write", "print"])
+def test_closed_stdout_exits_2(tmp_path, argv, unbuffered):
+    # the pipe's read end is closed before the child starts, so its first
+    # write to stdout fails; buffered, that write is the final flush
+    path = write(tmp_path, "series.json", _SERIES)
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env.update(PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        done = subprocess.run([sys.executable, "-m", "expann.cli",
+                               *(path if a == "@" else a for a in argv)],
+                              env=env, stdout=w, stderr=subprocess.PIPE, text=True, timeout=60)
+    finally:
+        os.close(w)
+    assert done.returncode == 2
+    [line] = done.stderr.splitlines()
+    assert line.startswith("error: cannot write to standard output: ")
 
 
 def test_window_beyond_memory_exits_2(tmp_path):

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import json
 import pkgutil
@@ -51,6 +52,20 @@ def test_ci_smoke_step_names_benchmark_entries():
     assert loop.split() == [w["name"] for w in bench["workloads"]]
     listed = {n for names in re.findall(r'layers="([^"]*)"', workflow) for n in names.split()}
     assert listed and listed <= {layer["name"] for layer in bench["per_layer"]}
+
+
+def test_sources_parse_as_python_3_10():
+    # CI also runs the oldest Python that pyproject allows, 3.10; syntax new
+    # in 3.11, such as except*, would fail only there, and only at import
+    root = Path(__file__).resolve().parents[1]
+    paths = sorted(p for d in ("src", "tests", "bench") for p in (root / d).rglob("*.py"))
+    bad = []
+    for path in paths:
+        try:
+            ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
+        except SyntaxError as exc:
+            bad.append(f"{path.relative_to(root)}:{exc.lineno}: {exc.msg}")
+    assert paths and bad == []
 
 
 def test_two_error_kinds():
