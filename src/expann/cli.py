@@ -237,7 +237,7 @@ def main(argv=None) -> int:
         with np.errstate(all="ignore"):
             try:
                 code = args.func(args)
-                sys.stdout.flush()  # buffered output meets a closed stdout here
+                sys.stdout.flush()  # buffered output meets a closed or full stdout here
                 return code
             except MemoryError as exc:
                 # each command builds all its output text before writing any,
@@ -249,7 +249,7 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except BrokenPipeError as exc:
+    except OSError as exc:  # _read and --output wrap their own, so this one is stdout's
         print(f"error: cannot write to standard output: {exc.strerror}", file=sys.stderr)
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # so exit's flush succeeds
         return EXIT_INPUT

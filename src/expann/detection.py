@@ -201,28 +201,25 @@ def cosh_to_frequency(c: complex, scale: float) -> Frequency:
     """Invert a cosh estimate taken at physical step ``scale`` to the
     level-0 frequency component.
 
-    An imaginary part above DEFAULT_TOL_IM * (1 + |c|) is rejected as
-    non-real.  Values >= 1 map to nonnegative real rates, values in (-1, 1)
-    to imaginary rates; anything else (including rates that would land on or
-    beyond i*pi) is rejected as outside the admissible domain.
+    The estimate is rejected as non-real when its imaginary part is above
+    DEFAULT_TOL_IM * (1 + |c|), and as outside the domain of the inverse when
+    its real part is not above -1 (NaN included).  Values >= 1 map to
+    nonnegative real rates, values in (-1, 1) to imaginary rates, and
+    ``Frequency`` alone judges the rate: one that overflows, or an imaginary
+    one on or beyond i*pi, raises ``NumericalError`` with its message after
+    the estimate's.
     """
     c = complex(c)
     if abs(c.imag) > DEFAULT_TOL_IM * (1.0 + abs(c)):
         raise NumericalError(f"cosh estimate {c} has a non-real part")
     x = c.real
-    if x >= 1.0:
-        rate = math.acosh(x) / scale
-        if rate == math.inf:
-            raise NumericalError(f"real rate from estimate {x} overflows")
+    if not x > -1.0:
+        raise NumericalError(f"cosh estimate {x} is not above -1")
+    rate = math.acosh(x) / scale if x >= 1.0 else complex(0.0, math.acos(x) / scale)
+    try:
         return Frequency(rate)
-    if x > -1.0:
-        rate = math.acos(x) / scale
-        if rate >= math.pi:
-            raise NumericalError(
-                f"imaginary rate {rate} from estimate {x} is not below pi"
-            )
-        return Frequency(complex(0.0, rate))
-    raise NumericalError(f"cosh estimate {x} is not above -1")
+    except ValueError as exc:
+        raise NumericalError(f"cosh estimate {x}: {exc}") from exc
 
 
 def detect(
@@ -301,18 +298,16 @@ def detect_univariate(samples, level: int, alpha: int) -> Frequency:
     per-axis routine with that one step: the reduced chain's output at b is
     D(b + 2) - 2c D(b + 1) + D(b), with D the plain difference, which is
     itself the output for rate zero, taken when the denominator is zero or
-    the series is flat.  A rate that fails the test is an error.
+    the series is flat.  As in ``detect``, one residual test judges the
+    rate, zero included: a residual above DEFAULT_TOL_RES, or NaN, raises
+    ``NumericalError``.
     """
     row = _series(samples).reshape(1, -1)
     _check_window(level, row.size, 1)
     alpha = _op.index(alpha)
     diffs = _Differences(row, (0, 0), float(abs(row).max()))
     est, residual = _axis(diffs, (alpha - 1, 0), (1, 0), (_AXIS_STEPS[1, 0],), "single")
-    if est is None:
-        if residual <= DEFAULT_TOL_RES:
-            return Frequency(0.0)
-        raise NumericalError(f"f({alpha + 1}) - f({alpha}) vanishes on non-constant data")
-    g = cosh_to_frequency(est.value, math.ldexp(1.0, -level))
+    g = Frequency(0.0) if est is None else cosh_to_frequency(est.value, math.ldexp(1.0, -level))
     if not residual <= DEFAULT_TOL_RES:
         raise NumericalError(
             f"rate {g.value} leaves annihilator residual {residual:.3e} above {DEFAULT_TOL_RES:.3e}"

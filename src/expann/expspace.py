@@ -96,10 +96,6 @@ class FrequencyVector:
         object.__setattr__(self, "g1", _as_frequency(self.g1))
         object.__setattr__(self, "g2", _as_frequency(self.g2))
 
-    @classmethod
-    def zero(cls) -> "FrequencyVector":
-        return cls(0.0, 0.0)
-
     def as_pair(self) -> tuple[complex, complex]:
         return (self.g1.value, self.g2.value)
 
@@ -354,5 +350,5 @@ def symmetric_set(g: FrequencyVector) -> FrequencySet:
         raise ValueError(
             "generator components must be real >= 0 or imaginary in i(0, pi)"
         )
-    candidates = [FrequencyVector.zero(), g, -g, g.mirror(), -g.mirror()]
+    candidates = [FrequencyVector(0.0, 0.0), g, -g, g.mirror(), -g.mirror()]
     return FrequencySet(tuple(dict.fromkeys(candidates)))  # first of equal members

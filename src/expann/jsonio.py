@@ -319,8 +319,8 @@ def load_series(text: str) -> tuple[np.ndarray, int, int]:
     if not isinstance(origin, int) or isinstance(origin, bool):
         raise InputError("series file: field 'origin' must be an integer")
     raw = doc.get("values")
-    if not isinstance(raw, list) or not raw:
-        raise InputError("series file: field 'values' must be a non-empty array")
+    if not isinstance(raw, list):
+        raise InputError("series file: field 'values' must be an array")
     return _parse_values(raw, "series file"), level, origin
 
 

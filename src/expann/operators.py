@@ -235,7 +235,7 @@ def grid_residual(chain: AnnihilatorChain, s: GridSamples) -> float:
     return _residual(_apply_factors(chain.factors, s.values, s.spacing)[0], s.max_abs())
 
 
-_ZERO = FrequencyVector.zero()
+_ZERO = FrequencyVector(0.0, 0.0)
 # The axes and their unit steps, in the order detection visits them.
 _AXIS_STEPS = {(1, 0): IntegerStep(1, 0), (0, 1): IntegerStep(0, 1)}
 

@@ -160,7 +160,7 @@ def test_criterion_4_frequency_identification():
             worst = max(worst, err)
     ok = ok and worst <= 1e-8
 
-    const = sample(ExponentialSum(((3.0, FrequencyVector.zero()),)), 0, (-3, -3), 8, 8)
+    const = sample(ExponentialSum(((3.0, FrequencyVector(0.0, 0.0)),)), 0, (-3, -3), 8, 8)
     ok = ok and detect(const, (0, 0)).classification is Classification.CONSTANT
 
     xs = np.arange(-4, 5, dtype=float)

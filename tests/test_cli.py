@@ -109,7 +109,7 @@ class TestDetect:
     def test_constant_grid(self, tmp_path, capsys, alpha, mode):
         # base points on the window's first row or column leave no room for
         # a step back, so no fallback step may need one
-        f = ExponentialSum(((7.0, FrequencyVector.zero()),))
+        f = ExponentialSum(((7.0, FrequencyVector(0.0, 0.0)),))
         grid = sample(f, 0, (-3, -3), 9, 9)
         grid_path = write(tmp_path, "grid.json", dump_grid(grid))
         code, out, _ = run(capsys, "detect", grid_path, "--alpha", *map(str, alpha), "--mode", mode)
@@ -317,6 +317,13 @@ class TestRefine:
         code, _, err = run(capsys, "refine", path, "--rounds", "1", "--auto")
         assert code == 2
 
+    def test_empty_series_exits_2(self, tmp_path, capsys):
+        # the series rule alone rejects an empty file, as it rejects 1-3 samples
+        path = write(tmp_path, "series.json", '{"level": 0, "values": []}')
+        for how in (("--gamma", "0.5"), ("--auto",)):
+            code, out, err = run(capsys, "refine", path, *how)
+            assert (code, out, err) == (2, "", "error: need at least 4 samples, got 0\n")
+
     def test_gamma_near_i_pi(self, tmp_path, capsys):
         # the insertion weights are about 8.2e3 here; their sum rounds off by
         # more than 1e-12 but within their own rounding
@@ -476,9 +483,9 @@ def _overflow_rows(third):
         (_overflow_rows(1e-8), "robust", ("0", "1"), [1, 1], False,
          "annihilator residual inf exceeds 1.000e-08"),
         (_overflow_rows(1e-300), "single", ("0", "1"), [1, 1], True,
-         "axis (1, 0): real rate from estimate inf overflows"),
+         "axis (1, 0): cosh estimate inf: frequency must be finite, got (inf+0j)"),
         (_overflow_rows(1e-300), "robust", ("0", "1"), [1, 1], True,
-         "axis (1, 0): real rate from estimate inf overflows"),
+         "axis (1, 0): cosh estimate inf: frequency must be finite, got (inf+0j)"),
         (_HUGE_ROWS, "single", ("3", "3"), [0, 1], True,
          "axis (1, 0): cosh estimate nan is not above -1"),
         (_HUGE_ROWS, "robust", ("3", "3"), [0, 1], True,
@@ -631,20 +638,33 @@ def test_numpy_warnings_stay_off_stderr(tmp_path):
     assert line.startswith("numerical failure: ")
 
 
+_GENERATE, _REFINE = ("generate", "--seed", "0"), ("refine", "@", "--gamma", "0.5")
+_DEV_FULL = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+
+
 @pytest.mark.parametrize("unbuffered", [True, False])
-@pytest.mark.parametrize("argv", [("generate", "--seed", "0"), ("refine", "@", "--gamma", "0.5")],
-                         ids=["write", "print"])
-def test_closed_stdout_exits_2(tmp_path, argv, unbuffered):
-    # the pipe's read end is closed before the child starts, so its first
-    # write to stdout fails; buffered, that write is the final flush
+@pytest.mark.parametrize(
+    "argv, sink",
+    [(_GENERATE, "pipe"), (_REFINE, "pipe"),
+     pytest.param(_GENERATE, "/dev/full", marks=_DEV_FULL),
+     pytest.param(_REFINE, "/dev/full", marks=_DEV_FULL)],
+    ids=["write", "print", "write-full", "print-full"],
+)
+def test_closed_stdout_exits_2(tmp_path, argv, sink, unbuffered):
+    # the pipe's read end is closed before the child starts, and every write
+    # to /dev/full fails, so the child's first write to stdout fails;
+    # buffered, that write is the final flush
     path = write(tmp_path, "series.json", _SERIES)
     src = Path(__file__).resolve().parents[1] / "src"
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env.update(PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
-    r, w = os.pipe()
-    os.close(r)
+    if sink == "pipe":
+        r, w = os.pipe()
+        os.close(r)
+    else:
+        w = os.open(sink, os.O_WRONLY)
     try:
         done = subprocess.run([sys.executable, "-m", "expann.cli",
                                *(path if a == "@" else a for a in argv)],
@@ -653,7 +673,10 @@ def test_closed_stdout_exits_2(tmp_path, argv, unbuffered):
         os.close(w)
     assert done.returncode == 2
     [line] = done.stderr.splitlines()
-    assert line.startswith("error: cannot write to standard output: ")
+    if sink == "pipe":
+        assert line.startswith("error: cannot write to standard output: ")
+    else:
+        assert line == "error: cannot write to standard output: No space left on device"
 
 
 def test_window_beyond_memory_exits_2(tmp_path):

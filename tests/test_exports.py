@@ -89,3 +89,20 @@ def test_readme_library_example_runs(capsys):
     exec(block, namespace)
     assert namespace["report"].classification is Classification.FREQUENCY
     assert "Classification.FREQUENCY" in capsys.readouterr().out
+
+
+def test_one_constructor_per_public_type():
+    # a classmethod or staticmethod on a public class would be a second
+    # constructor; over_set builds a chain from a set and its steps, so it
+    # is not an alias of the constructor
+    found = set()
+    for name in ("expspace", "operators", "detection", "subdivision", "oracle"):
+        module = importlib.import_module(f"expann.{name}")
+        for public in module.__all__:
+            cls = getattr(module, public)
+            if isinstance(cls, type):
+                found |= {
+                    f"{public}.{attr}" for attr, v in vars(cls).items()
+                    if isinstance(v, (classmethod, staticmethod))
+                }
+    assert found == {"AnnihilatorChain.over_set"}

@@ -221,7 +221,7 @@ class TestSample:
 
     @pytest.mark.parametrize("origin", [(-3, -3, 99), (-3,)])
     def test_origin_must_be_a_pair(self, origin):
-        f = ExponentialSum(((1.0, FrequencyVector.zero()),))
+        f = ExponentialSum(((1.0, FrequencyVector(0.0, 0.0)),))
         with pytest.raises(ValueError, match="values to unpack"):
             sample(f, 2, origin, 9, 9)
 
@@ -230,7 +230,7 @@ class TestSample:
             raise MemoryError
 
         monkeypatch.setattr(expspace, "_exp_sum", out_of_memory)
-        f = ExponentialSum(((1.0, FrequencyVector.zero()),))
+        f = ExponentialSum(((1.0, FrequencyVector(0.0, 0.0)),))
         with pytest.raises(InputError, match="^a 9x7 window does not fit in memory$"):
             sample(f, 2, (0, 0), 9, 7)
 
@@ -355,7 +355,7 @@ class TestGridSamples:
         with pytest.raises(TypeError):
             GridSamples(0, origin, 2, 1, [1, 2])
         with pytest.raises(TypeError):
-            sample(ExponentialSum(((1.0, FrequencyVector.zero()),)), 2, origin, 9, 9)
+            sample(ExponentialSum(((1.0, FrequencyVector(0.0, 0.0)),)), 2, origin, 9, 9)
 
     def test_float_level_rejected(self):
         # not stored as 2.0 only to fail later in .spacing

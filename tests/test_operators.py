@@ -111,12 +111,12 @@ class TestDiffApply:
 
     def test_unit_axis(self):
         f = ExponentialSum(((1.0, FrequencyVector(1.0, 0.0)),))
-        out = diff_apply(FrequencyVector.zero(), Direction(1.0, 0.0), f)
+        out = diff_apply(FrequencyVector(0.0, 0.0), Direction(1.0, 0.0), f)
         assert out.terms[0][0] == 1.0
 
     def test_diagonal(self):
         f = ExponentialSum(((1.0, FrequencyVector(1.0, 1.0)),))
-        out = diff_apply(FrequencyVector.zero(), Direction(1.0, 1.0), f)
+        out = diff_apply(FrequencyVector(0.0, 0.0), Direction(1.0, 1.0), f)
         assert out.terms[0][0] == pytest.approx(1.4142135623730951, rel=1e-15)
 
     def test_scaling_invariance(self):
@@ -165,7 +165,7 @@ class TestDeltaApplySum:
         assert delta_apply_sum(g, IntegerStep(2, -1), f).is_zero()
 
     def test_constant_term_weight(self):
-        f = ExponentialSum(((1.0, FrequencyVector.zero()),))
+        f = ExponentialSum(((1.0, FrequencyVector(0.0, 0.0)),))
         out = delta_apply_sum(FrequencyVector(1.0, 0.0), IntegerStep(1, 0), f)
         assert out.terms[0][0] == pytest.approx(-1.718281828459045, rel=1e-15)
 
@@ -177,16 +177,16 @@ class TestDeltaApplySum:
 
 class TestDeltaApplyGrid:
     def test_constant_zero(self):
-        f = ExponentialSum(((4.0, FrequencyVector.zero()),))
+        f = ExponentialSum(((4.0, FrequencyVector(0.0, 0.0)),))
         s = sample(f, 0, (0, 0), 5, 5)
-        out = delta_apply_grid(FrequencyVector.zero(), IntegerStep(1, 1), s)
+        out = delta_apply_grid(FrequencyVector(0.0, 0.0), IntegerStep(1, 1), s)
         assert np.all(out.values == 0)
         assert out.width == 4 and out.height == 4
 
     def test_factor_identity(self):
         f = ExponentialSum(((1.0, FrequencyVector(0.6, 0.4)),))
         s = sample(f, 0, (0, 0), 4, 5)
-        out = delta_apply_grid(FrequencyVector.zero(), IntegerStep(0, 1), s)
+        out = delta_apply_grid(FrequencyVector(0.0, 0.0), IntegerStep(0, 1), s)
         factor = math.exp(0.4) - 1.0
         for y in range(out.origin[1], out.origin[1] + out.height):
             for x in range(out.origin[0], out.origin[0] + out.width):
@@ -203,15 +203,15 @@ class TestDeltaApplyGrid:
 
     def test_negative_step_window(self):
         s = sample(ExponentialSum(((1.0, FrequencyVector(0.2, 0.0)),)), 0, (0, 0), 4, 4)
-        out = delta_apply_grid(FrequencyVector.zero(), IntegerStep(-1, -2), s)
+        out = delta_apply_grid(FrequencyVector(0.0, 0.0), IntegerStep(-1, -2), s)
         assert out.origin == (1, 2)
         assert out.width == 3 and out.height == 2
         assert out.value_at((1, 2)) == pytest.approx(s.value_at((0, 0)) - s.value_at((1, 2)))
 
     def test_empty_window(self):
-        s = sample(ExponentialSum(((1.0, FrequencyVector.zero()),)), 0, (0, 0), 3, 3)
+        s = sample(ExponentialSum(((1.0, FrequencyVector(0.0, 0.0)),)), 0, (0, 0), 3, 3)
         with pytest.raises(InputError, match=r"^step \(3, 0\) exhausts a 3x3 window$"):
-            delta_apply_grid(FrequencyVector.zero(), IntegerStep(3, 0), s)
+            delta_apply_grid(FrequencyVector(0.0, 0.0), IntegerStep(3, 0), s)
 
     def test_level_scaling(self):
         # at level k the weight uses the physical step 2^-k tv
@@ -240,14 +240,14 @@ class TestChains:
             AnnihilatorChain.over_set(gam, [IntegerStep(1, 0)] * (len(gam) - 1))
 
     def test_apply_to_an_unknown_kind_rejected(self):
-        chain = AnnihilatorChain(((FrequencyVector.zero(), IntegerStep(1, 0)),))
+        chain = AnnihilatorChain(((FrequencyVector(0.0, 0.0), IntegerStep(1, 0)),))
         with pytest.raises(TypeError, match="^cannot apply chain to list$"):
             chain_apply(chain, [1, 2])
 
     def test_univariate_embedding(self):
         f = ExponentialSum(
             (
-                (1.0, FrequencyVector.zero()),
+                (1.0, FrequencyVector(0.0, 0.0)),
                 (1.0, FrequencyVector(0.9, 0.0)),
                 (1.0, FrequencyVector(-0.9, 0.0)),
             )
@@ -255,7 +255,7 @@ class TestChains:
         s = sample(f, 0, (0, 0), 8, 1)
         chain = AnnihilatorChain(
             (
-                (FrequencyVector.zero(), IntegerStep(1, 0)),
+                (FrequencyVector(0.0, 0.0), IntegerStep(1, 0)),
                 (FrequencyVector(0.9, 0.0), IntegerStep(1, 0)),
                 (FrequencyVector(-0.9, 0.0), IntegerStep(1, 0)),
             )
@@ -517,7 +517,7 @@ class TestGridResidual:
         from expann.expspace import GridSamples
 
         s = GridSamples(0, (0, 0), 5, 5, np.zeros(25))
-        chain = AnnihilatorChain(((FrequencyVector.zero(), IntegerStep(1, 0)),))
+        chain = AnnihilatorChain(((FrequencyVector(0.0, 0.0), IntegerStep(1, 0)),))
         assert grid_residual(chain, s) == 0.0
 
 
