@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import contextlib
 import os
 import re
 import sys
@@ -244,15 +245,15 @@ def main(argv=None) -> int:
                 # so stdout is still empty when that text does not fit
                 raise InputError("the input or its output does not fit in memory") from exc
     except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        code, text = EXIT_INPUT, f"error: {exc}"
     except NumericalError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except OSError as exc:  # _read and --output wrap their own, so this one is stdout's
-        print(f"error: cannot write to standard output: {exc.strerror}", file=sys.stderr)
+        code, text = EXIT_NUMERICAL, f"numerical failure: {exc}"
+    except OSError as exc:  # _read and --output wrap their own: stdout's, or the rate line's
+        code, text = EXIT_INPUT, f"error: cannot write to standard output: {exc.strerror}"
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # so exit's flush succeeds
-        return EXIT_INPUT
+    with contextlib.suppress(OSError):  # a stderr that fails loses the message, not the code
+        print(text, file=sys.stderr)
+    return code
 
 
 def entry() -> None:

@@ -13,12 +13,13 @@ the one judge of every answer.  Along an estimated axis it is the reduced
 three-factor chain's output D(a + 2e) - 2c D(a + e) + D(a), the quotient's
 numerator less 2c times its denominator; an axis taken as zero is checked
 with the plain difference along it, which fails on data that varies along
-it.  ``_Differences`` takes each step's D, and its residual, once per call
-for both axes; the plain difference along an axis is D of its unit step.
-``_six_point`` computes numerator and denominator from D at every base
-point at once, and ``_axis`` reads one axis's estimate and residual from
-them, for both modes.  All of it runs in the samples' own arithmetic: real
-for real samples, complex otherwise.  The 1-D detector
+it.  ``_Differences`` takes each step's D once per call for both axes, and
+its residual only where one difference cannot decide flatness (``_flat``)
+or for an axis taken as zero; the plain difference along an axis is D of
+its unit step.  ``_six_point`` computes numerator and denominator from D at
+every base point at once, and ``_axis`` reads one axis's estimate and
+residual from them, for both modes.  All of it runs in the samples' own
+arithmetic: real for real samples, complex otherwise.  The 1-D detector
 ``detect_univariate`` is a view over the same routine: a series is a grid
 of one row, and its four-term relation is the quotient along x.
 """
@@ -94,21 +95,26 @@ class DetectionReport:
 
 class _Differences(dict):
     """D(b) = S(b + step) - S(b) per step, taken on first use and kept for one
-    call, so both axes share it.  Maps a step to ``(d, res)``: D at every b
-    where both samples exist (possibly none), and its residual max|D| / sup,
-    zero when D is empty.  Every step detection takes has non-negative
-    components, so d[0, 0] is D at values[0, 0], grid index ``origin``."""
+    call, so both axes share it: maps a step to D at every b where both
+    samples exist (possibly none).  Every step detection takes has
+    non-negative components, so d[0, 0] is D at values[0, 0], grid index
+    ``origin``.  ``res`` keeps each residual that ``residual`` takes."""
 
-    __slots__ = ("values", "origin", "sup")
+    __slots__ = ("values", "origin", "sup", "res")
 
     def __init__(self, values: np.ndarray, origin, sup: float):
-        self.values, self.origin, self.sup = values, origin, sup
+        self.values, self.origin, self.sup, self.res = values, origin, sup, {}
 
     def __missing__(self, step: IntegerStep):
         shifted, base, _ = _window_shift(self.values, step.dx, step.dy)
-        d = shifted - base
-        self[step] = entry = d, (_residual(d, self.sup) if d.size else 0.0)
-        return entry
+        self[step] = d = shifted - base
+        return d
+
+    def residual(self, step: IntegerStep) -> float:
+        """max|D| / sup of the step's D, zero when D is empty, taken once."""
+        if step not in self.res:
+            self.res[step] = _residual(self[step], self.sup) if self[step].size else 0.0
+        return self.res[step]
 
 
 def _six_point(d, e: tuple[int, int]):
@@ -125,12 +131,16 @@ def _six_point(d, e: tuple[int, int]):
     return d2 + d0, d1
 
 
-def _flat(diff) -> bool:
-    """True when the differences D of ``diff``, an entry of ``_Differences``,
-    pass the residual test: a residual chain built on that step then
-    annihilates the window whatever the estimate, so the step cannot give one
-    that the residual judges."""
-    return diff[1] <= DEFAULT_TOL_RES
+def _flat(diffs: _Differences, step: IntegerStep, probe=None) -> bool:
+    """True when the differences D along ``step`` pass the residual test, so a
+    residual chain built on that step would pass any estimate.  ``probe``, a
+    difference of D the call holds (D's first by default), says "not flat"
+    alone when the larger of its |re| and |im| over sup exceeds DEFAULT_TOL_RES:
+    that is at most max|D| as numpy rounds it, and division by sup keeps order."""
+    p = complex(next(diffs[step].flat, 0.0) if probe is None else probe)
+    if diffs.sup and max(abs(p.real), abs(p.imag)) / diffs.sup > DEFAULT_TOL_RES:
+        return False
+    return diffs.residual(step) <= DEFAULT_TOL_RES
 
 
 def _median(x: np.ndarray) -> float | complex:
@@ -179,22 +189,21 @@ def _axis(diffs: _Differences, alpha, e, steps, mode: str):
     if mode == "single":
         i, j = alpha[0] - diffs.origin[0], alpha[1] - diffs.origin[1]
         for step in steps:
-            diff = diffs[step]
-            num, den = kernel = _six_point(diff[0], e)
+            num, den = kernel = _six_point(diffs[step], e)
             if not (0 <= i < den.shape[1] and 0 <= j < den.shape[0]):
                 raise InputError(f"the stencil at {alpha} leaves the sample window")
             d1 = complex(den[j, i])
-            if d1 != 0 and not _flat(diff):
+            if d1 != 0 and not _flat(diffs, step, d1):
                 est = CoshEstimate(e, complex(num[j, i]) / (2.0 * d1), step)
                 break
     else:
-        kernels = {st: _six_point(diffs[st][0], e) for st in steps if not _flat(diffs[st])}
+        kernels = {st: _six_point(diffs[st], e) for st in steps if not _flat(diffs, st)}
         est = _robust_estimate(kernels, e)
         kernel = kernels[est.step_used] if est else None
     if est is not None:
         return est, _residual(kernel[0] - 2.0 * est.value.real * kernel[1], diffs.sup)
     _step_shift(diffs.values, *e)  # raises when the plain difference along e does not fit
-    return None, diffs[_AXIS_STEPS[e]][1]
+    return None, diffs.residual(_AXIS_STEPS[e])
 
 
 def cosh_to_frequency(c: complex, scale: float) -> Frequency:

@@ -679,6 +679,28 @@ def test_closed_stdout_exits_2(tmp_path, argv, sink, unbuffered):
         assert line == "error: cannot write to standard output: No space left on device"
 
 
+@_DEV_FULL
+@pytest.mark.parametrize(
+    "series, code",
+    [(_SERIES, 2), (None, 2), (_HUGE_SERIES, 4)],
+    ids=["rate-line", "input-error", "numerical-failure"],
+)
+def test_unwritable_stderr_keeps_a_documented_exit_code(tmp_path, series, code):
+    # every write to /dev/full fails: a failing command loses its message but
+    # keeps its code, and refine --auto, whose rate line goes to stderr before
+    # anything is written to stdout, fails as an unwritable output does
+    path = write(tmp_path, "series.json", series) if series else str(tmp_path / "missing.json")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
+    err = os.open("/dev/full", os.O_WRONLY)
+    try:
+        done = subprocess.run([sys.executable, "-m", "expann.cli", "refine", path, "--auto"],
+                              env=env, stdout=subprocess.PIPE, stderr=err, text=True, timeout=60)
+    finally:
+        os.close(err)
+    assert (done.returncode, done.stdout) == (code, "")
+
+
 def test_window_beyond_memory_exits_2(tmp_path):
     resource = pytest.importorskip("resource")
     cap = 1536 * 2**20  # far below the 6.4 GB window, so nothing is allocated

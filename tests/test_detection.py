@@ -4,6 +4,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as hst
 
 from expann.detection import (
     DEFAULT_STENCILS,
@@ -31,6 +32,7 @@ from expann.expspace import (
 from expann.operators import (
     AnnihilatorChain,
     IntegerStep,
+    _residual,
     _window_shift,
     grid_residual,
     reduced_chain_for_symmetric_set,
@@ -81,8 +83,8 @@ class TestStencilSets:
                     minus = IntegerStep(-v.dx, -v.dy)
                     assert _window_shift(s.values, v.dx, v.dy)[2] == (0, 0)
                     assert _window_shift(s.values, minus.dx, minus.dy)[2] == (v.dx, v.dy)
-                    (num, den), d = _six_point(diffs[v][0], e), diffs[v][0]
-                    (mnum, mden), md = _six_point(diffs[minus][0], e), diffs[minus][0]
+                    (num, den), d = _six_point(diffs[v], e), diffs[v]
+                    (mnum, mden), md = _six_point(diffs[minus], e), diffs[minus]
                     for a, b in ((mnum, num), (mden, den), (md, d)):
                         assert np.array_equal(a, -b)
 
@@ -315,7 +317,7 @@ class TestDetect:
         vals[4, 4] = np.nextafter(vals[4, 4].real, math.inf)
         s2 = GridSamples(s.level, s.origin, s.width, s.height, vals.ravel())
         diff = _Differences(s2.values, s2.origin, s2.max_abs())[IntegerStep(0, 1)]
-        assert _six_point(diff[0], (1, 0))[1][3, 3] != 0
+        assert _six_point(diff, (1, 0))[1][3, 3] != 0
         for mode in ("single", "robust"):
             rep = detect(s2, (0, 0), mode=mode)
             assert rep.classification is Classification.FREQUENCY, mode
@@ -858,7 +860,7 @@ def test_detect_matches_scalar_reference_bitwise(mode):
         for e, count in zip(((1, 0), (0, 1)), counts):
             diffs = _Differences(s.values, s.origin, s.max_abs())
             steps = DEFAULT_STENCILS.for_axis(e)
-            live = [_six_point(diffs[st][0], e) for st in steps if not _flat(diffs[st])]
+            live = [_six_point(diffs[st], e) for st in steps if not _flat(diffs, st)]
             assert 2 * sum(int(np.sum(k[1] != 0)) for k in live) == count
     assert Classification.FREQUENCY in classes
 
@@ -894,7 +896,7 @@ def test_robust_masked_path_matches_scalar_reference_bitwise():
             assert abs(rep.residual - residual) <= 4 * math.ulp(residual)
         diffs = _Differences(s.values, s.origin, s.max_abs())
         for e in ((1, 0), (0, 1)):
-            dens = [_six_point(diffs[st][0], e)[1] for st in DEFAULT_STENCILS.for_axis(e) if not _flat(diffs[st])]
+            dens = [_six_point(diffs[st], e)[1] for st in DEFAULT_STENCILS.for_axis(e) if not _flat(diffs, st)]
             masked += any(d.any() for d in dens) and not all(d.all() for d in dens)
     assert masked >= 100, masked
     assert (rep.estimates[0].axis, rep.estimates[0].step_used) == ((1, 0), IntegerStep(1, 1))
@@ -951,3 +953,82 @@ def test_each_difference_taken_once(mode, kind, monkeypatch):
     assert max(taken.values()) == 1
     if mode == "robust" or kind == "constant":
         assert taken[1, 1] == 1
+
+
+def test_residual_taken_only_where_a_difference_cannot_decide(monkeypatch):
+    # on the frequency grid above, the first difference that each call reads
+    # of a step's D shows that the window is not flat along it, so only the
+    # annihilator outputs are reduced: one per axis, and one for a series.
+    # On the constant grid no difference decides: each D an axis reads is
+    # reduced, and none twice
+    from expann import detection
+
+    grid = _symmetric_samples(FrequencyVector(0.8, 0.3j), 2)[1]
+    constant = GridSamples(0, (0, 0), 6, 6, np.full(36, 3.0))
+    reduced = []
+    residual = detection._residual
+
+    def counting(out, sup):
+        reduced.append(out)
+        return residual(out, sup)
+
+    monkeypatch.setattr(detection, "_residual", counting)
+    for mode in ("single", "robust"):
+        reduced.clear()
+        assert detect(grid, (1, 1), mode=mode).classification is Classification.FREQUENCY
+        assert len(reduced) == 2, mode
+        reduced.clear()
+        assert detect(constant, (1, 1), mode=mode).classification is Classification.CONSTANT
+        assert len(reduced) == (2 if mode == "single" else 3), mode
+        assert len({id(d) for d in reduced}) == len(reduced) and not any(d.any() for d in reduced)
+    reduced.clear()
+    assert abs(detect_univariate(grid.values[0], grid.level, 1).value - 0.8) <= 1e-12
+    assert len(reduced) == 1
+
+
+@hst.composite
+def _flat_cases(draw):
+    """Differences D, real or complex and possibly empty, and a sup, with
+    parts drawn from zeros, subnormals, NaN, infinities and magnitudes within
+    two ulps of where |part| / sup crosses DEFAULT_TOL_RES."""
+    sup = draw(
+        hst.sampled_from([0.0, 5e-324, 1e-300, 1.0, 3.0, 1e300, math.inf, math.nan])
+        | hst.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+    )
+    lo = hi = DEFAULT_TOL_RES * sup
+    near = [lo]
+    for _ in range(2):
+        lo, hi = math.nextafter(lo, 0.0), math.nextafter(hi, math.inf)
+        near += [lo, hi]
+    magnitude = hst.sampled_from([0.0, 5e-324, 2.2e-308, math.nan, math.inf, *near]) | hst.floats(
+        min_value=0.0, allow_nan=False, allow_infinity=False
+    )
+    part = hst.builds(lambda m, negative: -m if negative else m, magnitude, hst.booleans())
+    # a complex modulus near the threshold, split between the two parts
+    turned = hst.builds(
+        lambda m, t: complex(m * math.cos(t), m * math.sin(t)),
+        hst.sampled_from(near), hst.floats(0.0, math.pi / 2),
+    )
+    kind = draw(hst.sampled_from([np.float64, np.complex128]))
+    value = part if kind is np.float64 else hst.builds(complex, part, part) | turned
+    rows, cols = draw(hst.integers(0, 3)), draw(hst.integers(0, 3))
+    d = np.array(draw(hst.lists(value, min_size=rows * cols, max_size=rows * cols)), dtype=kind)
+    return d.reshape(rows, cols), sup
+
+
+@settings(max_examples=400, deadline=None)
+@given(_flat_cases())
+@example((np.empty((0, 3)), 1.0))
+@example((np.zeros((2, 2)), 0.0))
+@example((np.array([[math.nan, 1.0]]), 1.0))
+@example((np.array([[1e-8, -1e-8j]]), 1.0))
+def test_probe_first_flatness_matches_the_residual_test(case):
+    # the verdict is the residual test's, whichever difference of D is the
+    # probe, and with the default probe, D's first difference
+    d, sup = case
+    step = IntegerStep(0, 1)
+    want = (_residual(d, sup) if d.size else 0.0) <= DEFAULT_TOL_RES
+    for probe in (None, *d.flat):
+        diffs = _Differences(np.zeros((1, 1)), (0, 0), sup)
+        diffs[step] = d
+        assert _flat(diffs, step, probe) == want, probe
