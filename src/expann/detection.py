@@ -123,12 +123,9 @@ def _six_point(d, e: tuple[int, int]):
     D(a + e) at every a whose six samples exist.  e is a unit axis, so the
     three parts are slices of D at offsets 0, e and 2e, and num and den start
     where D does."""
-    dx, dy = e
-    rows, cols = max(d.shape[0] - 2 * dy, 0), max(d.shape[1] - 2 * dx, 0)
-    d0 = d[:rows, :cols]
-    d1 = d[dy : dy + rows, dx : dx + cols]
-    d2 = d[2 * dy : 2 * dy + rows, 2 * dx : 2 * dx + cols]
-    return d2 + d0, d1
+    if e[0]:
+        return d[:, 2:] + d[:, :-2], d[:, 1:-1]
+    return d[2:] + d[:-2], d[1:-1]
 
 
 def _flat(diffs: _Differences, step: IntegerStep, probe=None) -> bool:
@@ -137,7 +134,8 @@ def _flat(diffs: _Differences, step: IntegerStep, probe=None) -> bool:
     difference of D the call holds (D's first by default), says "not flat"
     alone when the larger of its |re| and |im| over sup exceeds DEFAULT_TOL_RES:
     that is at most max|D| as numpy rounds it, and division by sup keeps order."""
-    p = complex(next(diffs[step].flat, 0.0) if probe is None else probe)
+    d = diffs[step]
+    p = complex((d.item(0) if d.size else 0.0) if probe is None else probe)
     if diffs.sup and max(abs(p.real), abs(p.imag)) / diffs.sup > DEFAULT_TOL_RES:
         return False
     return diffs.residual(step) <= DEFAULT_TOL_RES
@@ -145,21 +143,26 @@ def _flat(diffs: _Differences, step: IntegerStep, probe=None) -> bool:
 
 def _median(x: np.ndarray) -> float | complex:
     """The middle entry, or the mean of the two middle ones, of the array's kind
-    (numpy orders complex values by real, then imaginary part); np.median
-    would import numpy.ma, a megabyte of resident memory, on its first call."""
+    (numpy orders complex values by real, then imaginary part).  It consumes
+    ``x``: the array is partitioned in place, so every caller passes an array
+    it owns.  np.partition would copy it first, and np.median would import
+    numpy.ma, a megabyte of resident memory, on its first call."""
     k = x.size // 2
-    p = np.partition(x, [k] if x.size % 2 else [k - 1, k])
-    return p[k].item() if x.size % 2 else (p[k - 1].item() + p[k].item()) / 2
+    x.partition([k] if x.size % 2 else [k - 1, k])
+    return x[k].item() if x.size % 2 else (x[k - 1].item() + x[k].item()) / 2
 
 
 def _robust_estimate(kernels, e) -> CoshEstimate | None:
     """Median of the quotient over every base point and step with a non-zero
     denominator, with the first step that has one (its kernel gives the
     residual).  ``kernels`` maps each step along which the window is not flat
-    to its kernel.  Quotients divide in the samples' own arithmetic, in one
-    pass, masked first only when some denominator is exactly zero; a complex
-    median keeps its imaginary part for ``cosh_to_frequency`` to judge, as
-    single mode's quotient does.  A real part of -0.0 is reported as +0.0."""
+    to its kernel.  The joined numerators and denominators, masked first only
+    when some denominator is exactly zero, are fresh arrays this call owns:
+    the denominators are doubled and the numerators divided by them in place,
+    in the samples' own arithmetic, and ``_median`` partitions the quotients
+    where they lie.  A complex median keeps its imaginary part for
+    ``cosh_to_frequency`` to judge, as single mode's quotient does.  A real
+    part of -0.0 is reported as +0.0."""
     if not kernels:
         return None
     num = np.concatenate([k[0] for k in kernels.values()], axis=None)
@@ -174,7 +177,9 @@ def _robust_estimate(kernels, e) -> CoshEstimate | None:
             return None
         keep = den != 0
         num, den = num[keep], den[keep]
-    value = complex(_median(num / (2.0 * den))) + 0.0
+    den *= 2.0
+    num /= den
+    value = complex(_median(num)) + 0.0
     return CoshEstimate(e, value, step)
 
 

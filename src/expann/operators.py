@@ -56,7 +56,8 @@ class Direction:
 
 @dataclass(frozen=True)
 class IntegerStep:
-    """A nonzero integer step vector tv."""
+    """A nonzero integer step vector tv.  Its hash, the dataclass's hash of
+    (dx, dy), is taken once: steps key the per-call difference tables."""
 
     dx: int
     dy: int
@@ -66,6 +67,10 @@ class IntegerStep:
         object.__setattr__(self, "dy", _op.index(self.dy))
         if self.dx == 0 and self.dy == 0:
             raise ValueError("step must be nonzero")
+        object.__setattr__(self, "_hash", hash((self.dx, self.dy)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 Factor = tuple[FrequencyVector, "IntegerStep | Direction"]

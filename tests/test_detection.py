@@ -15,6 +15,7 @@ from expann.detection import (
     _axis,
     _Differences,
     _flat,
+    _median,
     _six_point,
     cosh_to_frequency,
     detect,
@@ -825,7 +826,9 @@ def _kernel_cases():
     for seed in range(300):
         yield random_instance(seed)[2]
     rng = SplitMix64(5)
-    for n in (24, 32, 40):
+    # 64²: the joined arrays robust mode divides and partitions in place pass
+    # about 128 KB for complex samples
+    for n in (24, 32, 40, 64):
         g = FrequencyVector(rng.uniform(0.1, 0.6), 1j * rng.uniform(0.1, 1.0))
         yield sample(random_symmetric_sum(rng, g), 3, (-n // 2, -n // 2), n, n)
 
@@ -953,6 +956,46 @@ def test_each_difference_taken_once(mode, kind, monkeypatch):
     assert max(taken.values()) == 1
     if mode == "robust" or kind == "constant":
         assert taken[1, 1] == 1
+
+
+@pytest.mark.parametrize("kind", ["frequency", "masked"])
+def test_robust_detect_partitions_in_place(kind, monkeypatch):
+    # robust mode divides and takes its median in the arrays it joined, so
+    # np.partition, which copies its argument first, is never called
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.partition copies its argument")
+
+    if kind == "frequency":
+        grid = _symmetric_samples(FrequencyVector(0.8, 0.3j), 2)[1]
+    else:  # some denominator is exactly zero, so the quotients are masked first
+        grid = list(_integer_windows())[-1]
+    monkeypatch.setattr(np, "partition", refuse)
+    rep = detect(grid, (grid.origin[0] + 1, grid.origin[1] + 1), mode="robust")
+    assert rep.estimates
+
+
+def _sorted_median(x):
+    s, k = np.sort(x), x.size // 2
+    return s[k].item() if x.size % 2 else (s[k - 1].item() + s[k].item()) / 2
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 10, 51])
+def test_median_matches_sorted_reference(n):
+    rng = np.random.default_rng(n)
+    re_ = rng.normal(size=n)
+    # few distinct real parts, so equal real parts are ordered by imaginary part
+    ties = rng.integers(-2, 3, n) + 1j * rng.normal(size=n)
+    with_nan = re_.copy()
+    with_nan[n // 2] = math.nan
+    cnan = ties.copy()
+    cnan[0] = complex(math.nan, 1.0)
+    for x in (re_, re_ + 1j * rng.normal(size=n), ties, ties.real.copy(), with_nan, cnan):
+        want = _sorted_median(x)
+        got = _median(x.copy())
+        assert type(got) is type(want)
+        assert repr(got) == repr(want)
+    assert _median(np.array([1.0 + 2j, 1.0 - 1j, 1.0 + 0.5j])) == 1.0 + 0.5j
+    assert _median(np.array([1.0 + 3j, 1.0 - 1j])) == 1.0 + 1j
 
 
 def test_residual_taken_only_where_a_difference_cannot_decide(monkeypatch):

@@ -1,5 +1,7 @@
 import cmath
+import copy
 import math
+import pickle
 from collections import Counter
 
 import numpy as np
@@ -71,6 +73,25 @@ class TestIntegerStep:
         s = IntegerStep(3, -4)
         v = Direction(s.dx, s.dy)
         assert v.x == pytest.approx(0.6) and v.y == pytest.approx(-0.8)
+
+    def test_hash_contract(self):
+        # steps key the per-call difference tables, so equal steps must hash
+        # equal however their components were given, and keep it through
+        # copies and pickling
+        step = IntegerStep(1, 0)
+        table = {step: "d"}
+        for other in (
+            IntegerStep(np.int64(1), np.int64(0)),
+            IntegerStep(True, False),
+            copy.copy(step),
+            copy.deepcopy(step),
+            pickle.loads(pickle.dumps(step)),
+        ):
+            assert other == step and hash(other) == hash(step)
+            assert table[other] == "d"
+        assert len({step, IntegerStep(1, 1), IntegerStep(np.int64(1), 1)}) == 2
+        assert IntegerStep(1, 0) != IntegerStep(0, 1)
+        assert repr(IntegerStep(np.int64(1), 0)) == repr(step) == "IntegerStep(dx=1, dy=0)"
 
 
 _G = FrequencyVector(0.8, 0.3)
