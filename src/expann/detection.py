@@ -17,11 +17,14 @@ it.  ``_Differences`` takes each step's D once per call for both axes, and
 its residual only where one difference cannot decide flatness (``_flat``)
 or for an axis taken as zero; the plain difference along an axis is D of
 its unit step.  ``_six_point`` computes numerator and denominator from D at
-every base point at once, and ``_axis`` reads one axis's estimate and
-residual from them, for both modes.  All of it runs in the samples' own
-arithmetic: real for real samples, complex otherwise.  The 1-D detector
-``detect_univariate`` is a view over the same routine: a series is a grid
-of one row, and its four-term relation is the quotient along x.
+every base point at once, and ``_axis`` alone decides one axis from them,
+for both modes and the 1-D detector: its ``_Decision`` record holds the
+estimate, the rate (``cosh_to_frequency``'s, or zero for an axis taken as
+zero), a refusal as the ``NumericalError`` itself, and the residual.  All
+of it runs in the samples' own arithmetic: real for real samples, complex
+otherwise.  The 1-D detector ``detect_univariate`` is a view over the same
+routine: a series is a grid of one row, and its four-term relation is the
+quotient along x.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ import enum
 import math
 import operator as _op
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -183,13 +187,28 @@ def _robust_estimate(kernels, e) -> CoshEstimate | None:
     return CoshEstimate(e, value, step)
 
 
-def _axis(diffs: _Differences, alpha, e, steps, mode: str):
-    """Axis e's cosh estimate at alpha, or None for an axis taken as zero, and
+class _Decision(NamedTuple):
+    """One axis's decision, which ``_axis`` alone makes: the cosh estimate
+    (None for an axis taken as zero), the rate it gives (``Frequency(0.0)``
+    for an axis taken as zero, None when refused), the annihilator residual
+    (NaN when refused) and the ``NumericalError`` of a refused estimate,
+    kept whole so the 1-D view re-raises it with its message and cause."""
+
+    estimate: CoshEstimate | None
+    rate: Frequency | None
+    residual: float
+    error: NumericalError | None = None
+
+
+def _axis(diffs: _Differences, alpha, e, steps, mode: str, scale: float) -> _Decision:
+    """Axis e's decision at alpha, at physical step ``scale``: its cosh
+    estimate, the rate ``cosh_to_frequency`` gives it (or its refusal), and
     its annihilator residual: num - 2c den = D(b + 2e) - 2c D(b + e) + D(b) of
     the kernel the estimate came from, the reduced chain's output for cosh c,
     or the plain difference along e for an axis taken as zero.  Single mode
     takes the quotient at alpha from the first step whose denominator there
-    is non-zero and along which the window is not flat."""
+    is non-zero and along which the window is not flat.  A refused estimate
+    has no residual taken."""
     est = None
     if mode == "single":
         i, j = alpha[0] - diffs.origin[0], alpha[1] - diffs.origin[1]
@@ -205,10 +224,14 @@ def _axis(diffs: _Differences, alpha, e, steps, mode: str):
         kernels = {st: _six_point(diffs[st], e) for st in steps if not _flat(diffs, st)}
         est = _robust_estimate(kernels, e)
         kernel = kernels[est.step_used] if est else None
-    if est is not None:
-        return est, _residual(kernel[0] - 2.0 * est.value.real * kernel[1], diffs.sup)
-    _step_shift(diffs.values, *e)  # raises when the plain difference along e does not fit
-    return None, diffs.residual(_AXIS_STEPS[e])
+    if est is None:
+        _step_shift(diffs.values, *e)  # raises when the plain difference along e does not fit
+        return _Decision(None, Frequency(0.0), diffs.residual(_AXIS_STEPS[e]))
+    try:
+        rate = cosh_to_frequency(est.value, scale)
+    except NumericalError as exc:
+        return _Decision(est, None, math.nan, exc)
+    return _Decision(est, rate, _residual(kernel[0] - 2.0 * est.value.real * kernel[1], diffs.sup))
 
 
 def cosh_to_frequency(c: complex, scale: float) -> Frequency:
@@ -269,36 +292,26 @@ def detect(
     alpha = (i, j)
     if not s._contains(i, j):
         raise InputError(f"the stencil at {alpha} leaves the sample window")
-    estimates: list[CoshEstimate] = []
-    components: list[Frequency] = []
-
-    def inconsistent(residual: float, reason: str) -> DetectionReport:
-        return DetectionReport(
-            Classification.INCONSISTENT, None, tuple(estimates), residual, reason
-        )
-
     diffs = _Differences(s.values, s.origin, sup)
-    residuals = []
+    axes: list[_Decision] = []
     for e in _AXIS_STEPS:
-        est, r = _axis(diffs, alpha, e, DEFAULT_STENCILS.for_axis(e), mode)
-        residuals.append(r)
-        if est is None:
-            components.append(Frequency(0.0))
-            continue
-        estimates.append(est)
-        try:
-            components.append(cosh_to_frequency(est.value, s.spacing))
-        except NumericalError as exc:
-            return inconsistent(math.nan, f"axis {e}: {exc}")
-
-    g = FrequencyVector(components[0], components[1])
-    rx, ry = residuals
+        axes.append(_axis(diffs, alpha, e, DEFAULT_STENCILS.for_axis(e), mode, s.spacing))
+        if axes[-1].error is not None:  # the first refused axis decides the report
+            break
+    estimates = tuple([a.estimate for a in axes if a.estimate is not None])
+    if axes[-1].error is not None:
+        reason = f"axis {e}: {axes[-1].error}"
+        return DetectionReport(Classification.INCONSISTENT, None, estimates, math.nan, reason)
+    x, y = axes
+    rx, ry = x.residual, y.residual
     residual = rx if rx >= ry or rx != rx else ry  # max() would drop a NaN on y
     if not residual <= tol_res:  # a NaN residual is not accepted either
-        return inconsistent(residual, f"annihilator residual {residual:.3e} exceeds {tol_res:.3e}")
+        reason = f"annihilator residual {residual:.3e} exceeds {tol_res:.3e}"
+        return DetectionReport(Classification.INCONSISTENT, None, estimates, residual, reason)
     if not estimates:
         return DetectionReport(Classification.CONSTANT, None, (), residual)
-    return DetectionReport(Classification.FREQUENCY, g, tuple(estimates), residual)
+    g = FrequencyVector(x.rate, y.rate)
+    return DetectionReport(Classification.FREQUENCY, g, estimates, residual)
 
 
 def detect_univariate(samples, level: int, alpha: int) -> Frequency:
@@ -308,22 +321,28 @@ def detect_univariate(samples, level: int, alpha: int) -> Frequency:
     A 1-D view of the grid quotient: the samples form a 1xn grid, and the
     four-term relation (2c + 1) (f(a+1) - f(a)) = f(a+2) - f(a-1) is the
     six-point quotient along x with step (1, 0) at base alpha - 1, which
-    gives c = cosh(2^-level * g).  Estimate and residual come from detect's
-    per-axis routine with that one step: the reduced chain's output at b is
-    D(b + 2) - 2c D(b + 1) + D(b), with D the plain difference, which is
-    itself the output for rate zero, taken when the denominator is zero or
-    the series is flat.  As in ``detect``, one residual test judges the
-    rate, zero included: a residual above DEFAULT_TOL_RES, or NaN, raises
-    ``NumericalError``.
+    gives c = cosh(2^-level * g).  Estimate, rate, refusal and residual are
+    the record that detect's per-axis routine ``_axis`` makes with that one
+    step: the reduced chain's output at b is D(b + 2) - 2c D(b + 1) + D(b),
+    with D the plain difference, which is itself the output for rate zero,
+    taken when the denominator is zero or the series is flat.  A refused
+    estimate raises its ``NumericalError``, message and cause as
+    ``cosh_to_frequency`` made them.  As in ``detect``, one residual test
+    judges the rate, zero included: a residual above DEFAULT_TOL_RES, or
+    NaN, raises ``NumericalError``.  An alpha whose four samples are not all
+    in the series raises ``InputError`` naming alpha and the series length.
     """
     row = _series(samples).reshape(1, -1)
     _check_window(level, row.size, 1)
     alpha = _op.index(alpha)
+    if not 0 < alpha < row.size - 2:
+        raise InputError(f"the stencil at {alpha} leaves the sample window of {row.size} samples")
     diffs = _Differences(row, (0, 0), float(abs(row).max()))
-    est, residual = _axis(diffs, (alpha - 1, 0), (1, 0), (_AXIS_STEPS[1, 0],), "single")
-    g = Frequency(0.0) if est is None else cosh_to_frequency(est.value, math.ldexp(1.0, -level))
-    if not residual <= DEFAULT_TOL_RES:
-        raise NumericalError(
-            f"rate {g.value} leaves annihilator residual {residual:.3e} above {DEFAULT_TOL_RES:.3e}"
-        )
-    return g
+    scale = math.ldexp(1.0, -level)
+    rec = _axis(diffs, (alpha - 1, 0), (1, 0), (_AXIS_STEPS[1, 0],), "single", scale)
+    if rec.error is not None:
+        raise rec.error
+    if not rec.residual <= DEFAULT_TOL_RES:
+        bound = f"{rec.residual:.3e} above {DEFAULT_TOL_RES:.3e}"
+        raise NumericalError(f"rate {rec.rate.value} leaves annihilator residual {bound}")
+    return rec.rate

@@ -62,7 +62,7 @@ def _symmetric_samples(g, level, origin=(-3, -3), width=9, height=9, seed=1):
 def _quotient(s, alpha, e, step):
     """The six-point quotient at alpha as single-mode detect reads it, or
     None when its denominator is zero."""
-    return _axis(_Differences(s.values, s.origin, s.max_abs()), alpha, e, (step,), "single")[0]
+    return _axis(_Differences(s.values, s.origin, s.max_abs()), alpha, e, (step,), "single", s.spacing).estimate
 
 
 class TestStencilSets:
@@ -148,7 +148,7 @@ class TestCoshFromStencil:
         flat = GridSamples(0, (0, 0), 4, 4, np.full(16, 3.0))
         with pytest.raises(InputError, match=r"^the stencil at \(3, 0\) leaves the sample window$"):
             detect(flat, (3, 0))
-        with pytest.raises(InputError, match=r"^the stencil at \(3, 0\) leaves the sample window$"):
+        with pytest.raises(InputError, match=r"^the stencil at 4 leaves the sample window of 6 samples$"):
             detect_univariate([3.0] * 6, 0, 4)
 
 
@@ -571,6 +571,30 @@ class TestDetectUnivariate:
     def test_out_of_window(self):
         with pytest.raises(InputError, match="leaves the sample window"):
             detect_univariate([1.0, 2.0, 3.0, 4.0], 0, 0)
+
+    @pytest.mark.parametrize("alpha", [0, 10, -3])
+    def test_out_of_window_names_the_callers_base(self, alpha):
+        # the stencil at alpha reads samples alpha - 1 .. alpha + 2, so 1 and
+        # n - 3 are the ends of the window; flat data would read rate 0
+        flat = [3.0] * 12
+        want = rf"^the stencil at {alpha} leaves the sample window of 12 samples$"
+        with pytest.raises(InputError, match=want):
+            detect_univariate(flat, 2, alpha)
+        assert detect_univariate(flat, 2, 1) == detect_univariate(flat, 2, 9) == Frequency(0.0)
+
+    def test_refused_estimate_keeps_its_message_and_cause(self):
+        # the differences overflow, so the quotient reads cosh inf, and the
+        # rate Frequency refuses; the 1-D view raises that refusal itself
+        want = r"^cosh estimate inf: frequency must be finite, got \(inf\+0j\)$"
+        with np.errstate(all="ignore"), pytest.raises(NumericalError, match=want) as info:
+            detect_univariate([-1e308, 1e308, 1.5e308, 1.5e308], 0, 1)
+        assert type(info.value.__cause__) is ValueError
+        assert str(info.value.__cause__) == "frequency must be finite, got (inf+0j)"
+
+    def test_estimate_not_above_minus_one_is_refused(self):
+        with pytest.raises(NumericalError, match=r"^cosh estimate -1\.0 is not above -1$") as info:
+            detect_univariate([1.0, -1.0, 1.0, -1.0], 0, 1)
+        assert info.value.__cause__ is None
 
     def test_denominator_zero_non_constant(self):
         # f(a+1) == f(a) but the window is not constant

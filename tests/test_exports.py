@@ -82,6 +82,31 @@ def test_two_error_kinds():
     assert not issubclass(NumericalError, InputError)
 
 
+
+def test_one_owner_of_the_rate_rule():
+    # detection._axis alone turns a cosh estimate into a rate, and gives rate
+    # zero to an axis taken as zero, for both modes and the 1-D view
+    src = Path(__file__).resolve().parents[1] / "src" / "expann"
+    owners = {"cosh_to_frequency": [], "Frequency(0)": []}
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}"
+        if isinstance(node, ast.Call):
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            if name == "cosh_to_frequency":
+                owners[name].append(scope)
+            zero = [a for a in node.args if isinstance(a, ast.Constant) and a.value == 0]
+            if name == "Frequency" and zero:
+                owners["Frequency(0)"].append(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    for path in sorted(src.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    assert owners == {"cosh_to_frequency": ["detection._axis"], "Frequency(0)": ["detection._axis"]}
+
 def test_readme_library_example_runs(capsys):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     block = re.search(r"## Library example\n+```python\n(.*?)```", readme, re.S).group(1)
