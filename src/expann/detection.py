@@ -333,7 +333,7 @@ def detect_univariate(samples, level: int, alpha: int) -> Frequency:
     in the series raises ``InputError`` naming alpha and the series length.
     """
     row = _series(samples).reshape(1, -1)
-    _check_window(level, row.size, 1)
+    level = _check_window(level, row.size, 1)[0]
     alpha = _op.index(alpha)
     if not 0 < alpha < row.size - 2:
         raise InputError(f"the stencil at {alpha} leaves the sample window of {row.size} samples")

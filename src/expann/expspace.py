@@ -32,14 +32,15 @@ __all__ = [
 MAX_LEVEL = 1074
 
 
-def _check_window(level: int, width: int, height: int) -> None:
-    """Raise ``ValueError`` for a level outside 0..MAX_LEVEL or an empty window,
-    and ``TypeError`` for an argument that is not an integer."""
+def _check_window(level: int, width: int, height: int) -> tuple[int, int, int]:
+    """The ints ``operator.index`` gives for the arguments; ``ValueError`` for a level
+    outside 0..MAX_LEVEL or an empty window, ``TypeError`` for a non-integer."""
     level, width, height = _op.index(level), _op.index(width), _op.index(height)
     if not 0 <= level <= MAX_LEVEL:
         raise ValueError(f"level must lie in 0..{MAX_LEVEL}, got {level}")
     if width < 1 or height < 1:
         raise ValueError("window must be at least 1x1")
+    return level, width, height
 
 
 def _clean(value: complex) -> complex:
@@ -242,17 +243,16 @@ class GridSamples:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        _check_window(self.level, self.width, self.height)
+        level, width, height = _check_window(self.level, self.width, self.height)
         arr = _sample_array(self.values)
-        if arr.size != self.width * self.height:
-            raise ValueError(
-                f"expected {self.width * self.height} values, got {arr.size}"
-            )
-        arr = arr.reshape(self.height, self.width).copy()
+        if arr.size != width * height:
+            raise ValueError(f"expected {width * height} values, got {arr.size}")
+        arr = arr.reshape(height, width).copy()
         arr.flags.writeable = False
-        object.__setattr__(self, "values", arr)
         o1, o2 = map(_op.index, self.origin)
-        object.__setattr__(self, "origin", (o1, o2))
+        fields = {"level": level, "origin": (o1, o2), "width": width, "height": height, "values": arr}
+        for name, v in fields.items():
+            object.__setattr__(self, name, v)
 
     @property
     def spacing(self) -> float:
@@ -324,7 +324,7 @@ def sample(
     0..MAX_LEVEL, ``NumericalError`` when a sample overflows, and
     ``InputError`` when the window does not fit in memory.
     """
-    _check_window(level, width, height)
+    level, width, height = _check_window(level, width, height)
     h = math.ldexp(1.0, -level)
     o1, o2 = map(_op.index, origin)
     try:

@@ -103,7 +103,7 @@ def _pieces(obj, out: list) -> list:
         out.append("}")
     elif isinstance(obj, str):
         out.append(json.dumps(obj))
-    elif isinstance(obj, int) and not isinstance(obj, bool):
+    elif _is_int(obj):
         try:
             out.append(str(obj))
         except ValueError as exc:  # past the interpreter's int-to-string digit limit
@@ -238,9 +238,14 @@ def _parse_json(text: str, what: str) -> dict:
     return doc
 
 
-def _require_int(doc: dict, key: str, what: str) -> int:
-    v = doc.get(key)
-    if not isinstance(v, int) or isinstance(v, bool):
+def _is_int(v) -> bool:
+    """Whether v is a JSON integer: an ``int`` that is not a ``bool``."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _require_int(doc: dict, key: str, what: str, default=None) -> int:
+    v = doc.get(key, default)
+    if not _is_int(v):
         raise InputError(f"{what}: field {key!r} must be an integer")
     return v
 
@@ -251,11 +256,7 @@ def load_grid(text: str) -> GridSamples:
     width = _require_int(doc, "width", "grid file")
     height = _require_int(doc, "height", "grid file")
     origin = doc.get("origin")
-    if (
-        not isinstance(origin, list)
-        or len(origin) != 2
-        or not all(isinstance(c, int) and not isinstance(c, bool) for c in origin)
-    ):
+    if not (isinstance(origin, list) and len(origin) == 2 and all(map(_is_int, origin))):
         raise InputError("grid file: field 'origin' must be [i, j] integers")
     raw = doc.get("values")
     if not isinstance(raw, list):
@@ -315,9 +316,7 @@ def load_series(text: str) -> tuple[np.ndarray, int, int]:
         _check_window(level, 1, 1)
     except ValueError as exc:
         raise InputError(f"series file: {exc}") from exc
-    origin = doc.get("origin", 0)
-    if not isinstance(origin, int) or isinstance(origin, bool):
-        raise InputError("series file: field 'origin' must be an integer")
+    origin = _require_int(doc, "origin", "series file", 0)
     raw = doc.get("values")
     if not isinstance(raw, list):
         raise InputError("series file: field 'values' must be an array")

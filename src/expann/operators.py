@@ -3,9 +3,9 @@
 Two actions are provided for each operator: an exact symbolic action on
 ``ExponentialSum`` (each factor rescales term coefficients, so membership
 questions reduce to exact coefficient arithmetic) and a grid action on
-``GridSamples`` for the difference operators.  On a level-k grid the
-difference weight uses the physical step 2^-k * tv so that sampled data and
-frequencies interact at the correct scale.
+``GridSamples`` for the difference operators.  Both take one difference
+weight, exp(gamma . h tv) at h = 1 on a sum and at the physical step h = 2^-k
+on a level-k grid, and raise ``NumericalError`` when it overflows.
 """
 
 from __future__ import annotations
@@ -116,6 +116,25 @@ class AnnihilatorChain:
         return chain
 
 
+def _weight(gamma: FrequencyVector, step: IntegerStep, spacing: float) -> complex:
+    """exp(gamma . (spacing * tv)), the weight of a difference factor."""
+    try:
+        w = cmath.exp(gamma.dot(step.dx * spacing, step.dy * spacing))
+        if not cmath.isfinite(w):  # an infinite real exponent, which cmath.exp passes through
+            raise OverflowError(w)
+    except (OverflowError, ValueError) as exc:  # ValueError: an infinite imaginary exponent
+        raise NumericalError("a difference weight overflows the floating-point range") from exc
+    return w
+
+
+def _multiplier(gamma: FrequencyVector, s, m: FrequencyVector) -> complex:
+    """The number one factor multiplies the coefficient of frequency m by:
+    (m - gamma).v for a Direction v, exp(m.tv) - exp(gamma.tv) for a step tv."""
+    if isinstance(s, Direction):
+        return (m.g1.value - gamma.g1.value) * s.x + (m.g2.value - gamma.g2.value) * s.y
+    return _weight(m, s, 1.0) - _weight(gamma, s, 1.0)
+
+
 def diff_apply(
     gamma: FrequencyVector, direction: Direction, f: ExponentialSum
 ) -> ExponentialSum:
@@ -124,17 +143,9 @@ def diff_apply(
     Each term c*exp(m.z) becomes c*((m - gamma).v)*exp(m.z); a term is
     annihilated exactly when its frequency equals gamma.
     """
-    vx, vy = direction.x, direction.y
-
-    def rescale(c: complex, m: FrequencyVector) -> complex:
-        w = (m.g1.value - gamma.g1.value) * vx + (m.g2.value - gamma.g2.value) * vy
-        return c * w
-
-    return f.map_coefficients(rescale)
-
-
-def _delta_weight(gamma: FrequencyVector, mu: FrequencyVector, sx: float, sy: float) -> complex:
-    return cmath.exp(mu.dot(sx, sy)) - cmath.exp(gamma.dot(sx, sy))
+    if isinstance(direction, IntegerStep):
+        raise TypeError("a differential factor takes a Direction, not an IntegerStep")
+    return chain_apply(AnnihilatorChain(((gamma, direction),)), f)
 
 
 def delta_apply_sum(
@@ -176,12 +187,7 @@ def _apply_factors(factors, values, spacing: float):
         if not isinstance(step, IntegerStep):
             raise TypeError("differential factors cannot act on grid samples")
         shifted, base, (c1, r1) = _step_shift(out, step.dx, step.dy)
-        try:
-            weight = cmath.exp(gamma.dot(step.dx * spacing, step.dy * spacing))
-        except OverflowError as exc:
-            msg = "a difference weight overflows the floating-point range"
-            raise NumericalError(msg) from exc
-        out, c, r = shifted - weight * base, c + c1, r + r1
+        out, c, r = shifted - _weight(gamma, step, spacing) * base, c + c1, r + r1
     return out, (c, r)
 
 
@@ -203,14 +209,9 @@ def chain_apply(chain: AnnihilatorChain, data):
     ``GridSamples`` (difference factors only) and returns the same kind.
     """
     if isinstance(data, ExponentialSum):
-        out = data
         for gamma, s in chain.factors:
-            if isinstance(s, Direction):
-                out = diff_apply(gamma, s, out)
-            else:
-                sx, sy = float(s.dx), float(s.dy)
-                out = out.map_coefficients(lambda c, m: c * _delta_weight(gamma, m, sx, sy))
-        return out
+            data = data.map_coefficients(lambda c, m: c * _multiplier(gamma, s, m))
+        return data
     if isinstance(data, GridSamples):
         out, (c, r) = _apply_factors(chain.factors, data.values, data.spacing)
         h, w = out.shape

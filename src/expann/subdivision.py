@@ -111,7 +111,7 @@ def refine_rounds(values, g: Frequency | complex, level: int, rounds: int):
     starting from the level parameter c_level = cosh(2^-level * g).  The
     series is checked once, zero rounds included; a level outside
     0..MAX_LEVEL or a negative round count is a ``ValueError``."""
-    _check_window(level, 1, 1)
+    level = _check_window(level, 1, 1)[0]
     if _op.index(rounds) < 0:
         raise ValueError(f"rounds must be non-negative, got {rounds}")
     rate = g.value if isinstance(g, Frequency) else complex(g)

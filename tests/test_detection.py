@@ -553,7 +553,18 @@ class TestFallbackCompleteness:
             assert max(abs(p - probe[0]) for p in probe) <= 1e-12 * s.max_abs()
 
 
+def test_grid_at_a_numpy_integer_level_detects_as_at_its_int():
+    f = ExponentialSum(((1.0, FrequencyVector(0.5, 0.0)),))
+    values = sample(f, 2, (0, 0), 9, 9).values
+    want = detect(GridSamples(2, (0, 0), 9, 9, values), (0, 0))
+    assert detect(GridSamples(np.int64(2), (0, 0), 9, 9, values), (0, 0)) == want
+
+
 class TestDetectUnivariate:
+    def test_numpy_integer_level(self):
+        v = np.exp(0.5 * 0.25 * np.arange(8))
+        assert detect_univariate(v, np.int64(2), 1) == detect_univariate(v, 2, 1)
+
     def test_hyperbolic(self):
         f = [1 + math.exp(0.9 * z) + math.exp(-0.9 * z) for z in range(-1, 3)]
         g = detect_univariate(f, 0, 1)

@@ -83,29 +83,52 @@ def test_two_error_kinds():
 
 
 
-def test_one_owner_of_the_rate_rule():
-    # detection._axis alone turns a cosh estimate into a rate, and gives rate
-    # zero to an axis taken as zero, for both modes and the 1-D view
+def _call_sites(*stems):
+    """(scope, callee, call) for every call in the named expann modules, all of
+    them when none is named: scope is "module.name" of the innermost enclosing
+    function or class, and callee the called expression's last name."""
     src = Path(__file__).resolve().parents[1] / "src" / "expann"
-    owners = {"cosh_to_frequency": [], "Frequency(0)": []}
+    sites = []
 
     def visit(node, scope):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             scope = f"{scope}.{node.name}"
         if isinstance(node, ast.Call):
             f = node.func
-            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
-            if name == "cosh_to_frequency":
-                owners[name].append(scope)
-            zero = [a for a in node.args if isinstance(a, ast.Constant) and a.value == 0]
-            if name == "Frequency" and zero:
-                owners["Frequency(0)"].append(scope)
+            sites.append((scope, f.id if isinstance(f, ast.Name) else getattr(f, "attr", None), node))
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
 
     for path in sorted(src.glob("*.py")):
-        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+        if not stems or path.stem in stems:
+            visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    return sites
+
+
+def test_one_owner_of_the_rate_rule():
+    # detection._axis alone turns a cosh estimate into a rate, and gives rate
+    # zero to an axis taken as zero, for both modes and the 1-D view
+    owners = {"cosh_to_frequency": [], "Frequency(0)": []}
+    for scope, name, call in _call_sites():
+        if name == "cosh_to_frequency":
+            owners[name].append(scope)
+        zero = [a for a in call.args if isinstance(a, ast.Constant) and a.value == 0]
+        if name == "Frequency" and zero:
+            owners["Frequency(0)"].append(scope)
     assert owners == {"cosh_to_frequency": ["detection._axis"], "Frequency(0)": ["detection._axis"]}
+
+
+def test_one_owner_of_the_factor_weight():
+    # operators._weight alone computes a difference factor's weight and its
+    # overflow rule, for sums (through the per-term multiplier) and for grids
+    from expann import operators
+
+    exps = [scope for scope, name, _ in _call_sites("operators") if name == "exp"]
+    callers = sorted({scope for scope, name, _ in _call_sites() if name == "_weight"})
+    assert exps == ["operators._weight"]
+    assert callers == ["operators._apply_factors", "operators._multiplier"]
+    assert not hasattr(operators, "_delta_weight")
+
 
 def test_readme_library_example_runs(capsys):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")

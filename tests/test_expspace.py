@@ -173,6 +173,15 @@ class TestEvaluate:
 
 
 class TestSample:
+    def test_numpy_integer_window_stored_as_ints(self):
+        # the ints _check_window coerced are the ones stored and used
+        f = ExponentialSum(((1.0, FrequencyVector(0.5, 0.0)),))
+        want = sample(f, 2, (0, 0), 3, 3)
+        got = sample(f, np.int64(2), (0, 0), np.int64(3), np.int32(3))
+        assert all(type(k) is int for k in (got.level, got.width, got.height))
+        assert (got.level, got.width, got.height) == (2, 3, 3)
+        assert np.array_equal(got.values, want.values) and got.spacing == 0.25
+
     def test_constant(self):
         f = ExponentialSum(((5.0, FrequencyVector(0.0, 0.0)),))
         s = sample(f, 3, (-2, 4), 4, 3)
@@ -361,6 +370,11 @@ class TestGridSamples:
         # not stored as 2.0 only to fail later in .spacing
         with pytest.raises(TypeError):
             GridSamples(2.0, (0, 0), 2, 1, [1, 2])
+
+    def test_numpy_and_bool_window_stored_as_ints(self):
+        s = GridSamples(np.int64(2), (0, 0), True, np.uint8(2), [1, 2])
+        assert (s.level, s.width, s.height) == (2, 1, 2) and s.spacing == 0.25
+        assert all(type(k) is int for k in (s.level, s.width, s.height))
 
     def test_numpy_integer_origin_accepted(self):
         s = GridSamples(0, (np.int64(-3), np.int32(2)), 2, 1, [1, 2])

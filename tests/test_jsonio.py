@@ -20,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 from expann import jsonio
 from expann.cli import main
 from expann.errors import InputError, NumericalError
+from expann.expspace import ExponentialSum, FrequencyVector, sample
 from expann.oracle import random_instance
 
 BLOCK = jsonio._BLOCK
@@ -104,6 +105,13 @@ def test_array_inside_documents():
     doc = {"level": 1, "values": grid_values.ravel(), "nested": [grid_values.ravel()]}
     ref = reference_text(grid_values)
     assert jsonio.dumps(doc) == f'{{"level": 1, "values": {ref}, "nested": [{ref}]}}'
+
+
+def test_grid_sampled_at_level_true_writes_ints():
+    f = ExponentialSum(((1.0, FrequencyVector(0.5, 0.0)),))
+    text = jsonio.dump_grid(sample(f, True, (0, 0), 2, 1))
+    assert text == jsonio.dump_grid(sample(f, 1, (0, 0), 2, 1))
+    assert text.startswith('{"level": 1, "origin": [0, 0], "width": 2, "height": 1, ')
 
 
 def test_strided_array():

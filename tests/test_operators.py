@@ -6,8 +6,10 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from expann.errors import InputError
+from expann import jsonio
+from expann.errors import InputError, NumericalError
 from expann.expspace import (
     ExponentialSum,
     FrequencySet,
@@ -516,6 +518,56 @@ class TestAnnihilates:
         assert mu.as_pair() != g.as_pair()
 
 
+_OVERFLOW = "^a difference weight overflows the floating-point range$"
+_HALF = ExponentialSum(((1.0, FrequencyVector(0.5, 0.0)),))
+
+
+class TestFactorWeight:
+    """One weight, exp(gamma . h tv), and one overflow rule for every
+    difference factor: on sums at h = 1, on level-k grids at h = 2^-k."""
+
+    def test_overflow_on_sums_as_on_grids(self):
+        g, step = FrequencyVector(800.0, 0.0), IntegerStep(1, 0)
+        chain = AnnihilatorChain(((g, step),))
+        with pytest.raises(NumericalError, match=_OVERFLOW):
+            chain_apply(chain, GridSamples(0, (0, 0), 3, 1, [1.0, 2.0, 3.0]))
+        for call in (annihilates, chain_apply):
+            with pytest.raises(NumericalError, match=_OVERFLOW):
+                call(chain, _HALF)
+        with pytest.raises(NumericalError, match=_OVERFLOW):
+            delta_apply_sum(g, step, _HALF)
+
+    def test_step_past_the_float_range(self):
+        with pytest.raises(NumericalError, match=_OVERFLOW):
+            delta_apply_sum(FrequencyVector(0.5, 0.0), IntegerStep(10**400, 0), _HALF)
+
+    def test_infinite_exponent(self):
+        # rate 1e308 times step 2 is an infinite exponent, whose inf weight
+        # cmath.exp returns without raising; an infinite imaginary exponent
+        # has no value at all
+        big = FrequencyVector(1e308, 0.0)
+        with pytest.raises(NumericalError, match=_OVERFLOW):
+            delta_apply_sum(big, IntegerStep(2, 0), _HALF)
+        with pytest.raises(NumericalError, match=_OVERFLOW):
+            delta_apply_grid(big, IntegerStep(2, 0), GridSamples(0, (0, 0), 3, 1, [1, 2, 3]))
+        wave = ExponentialSum(((1.0, FrequencyVector(0.0, 1j)),))
+        with pytest.raises(NumericalError, match=_OVERFLOW):
+            delta_apply_sum(FrequencyVector(0.0, 3j), IntegerStep(0, 10**308), wave)
+
+    def test_weights_match_cmath(self):
+        g, m, step = FrequencyVector(0.4, 1.1j), FrequencyVector(-0.3, 0.2), IntegerStep(2, -1)
+        out = delta_apply_sum(g, step, ExponentialSum(((1.5, m),)))
+        want = 1.5 * (cmath.exp(m.dot(2.0, -1.0)) - cmath.exp(g.dot(2.0, -1.0)))
+        assert out.terms == ((want, m),)
+
+    def test_diff_apply_takes_a_direction(self):
+        g = FrequencyVector(0.5, 0.0)
+        with pytest.raises(TypeError, match="^a differential factor takes a Direction, not an "):
+            diff_apply(g, IntegerStep(1, 0), _HALF)
+        with pytest.raises(TypeError, match="^differential factors cannot act on grid samples$"):
+            diff_apply(g, Direction(1.0, 0.0), GridSamples(0, (0, 0), 2, 1, [1, 2]))
+
+
 class TestGridResidual:
     def test_member_small(self):
         g = FrequencyVector(0.8, 0.3)
@@ -741,3 +793,51 @@ class TestFiniteDifferenceLimit:
             assert 1.8 <= errs[0] / errs[1] <= 2.2
             assert 1.8 <= errs[1] / errs[2] <= 2.2
         assert checked >= 4
+
+
+_rates = st.floats(-1000.0, 1000.0)
+_vectors = st.builds(FrequencyVector, _rates, _rates)
+_component = st.one_of(st.integers(-3, 3), st.integers(-(10**400), 10**400))
+_steps = st.tuples(_component, _component).filter(lambda t: t != (0, 0)).map(
+    lambda t: IntegerStep(*t)
+)
+_directions = st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)).filter(
+    lambda t: math.hypot(*t) > 0.0
+).map(lambda t: Direction(*t))
+_factors = st.tuples(_vectors, st.one_of(_steps, _directions))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(st.floats(-1e3, 1e3), _vectors), max_size=4),
+    st.lists(_factors, min_size=1, max_size=4),
+    _factors,
+)
+def test_symbolic_calls_return_or_raise_a_documented_error(terms, factors, factor):
+    # mixed chains with real rates up to +-1000 and step components up to
+    # 10**400: each call returns, or raises one of the documented kinds
+    f, chain = ExponentialSum(tuple(terms)), AnnihilatorChain(tuple(factors))
+    calls = (
+        lambda: chain_apply(chain, f),
+        lambda: annihilates(chain, f),
+        lambda: delta_apply_sum(*factor, f),
+        lambda: diff_apply(*factor, f),
+    )
+    for call in calls:
+        try:
+            call()
+        except (InputError, NumericalError, ValueError, TypeError):
+            pass
+
+
+@pytest.mark.parametrize(
+    "level, width, height",
+    [(np.int64(2), np.int64(3), np.int64(2)), (True, np.int32(3), True), (np.uint8(0), True, 2)],
+)
+def test_integer_like_window_round_trips_through_json(level, width, height):
+    # the grid stores the ints operator.index gives, so it writes and reads as ints
+    s = GridSamples(level, (0, 0), width, height, np.arange(int(width) * int(height), dtype=float))
+    assert all(type(k) is int for k in (s.level, s.width, s.height))
+    back = jsonio.load_grid(jsonio.dump_grid(s))
+    assert (back.level, back.width, back.height) == (int(level), int(width), int(height))
+    assert np.array_equal(back.values, s.values)

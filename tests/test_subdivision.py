@@ -176,6 +176,12 @@ class TestSynthesizeRule:
             assert abs(w + u - 1) <= 4 * eps * max(1.0, abs(w))
 
 
+def test_refine_rounds_at_a_numpy_integer_level():
+    v = np.exp(0.5 * 0.25 * np.arange(8))
+    want = refine_rounds(v, 0.5, 2, 1)
+    assert np.array_equal(refine_rounds(v, 0.5, np.int64(2), 1), want)
+
+
 class TestRefine:
     def test_constant_preserved(self):
         out = refine(np.full(6, 2.5), math.cosh(0.2))
