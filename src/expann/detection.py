@@ -5,26 +5,28 @@ ratio (D(a + 2e) + D(a)) / (2 D(a + e)) equals cosh of the frequency
 component along axis e (at the grid's physical step).  The relation holds
 exactly on the family, so a denominator needs no threshold.  A step tv is
 passed over for the next one in a fixed fallback list, one step per
-direction, when its denominator is exactly zero or the window is flat
-along it (its differences D pass the residual test, so a residual chain
-built on tv would pass any estimate); if every step is passed over, the
-component along that axis is taken as zero.  The annihilator residual is
-the one judge of every answer.  Along an estimated axis it is the reduced
+direction, when its denominator is exactly zero or the window is flat along
+it (its differences D pass the residual test, so a residual chain built on
+tv would pass any estimate); if every step is passed over, the component
+along that axis is taken as zero.  The annihilator residual is the one
+judge of every answer.  Along an estimated axis it is the reduced
 three-factor chain's output D(a + 2e) - 2c D(a + e) + D(a), the quotient's
 numerator less 2c times its denominator; an axis taken as zero is checked
 with the plain difference along it, which fails on data that varies along
-it.  ``_Differences`` takes each step's D once per call for both axes, and
-its residual only where one difference cannot decide flatness (``_flat``)
-or for an axis taken as zero; the plain difference along an axis is D of
-its unit step.  ``_six_point`` computes numerator and denominator from D at
-every base point at once, and ``_axis`` alone decides one axis from them,
-for both modes and the 1-D detector: its ``_Decision`` record holds the
-estimate, the rate (``cosh_to_frequency``'s, or zero for an axis taken as
-zero), a refusal as the ``NumericalError`` itself, and the residual.  All
-of it runs in the samples' own arithmetic: real for real samples, complex
-otherwise.  The 1-D detector ``detect_univariate`` is a view over the same
-routine: a series is a grid of one row, and its four-term relation is the
-quotient along x.
+it.  ``_Differences`` takes each step's D once per call for both axes, from
+two slices of the window, and its residual only where one difference cannot
+decide flatness (``_flat``) or for an axis taken as zero; the plain
+difference along an axis is D of its unit step.  ``_six_point`` computes
+numerator and denominator from D at every base point at once, and ``_axis``
+alone decides one axis from them, for both modes and the 1-D detector: its
+``_Decision`` record holds the estimate, the rate (``cosh_to_frequency``'s,
+or zero for an axis taken as zero), a refusal as the ``NumericalError``
+itself, and the residual.  All of it runs in the samples' own arithmetic:
+real for real samples, complex otherwise.  Whole-array maxima and tests
+call numpy's reductions (``np.maximum.reduce``, ``np.logical_and.reduce``)
+without the array methods' Python wrappers.  The 1-D detector
+``detect_univariate`` is a view over the same routine: a series is a grid
+of one row, and its four-term relation is the quotient along x.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ import numpy as np
 
 from .errors import InputError, NumericalError
 from .expspace import Frequency, FrequencyVector, GridSamples, _check_window, _series
-from .operators import _AXIS_STEPS, IntegerStep, _axis_step, _residual, _step_shift, _window_shift
+from .operators import _AXIS_STEPS, IntegerStep, _axis_step, _residual, _step_shift
 
 __all__ = [
     "StencilDirectionSet",
@@ -59,16 +61,18 @@ DEFAULT_TOL_RES = 1e-8
 class StencilDirectionSet:
     """Fallback step vectors per axis, drawn from the butterfly stencil union,
     tried in list order.  No step -v: it reads v's stencils one step over,
-    with D, numerator and denominator negated, so it adds no quotient."""
+    with D, numerator and denominator negated, so it adds no quotient.  Each
+    step is one object, so per-call tables find it by identity."""
 
-    set_x = (IntegerStep(0, 1), IntegerStep(1, 1))
-    set_y = (IntegerStep(1, 0), IntegerStep(1, 1))
+    set_x = (_AXIS_STEPS[0, 1], IntegerStep(1, 1))
+    set_y = (_AXIS_STEPS[1, 0], set_x[1])
 
     def for_axis(self, e: tuple[int, int]) -> tuple[IntegerStep, ...]:
         return self.set_x if _axis_step(e).dx else self.set_y
 
 
 DEFAULT_STENCILS = StencilDirectionSet()
+_AXES = tuple((e, DEFAULT_STENCILS.for_axis(e)) for e in _AXIS_STEPS)
 
 
 @dataclass(frozen=True)
@@ -101,8 +105,9 @@ class _Differences(dict):
     """D(b) = S(b + step) - S(b) per step, taken on first use and kept for one
     call, so both axes share it: maps a step to D at every b where both
     samples exist (possibly none).  Every step detection takes has
-    non-negative components, so d[0, 0] is D at values[0, 0], grid index
-    ``origin``.  ``res`` keeps each residual that ``residual`` takes."""
+    non-negative components (others raise ``ValueError``), so D is two slices
+    of ``values`` and d[0, 0] is D at values[0, 0], grid index ``origin``.
+    ``res`` keeps each residual that ``residual`` takes."""
 
     __slots__ = ("values", "origin", "sup", "res")
 
@@ -110,8 +115,10 @@ class _Differences(dict):
         self.values, self.origin, self.sup, self.res = values, origin, sup, {}
 
     def __missing__(self, step: IntegerStep):
-        shifted, base, _ = _window_shift(self.values, step.dx, step.dy)
-        self[step] = d = shifted - base
+        if step.dx < 0 or step.dy < 0:
+            raise ValueError(f"step ({step.dx}, {step.dy}) has a negative component")
+        shifted = self.values[step.dy :, step.dx :]
+        self[step] = d = shifted - self.values[: shifted.shape[0], : shifted.shape[1]]
         return d
 
     def residual(self, step: IntegerStep) -> float:
@@ -152,39 +159,38 @@ def _median(x: np.ndarray) -> float | complex:
     it owns.  np.partition would copy it first, and np.median would import
     numpy.ma, a megabyte of resident memory, on its first call."""
     k = x.size // 2
-    x.partition([k] if x.size % 2 else [k - 1, k])
+    x.partition(k if x.size % 2 else [k - 1, k])
     return x[k].item() if x.size % 2 else (x[k - 1].item() + x[k].item()) / 2
 
 
-def _robust_estimate(kernels, e) -> CoshEstimate | None:
+def _robust_estimate(kernels, e) -> tuple:
     """Median of the quotient over every base point and step with a non-zero
-    denominator, with the first step that has one (its kernel gives the
-    residual).  ``kernels`` maps each step along which the window is not flat
-    to its kernel.  The joined numerators and denominators, masked first only
-    when some denominator is exactly zero, are fresh arrays this call owns:
-    the denominators are doubled and the numerators divided by them in place,
-    in the samples' own arithmetic, and ``_median`` partitions the quotients
-    where they lie.  A complex median keeps its imaginary part for
-    ``cosh_to_frequency`` to judge, as single mode's quotient does.  A real
-    part of -0.0 is reported as +0.0."""
-    if not kernels:
-        return None
-    num = np.concatenate([k[0] for k in kernels.values()], axis=None)
-    den = np.concatenate([k[1] for k in kernels.values()], axis=None)
-    if den.size and den.all():
-        # every denominator is non-zero, so the first step with one is the
+    denominator, with the first step that has one and its kernel, which gives
+    the residual; ``(None, None)`` when no denominator is non-zero.
+    ``kernels`` lists ``(step, kernel)`` for each step along which the window
+    is not flat, in fallback order, and is not empty.  The joined numerators
+    and denominators, masked first only when some denominator is exactly zero,
+    are fresh arrays this call owns: the denominators are doubled and the
+    numerators divided by them in place, in the samples' own arithmetic, and
+    ``_median`` partitions the quotients where they lie.  A complex median
+    keeps its imaginary part for ``cosh_to_frequency`` to judge, as single
+    mode's quotient does.  A real part of -0.0 is reported as +0.0."""
+    num = np.concatenate([k[0] for _, k in kernels], axis=None)
+    den = np.concatenate([k[1] for _, k in kernels], axis=None)
+    nonzero = den.size and np.logical_and.reduce(den, None)
+    for step, kernel in kernels:
+        # when every denominator is non-zero, the first step with one is the
         # first whose kernel is not empty
-        step = next(st for st, k in kernels.items() if k[1].size)
+        if (kernel[1].size if nonzero else kernel[1].any()):
+            break
     else:
-        step = next((st for st, k in kernels.items() if k[1].any()), None)
-        if step is None:
-            return None
+        return None, None
+    if not nonzero:
         keep = den != 0
         num, den = num[keep], den[keep]
     den *= 2.0
     num /= den
-    value = complex(_median(num)) + 0.0
-    return CoshEstimate(e, value, step)
+    return CoshEstimate(e, complex(_median(num)) + 0.0, step), kernel
 
 
 class _Decision(NamedTuple):
@@ -221,9 +227,8 @@ def _axis(diffs: _Differences, alpha, e, steps, mode: str, scale: float) -> _Dec
                 est = CoshEstimate(e, complex(num[j, i]) / (2.0 * d1), step)
                 break
     else:
-        kernels = {st: _six_point(diffs[st], e) for st in steps if not _flat(diffs, st)}
-        est = _robust_estimate(kernels, e)
-        kernel = kernels[est.step_used] if est else None
+        live = [(st, _six_point(diffs[st], e)) for st in steps if not _flat(diffs, st)]
+        est, kernel = _robust_estimate(live, e) if live else (None, None)
     if est is None:
         _step_shift(diffs.values, *e)  # raises when the plain difference along e does not fit
         return _Decision(None, Frequency(0.0), diffs.residual(_AXIS_STEPS[e]))
@@ -285,17 +290,17 @@ def detect(
     """
     if mode not in ("single", "robust"):
         raise ValueError(f"unknown mode {mode!r}")
-    sup = s.max_abs()
     if not tol_res >= 0.0:  # NaN fails too; inf accepts everything
         raise InputError(f"tol_res must be a non-negative number, got {tol_res}")
     i, j = map(_op.index, alpha)
     alpha = (i, j)
     if not s._contains(i, j):
         raise InputError(f"the stencil at {alpha} leaves the sample window")
-    diffs = _Differences(s.values, s.origin, sup)
+    diffs = _Differences(s.values, s.origin, s.max_abs())
+    spacing = s.spacing
     axes: list[_Decision] = []
-    for e in _AXIS_STEPS:
-        axes.append(_axis(diffs, alpha, e, DEFAULT_STENCILS.for_axis(e), mode, s.spacing))
+    for e, steps in _AXES:
+        axes.append(_axis(diffs, alpha, e, steps, mode, spacing))
         if axes[-1].error is not None:  # the first refused axis decides the report
             break
     estimates = tuple([a.estimate for a in axes if a.estimate is not None])
@@ -337,7 +342,7 @@ def detect_univariate(samples, level: int, alpha: int) -> Frequency:
     alpha = _op.index(alpha)
     if not 0 < alpha < row.size - 2:
         raise InputError(f"the stencil at {alpha} leaves the sample window of {row.size} samples")
-    diffs = _Differences(row, (0, 0), float(abs(row).max()))
+    diffs = _Differences(row, (0, 0), float(np.maximum.reduce(abs(row), None)))
     scale = math.ldexp(1.0, -level)
     rec = _axis(diffs, (alpha - 1, 0), (1, 0), (_AXIS_STEPS[1, 0],), "single", scale)
     if rec.error is not None:

@@ -43,13 +43,6 @@ def _check_window(level: int, width: int, height: int) -> tuple[int, int, int]:
     return level, width, height
 
 
-def _clean(value: complex) -> complex:
-    # normalize -0.0 parts so equal frequencies have one representation
-    re = value.real if value.real != 0.0 else 0.0
-    im = value.imag if value.imag != 0.0 else 0.0
-    return complex(re, im)
-
-
 @dataclass(frozen=True)
 class Frequency:
     """A single admissible exponent rate: real, or imaginary in i(-pi, pi)."""
@@ -57,7 +50,8 @@ class Frequency:
     value: complex
 
     def __post_init__(self) -> None:
-        v = _clean(complex(self.value))
+        # + 0j turns a -0.0 part into +0.0: equal frequencies have one representation
+        v = complex(self.value) + 0j
         object.__setattr__(self, "value", v)
         if not cmath.isfinite(v):
             raise ValueError(f"frequency must be finite, got {v}")
@@ -81,10 +75,6 @@ class Frequency:
         return Frequency(self.value.conjugate())
 
 
-def _as_frequency(x) -> Frequency:
-    return x if isinstance(x, Frequency) else Frequency(complex(x))
-
-
 @dataclass(frozen=True)
 class FrequencyVector:
     """A pair of admissible exponent rates, one per grid axis; each may be
@@ -94,8 +84,9 @@ class FrequencyVector:
     g2: Frequency
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "g1", _as_frequency(self.g1))
-        object.__setattr__(self, "g2", _as_frequency(self.g2))
+        g1, g2 = self.g1, self.g2
+        object.__setattr__(self, "g1", g1 if isinstance(g1, Frequency) else Frequency(complex(g1)))
+        object.__setattr__(self, "g2", g2 if isinstance(g2, Frequency) else Frequency(complex(g2)))
 
     def as_pair(self) -> tuple[complex, complex]:
         return (self.g1.value, self.g2.value)
@@ -273,7 +264,7 @@ class GridSamples:
         return complex(self.values[j - self.origin[1], i - self.origin[0]])
 
     def max_abs(self) -> float:
-        return float(np.abs(self.values).max())
+        return float(np.maximum.reduce(np.abs(self.values), None))
 
 
 # Real parts at the overflow boundary, where cmath.exp returns a finite value

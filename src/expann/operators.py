@@ -5,7 +5,8 @@ Two actions are provided for each operator: an exact symbolic action on
 questions reduce to exact coefficient arithmetic) and a grid action on
 ``GridSamples`` for the difference operators.  Both take one difference
 weight, exp(gamma . h tv) at h = 1 on a sum and at the physical step h = 2^-k
-on a level-k grid, and raise ``NumericalError`` when it overflows.
+on a level-k grid, and raise ``NumericalError`` when it or a coefficient
+overflows.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ import cmath
 import math
 import operator as _op
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import InputError, NumericalError
 from .expspace import (
@@ -202,16 +205,25 @@ def delta_apply_grid(
     return chain_apply(AnnihilatorChain(((gamma, step),)), s)
 
 
+def _sum_output(chain: AnnihilatorChain, f: ExponentialSum) -> tuple[ExponentialSum, bool]:
+    """The chain applied to f, unchecked, and whether every coefficient is finite."""
+    for gamma, s in chain.factors:
+        f = f.map_coefficients(lambda c, m: c * _multiplier(gamma, s, m))
+    return f, all(cmath.isfinite(c) for c, _ in f.terms)
+
+
 def chain_apply(chain: AnnihilatorChain, data):
     """Apply every factor of the chain in list order.
 
     Accepts an ``ExponentialSum`` (difference and differential factors) or
-    ``GridSamples`` (difference factors only) and returns the same kind.
+    ``GridSamples`` (difference factors only) and returns the same kind.  A
+    coefficient of a sum that overflows raises ``NumericalError``.
     """
     if isinstance(data, ExponentialSum):
-        for gamma, s in chain.factors:
-            data = data.map_coefficients(lambda c, m: c * _multiplier(gamma, s, m))
-        return data
+        out, finite = _sum_output(chain, data)
+        if not finite:
+            raise NumericalError("a coefficient overflows the floating-point range")
+        return out
     if isinstance(data, GridSamples):
         out, (c, r) = _apply_factors(chain.factors, data.values, data.spacing)
         h, w = out.shape
@@ -221,18 +233,16 @@ def chain_apply(chain: AnnihilatorChain, data):
 
 def annihilates(chain: AnnihilatorChain, f: ExponentialSum) -> bool:
     """True when the chain maps f to zero, up to ZERO_COEFF_REL_TOL of f's
-    largest coefficient (chains of a few factors lose at most ~3 digits)."""
-    ref = f.max_coefficient()
-    if ref == 0.0:
-        return True
-    out = chain_apply(chain, f)
-    return out.max_coefficient() <= ZERO_COEFF_REL_TOL * ref
+    largest coefficient (chains of a few factors lose at most ~3 digits).  A
+    coefficient that overflows is not zero, so it answers False."""
+    out, finite = _sum_output(chain, f)
+    return finite and out.max_coefficient() <= ZERO_COEFF_REL_TOL * f.max_coefficient()
 
 
 def _residual(out, sup: float) -> float:
     """max|out| / sup: a chain output's sup-norm relative to sup, the sup-norm
     of the samples it was applied to (an all-zero window gives zero)."""
-    return float(abs(out).max()) / sup if sup != 0.0 else 0.0
+    return float(np.maximum.reduce(abs(out), None)) / sup if sup != 0.0 else 0.0
 
 
 def grid_residual(chain: AnnihilatorChain, s: GridSamples) -> float:

@@ -75,19 +75,38 @@ class TestStencilSets:
         # D along -v at b is -D along v at b - v, so the kernel for -v is
         # the kernel for v negated, moved by v: a list that held both would
         # read every stencil twice.  D along v starts at the window's corner,
-        # D along -v at offset v
+        # D along -v at offset v.  Detection takes no step -v, so D along -v
+        # is built as operators' chains build a difference
         steps = {st for e in ((1, 0), (0, 1)) for st in DEFAULT_STENCILS.for_axis(e)}
         for s in _kernel_cases():
-            for e in ((1, 0), (0, 1)):
-                diffs = _Differences(s.values, s.origin, s.max_abs())
-                for v in steps:
-                    minus = IntegerStep(-v.dx, -v.dy)
-                    assert _window_shift(s.values, v.dx, v.dy)[2] == (0, 0)
-                    assert _window_shift(s.values, minus.dx, minus.dy)[2] == (v.dx, v.dy)
-                    (num, den), d = _six_point(diffs[v], e), diffs[v]
-                    (mnum, mden), md = _six_point(diffs[minus], e), diffs[minus]
-                    for a, b in ((mnum, num), (mden, den), (md, d)):
+            diffs = _Differences(s.values, s.origin, s.max_abs())
+            for v in steps:
+                minus = IntegerStep(-v.dx, -v.dy)
+                assert _window_shift(s.values, v.dx, v.dy)[2] == (0, 0)
+                shifted, base, offset = _window_shift(s.values, minus.dx, minus.dy)
+                assert offset == (v.dx, v.dy)
+                d, md = diffs[v], shifted - base
+                assert np.array_equal(md, -d)
+                for e in ((1, 0), (0, 1)):
+                    (num, den), (mnum, mden) = _six_point(d, e), _six_point(md, e)
+                    for a, b in ((mnum, num), (mden, den)):
                         assert np.array_equal(a, -b)
+
+    def test_differences_are_the_window_shift_differences(self):
+        # _Differences slices the window directly; its D is the difference
+        # that operators' _window_shift gives, empty where the step is at
+        # least as long as the window, and a negative component is refused
+        for h, w in ((1, 1), (1, 4), (3, 1), (2, 5), (5, 3)):
+            values = np.arange(h * w, dtype=float).reshape(h, w) ** 2
+            diffs = _Differences(values, (0, 0), float(values.max()))
+            for dx, dy in ((0, 1), (1, 0), (1, 1), (2, 0), (0, 3), (4, 2), (6, 6)):
+                shifted, base, offset = _window_shift(values, dx, dy)
+                d = diffs[IntegerStep(dx, dy)]
+                assert offset == (0, 0)
+                assert d.shape == base.shape and np.array_equal(d, shifted - base)
+            for dx, dy in ((-1, 0), (0, -1), (1, -1), (-2, 3)):
+                with pytest.raises(ValueError, match=rf"^step \({dx}, {dy}\) has a negative component$"):
+                    diffs[IntegerStep(dx, dy)]
 
     def test_rejects_an_axis_that_is_not_a_unit_axis(self):
         with pytest.raises(ValueError, match=r"^axis must be \(1, 0\) or \(0, 1\)$"):
@@ -976,14 +995,14 @@ def test_each_difference_taken_once(mode, kind, monkeypatch):
     else:
         grid = GridSamples(0, (0, 0), 6, 6, np.full(36, 3.0))
     taken = Counter()
-    window_shift = detection._window_shift
+    missing = detection._Differences.__missing__
 
-    def counting(values, dx, dy):
-        if values is grid.values:
-            taken[dx, dy] += 1
-        return window_shift(values, dx, dy)
+    def counting(diffs, step):
+        if diffs.values is grid.values:
+            taken[step.dx, step.dy] += 1
+        return missing(diffs, step)
 
-    monkeypatch.setattr(detection, "_window_shift", counting)
+    monkeypatch.setattr(detection._Differences, "__missing__", counting)
     rep = detect(grid, (1, 1), mode=mode)
     assert rep.classification is (
         Classification.FREQUENCY if kind == "frequency" else Classification.CONSTANT

@@ -537,6 +537,30 @@ class TestFactorWeight:
         with pytest.raises(NumericalError, match=_OVERFLOW):
             delta_apply_sum(g, step, _HALF)
 
+    def test_overflowing_coefficient_raises_on_sums(self):
+        # finite weights can still carry a coefficient past the float range;
+        # a sum whose coefficient is inf or NaN is refused, and annihilates
+        # answers False, since that output is not zero
+        zero, step = FrequencyVector(0.0, 0.0), IntegerStep(1, 0)
+        big = ExponentialSum(((1e10, FrequencyVector(700.0, 0.0)),))
+        one = ExponentialSum(((1.0, FrequencyVector(700.0, 0.0)),))
+        single, triple = AnnihilatorChain(((zero, step),)), AnnihilatorChain(((zero, step),) * 3)
+        huge = ExponentialSum(((1e308, FrequencyVector(1000.0, 0.0)),))
+        calls = (
+            lambda: delta_apply_sum(zero, step, big),  # (inf+0j)
+            lambda: chain_apply(single, big),
+            lambda: chain_apply(triple, one),  # (inf+nanj)
+            lambda: diff_apply(zero, Direction(1.0, 0.0), huge),
+        )
+        for call in calls:
+            with pytest.raises(NumericalError, match="^a coefficient overflows the floating-point range$"):
+                call()
+        assert annihilates(single, big) is False
+        assert annihilates(triple, one) is False
+        # a finite output near the top of the range still passes
+        near = delta_apply_sum(zero, step, ExponentialSum(((1e-10, FrequencyVector(700.0, 0.0)),)))
+        assert all(cmath.isfinite(c) for c, _ in near.terms)
+
     def test_step_past_the_float_range(self):
         with pytest.raises(NumericalError, match=_OVERFLOW):
             delta_apply_sum(FrequencyVector(0.5, 0.0), IntegerStep(10**400, 0), _HALF)
