@@ -57,13 +57,13 @@ DEFAULT_TOL_IM = 1e-9
 DEFAULT_TOL_RES = 1e-8
 
 
-@dataclass(frozen=True)
 class StencilDirectionSet:
     """Fallback step vectors per axis, drawn from the butterfly stencil union,
     tried in list order.  No step -v: it reads v's stencils one step over,
     with D, numerator and denominator negated, so it adds no quotient.  Each
     step is one object, so per-call tables find it by identity."""
 
+    __slots__ = ()
     set_x = (_AXIS_STEPS[0, 1], IntegerStep(1, 1))
     set_y = (_AXIS_STEPS[1, 0], set_x[1])
 

@@ -180,10 +180,6 @@ class ExponentialSum:
         x, y = z
         return complex(_exp_sum(self.terms, np.array([float(x)]), np.array([float(y)]))[0, 0])
 
-    def map_coefficients(self, fn) -> "ExponentialSum":
-        """New sum with coefficient c of frequency g replaced by fn(c, g)."""
-        return ExponentialSum(tuple((fn(c, f), f) for c, f in self.terms))
-
     def conjugate(self) -> "ExponentialSum":
         return ExponentialSum(
             tuple((c.conjugate(), f.conjugate()) for c, f in self.terms)

@@ -1,12 +1,13 @@
 """Differential and finite-difference operators whose kernels are exponential spaces.
 
 Two actions are provided for each operator: an exact symbolic action on
-``ExponentialSum`` (each factor rescales term coefficients, so membership
-questions reduce to exact coefficient arithmetic) and a grid action on
-``GridSamples`` for the difference operators.  Both take one difference
-weight, exp(gamma . h tv) at h = 1 on a sum and at the physical step h = 2^-k
-on a level-k grid, and raise ``NumericalError`` when it or a coefficient
-overflows.
+``ExponentialSum`` (a chain acts term by term, multiplying each coefficient
+by every factor's multiplier in list order, so membership questions reduce to
+exact coefficient arithmetic) and a grid action on ``GridSamples`` for the
+difference operators.  Both take one difference weight, exp(gamma . h tv) at
+h = 1 on a sum and at the physical step h = 2^-k on a level-k grid, and raise
+``NumericalError`` when it or a coefficient overflows, or an output sample is
+not finite.
 """
 
 from __future__ import annotations
@@ -19,12 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .expspace import (
-    ExponentialSum,
-    FrequencySet,
-    FrequencyVector,
-    GridSamples,
-)
+from .expspace import ExponentialSum, FrequencyVector, GridSamples
 
 __all__ = [
     "Direction",
@@ -102,22 +98,6 @@ class AnnihilatorChain:
                 raise TypeError("chain factor step must be IntegerStep or Direction")
         object.__setattr__(self, "factors", factors)
 
-    @classmethod
-    def over_set(cls, gamma_set: FrequencySet, steps) -> "AnnihilatorChain":
-        """Discrete chain with one factor per member of ``gamma_set``.
-
-        ``steps`` is either one ``IntegerStep`` applied to every factor or a
-        sequence of ``IntegerStep``s matching the set's length.
-        """
-        if isinstance(steps, IntegerStep):
-            steps = [steps] * len(gamma_set)
-        # the constructor checks each step before the count, so a pair of
-        # ints raises its TypeError
-        chain = cls(tuple(zip(gamma_set, steps)))
-        if len(steps) != len(gamma_set):
-            raise ValueError("need one step per frequency")
-        return chain
-
 
 def _weight(gamma: FrequencyVector, step: IntegerStep, spacing: float) -> complex:
     """exp(gamma . (spacing * tv)), the weight of a difference factor."""
@@ -184,13 +164,16 @@ def _step_shift(values, dx: int, dy: int):
 
 def _apply_factors(factors, values, spacing: float):
     """Apply difference factors in list order to a raw sample array: the output
-    array, and its (column, row) offset in ``values``."""
+    array, and its (column, row) offset in ``values``.  A non-finite output
+    sample raises ``NumericalError``."""
     out, c, r = values, 0, 0
     for gamma, step in factors:
         if not isinstance(step, IntegerStep):
             raise TypeError("differential factors cannot act on grid samples")
         shifted, base, (c1, r1) = _step_shift(out, step.dx, step.dy)
         out, c, r = shifted - _weight(gamma, step, spacing) * base, c + c1, r + r1
+    if not np.logical_and.reduce(np.isfinite(out), None):
+        raise NumericalError("a chain's output sample is not finite")
     return out, (c, r)
 
 
@@ -206,10 +189,17 @@ def delta_apply_grid(
 
 
 def _sum_output(chain: AnnihilatorChain, f: ExponentialSum) -> tuple[ExponentialSum, bool]:
-    """The chain applied to f, unchecked, and whether every coefficient is finite."""
-    for gamma, s in chain.factors:
-        f = f.map_coefficients(lambda c, m: c * _multiplier(gamma, s, m))
-    return f, all(cmath.isfinite(c) for c, _ in f.terms)
+    """The chain applied to f term by term, unchecked, and whether every
+    coefficient is finite.  Each term takes every factor's multiplier, in list
+    order; a finite coefficient with an exactly-zero multiplier is annihilated,
+    and any other keeps the product c * w1 * w2 * ..."""
+    terms = []
+    for c, m in f.terms:
+        ws = [_multiplier(gamma, s, m) for gamma, s in chain.factors]
+        if not (0 in ws and cmath.isfinite(c)):
+            terms.append((math.prod(ws, start=c), m))
+    out = ExponentialSum(tuple(terms))
+    return out, all(cmath.isfinite(c) for c, _ in out.terms)
 
 
 def chain_apply(chain: AnnihilatorChain, data):

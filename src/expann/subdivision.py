@@ -8,6 +8,8 @@ exponential pair), whose solution has the closed form w = -1/(8c(c + 1)),
 u = 1/2 - w per level (Dyn, Levin & Luzzatto, Found. Comput. Math. 3, 2003).
 A real or imaginary rate gives a real c_k and real weights, so real data is
 refined in real arithmetic, as ``expspace`` keeps real samples real.
+``refine`` applies the four-point formula to array slices, from the weights
+``synthesize_rule`` puts in an ``InsertionRule``.
 """
 
 from __future__ import annotations
@@ -33,10 +35,6 @@ __all__ = [
 ]
 
 
-def _insert(outer, inner, f0, f1, f2, f3):
-    return outer * (f0 + f3) + inner * (f1 + f2)
-
-
 @dataclass(frozen=True)
 class InsertionRule:
     """Symmetric four-point insertion weights (outer, inner, inner, outer).  The
@@ -49,10 +47,6 @@ class InsertionRule:
         # inner = 1/2 - outer rounds with an error of about |outer| * eps
         if abs(2 * self.outer + 2 * self.inner - 1.0) > 1e-12 * max(1.0, abs(self.outer)):
             raise ValueError("insertion weights must sum to 1")
-
-    def insert(self, f0, f1, f2, f3):
-        """The value inserted between f1 and f2; elementwise on arrays."""
-        return _insert(self.outer, self.inner, f0, f1, f2, f3)
 
 
 def refine_parameter(c: complex) -> complex:
@@ -99,7 +93,8 @@ def refine(values, c_half: complex) -> np.ndarray:
     """
     f = _series(values)
     n = f.size
-    odd = _insert(*_weights(c_half), f[0 : n - 3], f[1 : n - 2], f[2 : n - 1], f[3:n])
+    outer, inner = _weights(c_half)
+    odd = outer * (f[0 : n - 3] + f[3:n]) + inner * (f[1 : n - 2] + f[2 : n - 1])
     out = np.empty(2 * (n - 3) + 1, dtype=odd.dtype)
     out[0::2] = f[1 : n - 1]
     out[1::2] = odd

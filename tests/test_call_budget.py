@@ -22,7 +22,7 @@ from expann.subdivision import auto_refine
 PACKAGE = os.path.dirname(os.path.abspath(expann.__file__)) + os.sep
 
 # calls per operation, at most
-BUDGET = {"detect-single": 27, "detect-robust": 47, "auto_refine": 44}
+BUDGET = {"detect-single": 27, "detect-robust": 47, "auto_refine": 40}
 
 
 def _expann_calls(fn) -> int:

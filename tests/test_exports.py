@@ -141,8 +141,7 @@ def test_readme_library_example_runs(capsys):
 
 def test_one_constructor_per_public_type():
     # a classmethod or staticmethod on a public class would be a second
-    # constructor; over_set builds a chain from a set and its steps, so it
-    # is not an alias of the constructor
+    # constructor, so no public class has one
     found = set()
     for name in ("expspace", "operators", "detection", "subdivision", "oracle"):
         module = importlib.import_module(f"expann.{name}")
@@ -153,4 +152,4 @@ def test_one_constructor_per_public_type():
                     f"{public}.{attr}" for attr, v in vars(cls).items()
                     if isinstance(v, (classmethod, staticmethod))
                 }
-    assert found == {"AnnihilatorChain.over_set"}
+    assert found == set()

@@ -136,7 +136,7 @@ class TestExhaustiveCheck:
         ]
         for f in cases:
             literal = all(
-                annihilates(AnnihilatorChain.over_set(gam, list(tup)), f)
+                annihilates(AnnihilatorChain(tuple(zip(gam, tup))), f)
                 for tup in itertools.product(steps, repeat=len(gam))
             )
             assert exhaustive_annihilation_check(f, gam, 1) == literal

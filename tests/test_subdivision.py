@@ -131,18 +131,16 @@ class TestSynthesizeRule:
     def test_reproduces_hyperbolic_midpoint(self, g):
         # four samples at unit spacing, midpoint between the middle two
         c_half = math.cosh(g / 2.0)
-        rule = synthesize_rule(c_half)
         f = lambda z: math.exp(g * z)
-        got = rule.insert(f(-1.0), f(0.0), f(1.0), f(2.0))
+        got = refine([f(-1.0), f(0.0), f(1.0), f(2.0)], c_half)[1]
         assert got.real == pytest.approx(f(0.5), rel=1e-13)
-        got_neg = rule.insert(f(1.0), f(0.0), f(-1.0), f(-2.0))
+        got_neg = refine([f(1.0), f(0.0), f(-1.0), f(-2.0)], c_half)[1]
         assert got_neg.real == pytest.approx(math.exp(-g * 0.5), rel=1e-13)
 
     def test_reproduces_trigonometric_midpoint(self):
         y = 0.8
-        rule = synthesize_rule(math.cos(y / 2.0))
         f = lambda z: 1.0 + 2.0 * math.cos(y * z)
-        got = rule.insert(f(-1.0), f(0.0), f(1.0), f(2.0))
+        got = refine([f(-1.0), f(0.0), f(1.0), f(2.0)], math.cos(y / 2.0))[1]
         assert got.real == pytest.approx(f(0.5), rel=1e-13)
 
     def test_exactness_conditions_hold_to_a_few_ulp(self):
@@ -200,10 +198,12 @@ class TestRefine:
     @pytest.mark.parametrize("c", [math.cosh(0.45), math.cos(1.2), cmath.cosh(0.3 + 0.2j)])
     @pytest.mark.parametrize("vals", [_VALS, _VALS * (1 - 0.5j)], ids=["real", "complex"])
     def test_midpoints_are_the_rule_insert(self, vals, c):
-        # refine and InsertionRule.insert share one four-point formula
+        # refine's midpoints are the four-point formula on synthesize_rule's weights
         n = vals.size
-        slices = vals[0 : n - 3], vals[1 : n - 2], vals[2 : n - 1], vals[3:n]
-        odd, expected = refine(vals, c)[1::2].copy(), synthesize_rule(c).insert(*slices)
+        rule = synthesize_rule(c)
+        f0, f1, f2, f3 = vals[0 : n - 3], vals[1 : n - 2], vals[2 : n - 1], vals[3:n]
+        expected = rule.outer * (f0 + f3) + rule.inner * (f1 + f2)
+        odd = refine(vals, c)[1::2].copy()
         assert odd.dtype == expected.dtype
         assert np.array_equal(odd.view(np.uint64), expected.view(np.uint64))
 
