@@ -21,7 +21,6 @@ from .errors import InputError, NumericalError
 __all__ = [
     "Frequency",
     "FrequencyVector",
-    "FrequencySet",
     "ExponentialSum",
     "GridSamples",
     "sample",
@@ -110,29 +109,6 @@ class FrequencyVector:
 
     def in_restricted_domain(self) -> bool:
         return self.g1.in_restricted_domain() and self.g2.in_restricted_domain()
-
-
-@dataclass(frozen=True)
-class FrequencySet:
-    """An ordered collection of pairwise-distinct frequency vectors."""
-
-    members: tuple[FrequencyVector, ...]
-
-    def __post_init__(self) -> None:
-        members = tuple(self.members)
-        object.__setattr__(self, "members", members)
-        seen = set()
-        for m in members:
-            key = m.as_pair()
-            if key in seen:
-                raise ValueError(f"duplicate frequency vector {key}")
-            seen.add(key)
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __iter__(self):
-        return iter(self.members)
 
 
 def _canonical_terms(
@@ -325,11 +301,12 @@ def sample(
         raise InputError(f"a {width}x{height} window does not fit in memory") from exc
 
 
-def symmetric_set(g: FrequencyVector) -> FrequencySet:
+def symmetric_set(g: FrequencyVector) -> tuple[FrequencyVector, ...]:
     """The symmetric frequency family {0, g, -g, mirror(g), -mirror(g)}.
 
     Coinciding members collapse (e.g. mirror(g) == g when the second
-    component vanishes), so the result has 5 or 3 members.
+    component vanishes) to the first of them, so the tuple has 5 or 3
+    members, in the order 0, g, -g, mirror(g), -mirror(g).
     """
     if g.is_zero:
         raise ValueError("generator must be nonzero")
@@ -338,4 +315,4 @@ def symmetric_set(g: FrequencyVector) -> FrequencySet:
             "generator components must be real >= 0 or imaginary in i(0, pi)"
         )
     candidates = [FrequencyVector(0.0, 0.0), g, -g, g.mirror(), -g.mirror()]
-    return FrequencySet(tuple(dict.fromkeys(candidates)))  # first of equal members
+    return tuple(dict.fromkeys(candidates))  # first of equal members

@@ -2,12 +2,13 @@
 
 Two actions are provided for each operator: an exact symbolic action on
 ``ExponentialSum`` (a chain acts term by term, multiplying each coefficient
-by every factor's multiplier in list order, so membership questions reduce to
-exact coefficient arithmetic) and a grid action on ``GridSamples`` for the
-difference operators.  Both take one difference weight, exp(gamma . h tv) at
-h = 1 on a sum and at the physical step h = 2^-k on a level-k grid, and raise
-``NumericalError`` when it or a coefficient overflows, or an output sample is
-not finite.
+by every factor's multiplier in list order, on mantissas scaled by powers of
+two so that the answer does not depend on that order; membership questions
+reduce to exact coefficient arithmetic) and a grid action on ``GridSamples``
+for the difference operators.  Both take one difference weight,
+exp(gamma . h tv) at h = 1 on a sum and at the physical step h = 2^-k on a
+level-k grid, and raise ``NumericalError`` when it or a coefficient
+overflows, or an output sample is not finite.
 """
 
 from __future__ import annotations
@@ -167,11 +168,13 @@ def _apply_factors(factors, values, spacing: float):
     array, and its (column, row) offset in ``values``.  A non-finite output
     sample raises ``NumericalError``."""
     out, c, r = values, 0, 0
-    for gamma, step in factors:
-        if not isinstance(step, IntegerStep):
-            raise TypeError("differential factors cannot act on grid samples")
-        shifted, base, (c1, r1) = _step_shift(out, step.dx, step.dy)
-        out, c, r = shifted - _weight(gamma, step, spacing) * base, c + c1, r + r1
+    # an overflowing sample is caught by the check below, not by numpy's warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for gamma, step in factors:
+            if not isinstance(step, IntegerStep):
+                raise TypeError("differential factors cannot act on grid samples")
+            shifted, base, (c1, r1) = _step_shift(out, step.dx, step.dy)
+            out, c, r = shifted - _weight(gamma, step, spacing) * base, c + c1, r + r1
     if not np.logical_and.reduce(np.isfinite(out), None):
         raise NumericalError("a chain's output sample is not finite")
     return out, (c, r)
@@ -188,16 +191,40 @@ def delta_apply_grid(
     return chain_apply(AnnihilatorChain(((gamma, step),)), s)
 
 
+def _split(z: complex) -> tuple[complex, int]:
+    """z as a mantissa times 2^k, k the ``math.frexp`` exponent of its larger part."""
+    k = math.frexp(max(abs(z.real), abs(z.imag)))[1]
+    return complex(math.ldexp(z.real, -k), math.ldexp(z.imag, -k)), k
+
+
+def _scaled_product(c: complex, ws) -> complex:
+    """c * w1 * w2 * ..., taken in list order on the mantissas of ``_split``,
+    with the powers of two applied once at the end.  Each mantissa's modulus
+    lies in [1/2, sqrt(2)), so no running value of a chain of fewer than a
+    thousand factors overflows or underflows: the product is free of the
+    factor order up to rounding, and keeps the bits of the plain product
+    wherever that one's running value stays normal.  A product past the
+    float range is inf."""
+    acc, e = _split(c)
+    for w in ws:
+        m, k = _split(w)
+        acc, e = acc * m, e + k
+    try:
+        return complex(math.ldexp(acc.real, e), math.ldexp(acc.imag, e))
+    except OverflowError:
+        return complex(math.inf)
+
+
 def _sum_output(chain: AnnihilatorChain, f: ExponentialSum) -> tuple[ExponentialSum, bool]:
     """The chain applied to f term by term, unchecked, and whether every
     coefficient is finite.  Each term takes every factor's multiplier, in list
     order; a finite coefficient with an exactly-zero multiplier is annihilated,
-    and any other keeps the product c * w1 * w2 * ..."""
+    and any other keeps the scaled product of c, w1, w2, ..."""
     terms = []
     for c, m in f.terms:
         ws = [_multiplier(gamma, s, m) for gamma, s in chain.factors]
         if not (0 in ws and cmath.isfinite(c)):
-            terms.append((math.prod(ws, start=c), m))
+            terms.append((_scaled_product(c, ws), m))
     out = ExponentialSum(tuple(terms))
     return out, all(cmath.isfinite(c) for c, _ in out.terms)
 

@@ -8,8 +8,8 @@ exponential pair), whose solution has the closed form w = -1/(8c(c + 1)),
 u = 1/2 - w per level (Dyn, Levin & Luzzatto, Found. Comput. Math. 3, 2003).
 A real or imaginary rate gives a real c_k and real weights, so real data is
 refined in real arithmetic, as ``expspace`` keeps real samples real.
-``refine`` applies the four-point formula to array slices, from the weights
-``synthesize_rule`` puts in an ``InsertionRule``.
+``refine`` applies the four-point formula to array slices, from the pair of
+weights ``synthesize_rule`` returns.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from __future__ import annotations
 import cmath
 import math
 import operator as _op
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,27 +25,12 @@ from .errors import NumericalError
 from .expspace import Frequency, _check_window, _series
 
 __all__ = [
-    "InsertionRule",
     "refine_parameter",
     "synthesize_rule",
     "refine",
     "refine_rounds",
     "auto_refine",
 ]
-
-
-@dataclass(frozen=True)
-class InsertionRule:
-    """Symmetric four-point insertion weights (outer, inner, inner, outer).  The
-    weight-sum check guards hand-built weights; the closed form meets it."""
-
-    outer: complex
-    inner: complex
-
-    def __post_init__(self) -> None:
-        # inner = 1/2 - outer rounds with an error of about |outer| * eps
-        if abs(2 * self.outer + 2 * self.inner - 1.0) > 1e-12 * max(1.0, abs(self.outer)):
-            raise ValueError("insertion weights must sum to 1")
 
 
 def refine_parameter(c: complex) -> complex:
@@ -58,21 +42,19 @@ def refine_parameter(c: complex) -> complex:
     return cmath.sqrt((c + 1.0) / 2.0)
 
 
-def synthesize_rule(c_half: complex) -> InsertionRule:
-    """Insertion weights exact on constants and on the exponential pair,
-    where ``c_half`` is the cosh of the rate at the half-step of insertion.
+def synthesize_rule(c_half: complex) -> tuple[complex, complex]:
+    """Insertion weights (outer, inner) exact on constants and on the
+    exponential pair, where ``c_half`` is the cosh of the rate at the
+    half-step of insertion; the rule weighs four samples (outer, inner,
+    inner, outer).
 
     Exactness demands 2w + 2u = 1 and 2w*cosh(3x) + 2u*cosh(x) = 1 with
     c = cosh(x).  The second condition minus c times the first shares a
     factor (c - 1) with its right-hand side; cancelling it leaves
     8c(c + 1) w = -1, so w = -1/(8c(c + 1)) and u = 1/2 - w, exact through
     the polynomial limit c = 1 and singular only at c in {0, -1}.  The
-    weights, which ``refine`` shares, are real when ``c_half`` is real.
+    weights, which ``refine`` reads, are floats when ``c_half`` is real.
     """
-    return InsertionRule(*_weights(c_half))
-
-
-def _weights(c_half: complex):
     c = complex(c_half)
     if abs(c) <= 1e-12 or abs(c + 1.0) <= 1e-12:
         raise NumericalError(f"insertion weights undefined at cosh value {c}")
@@ -88,12 +70,12 @@ def refine(values, c_half: complex) -> np.ndarray:
     Even outputs copy the inputs; odd outputs insert midpoints.  Boundary
     stencils are truncated rather than extrapolated, so n inputs yield
     2(n - 3) + 1 outputs and the result starts half a coarse step after the
-    first retained input.  Midpoints take ``synthesize_rule``'s weights, but
-    no rule is built; the output is real when the data and weights are real.
+    first retained input.  Midpoints take ``synthesize_rule``'s weights; the
+    output is real when the data and weights are real.
     """
     f = _series(values)
     n = f.size
-    outer, inner = _weights(c_half)
+    outer, inner = synthesize_rule(c_half)
     odd = outer * (f[0 : n - 3] + f[3:n]) + inner * (f[1 : n - 2] + f[2 : n - 1])
     out = np.empty(2 * (n - 3) + 1, dtype=odd.dtype)
     out[0::2] = f[1 : n - 1]

@@ -9,7 +9,7 @@ one-point chain evaluation whose lookups can be counted.
 import cmath
 import math
 
-from expann.expspace import ExponentialSum, FrequencySet
+from expann.expspace import ExponentialSum, FrequencyVector
 from expann.operators import AnnihilatorChain, Direction, IntegerStep
 
 
@@ -34,7 +34,7 @@ def _all_steps(bound: int) -> list[IntegerStep]:
 
 def exhaustive_annihilation_check(
     f: ExponentialSum,
-    gamma_set: FrequencySet,
+    gamma_set: tuple[FrequencyVector, ...],
     step_bound: int,
     rel_tol: float = 1e-12,
 ) -> bool:

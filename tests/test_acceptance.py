@@ -261,8 +261,7 @@ def test_criterion_8_subdivision_reproduction():
         exact = np.array([f(start + h * i) for i in range(n)])
         rel = np.max(np.abs(out - exact)) / np.max(np.abs(exact))
         worst_data = max(worst_data, rel)
-    rule = synthesize_rule(1.0)
-    classical = rule.outer == -1.0 / 16.0 and rule.inner == 9.0 / 16.0
+    classical = synthesize_rule(1.0) == (-1.0 / 16.0, 9.0 / 16.0)
     ok = worst_data <= 1e-10 and worst_rate <= 1e-9 and classical
     report(8, "subdivision reproduction", ok,
            f"data {worst_data:.2e}, rate {worst_rate:.2e}, classical weights {classical}")

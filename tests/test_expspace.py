@@ -11,7 +11,6 @@ from expann.errors import InputError, NumericalError
 from expann.expspace import (
     ExponentialSum,
     Frequency,
-    FrequencySet,
     FrequencyVector,
     GridSamples,
     sample,
@@ -74,19 +73,6 @@ class TestFrequencyVector:
     def test_dot(self):
         g = FrequencyVector(2.0, 0.5j)
         assert g.dot(1.0, 2.0) == 2.0 + 1.0j
-
-
-class TestFrequencySet:
-    def test_rejects_duplicates(self):
-        g = FrequencyVector(1.0, 0.0)
-        with pytest.raises(ValueError):
-            FrequencySet((g, g))
-
-    def test_membership(self):
-        g = FrequencyVector(1.0, 0.5)
-        s = FrequencySet((g, -g))
-        assert FrequencyVector(1.0, 0.5) in s
-        assert FrequencyVector(1.0, -0.5) not in s
 
 
 class TestExponentialSum:
@@ -429,6 +415,16 @@ class TestGridSamples:
 class TestSymmetricSet:
     def test_generic_has_five(self):
         assert len(symmetric_set(FrequencyVector(1.0, 0.5))) == 5
+
+    def test_is_a_tuple_in_family_order(self):
+        g = FrequencyVector(1.0, 0.5)
+        assert symmetric_set(g) == (FrequencyVector(0.0, 0.0), g, -g, g.mirror(), -g.mirror())
+        # mirror(h) equals h here; the tuple keeps the first of the two
+        h = FrequencyVector(0.7, 0.0)
+        s = symmetric_set(h)
+        assert type(s) is tuple
+        assert s == (FrequencyVector(0.0, 0.0), h, -h)
+        assert s[1] is h
 
     def test_second_component_zero_collapses(self):
         s = symmetric_set(FrequencyVector(0.7, 0.0))

@@ -2,6 +2,7 @@ import cmath
 import copy
 import math
 import pickle
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -12,7 +13,6 @@ from expann import jsonio
 from expann.errors import InputError, NumericalError
 from expann.expspace import (
     ExponentialSum,
-    FrequencySet,
     FrequencyVector,
     GridSamples,
     sample,
@@ -465,14 +465,16 @@ class TestArrayKernelMatchesFactorLoop:
                     fn(chain, s)
 
     def test_non_finite_output_raises(self):
-        # 1e308 - e^0.5 * (-1e308) overflows; numpy only warns, so the kernel
-        # checks its output
+        # 1e308 - e^0.5 * (-1e308) overflows; the kernel silences numpy's
+        # warning and checks its output, so the caller sees one error and
+        # no warning
         g, step = FrequencyVector(0.5, 0.0), IntegerStep(1, 0)
         s = GridSamples(0, (0, 0), 3, 1, [1e308, -1e308, 1e308])
         chain = AnnihilatorChain(((g, step),))
         calls = (lambda: delta_apply_grid(g, step, s), lambda: chain_apply(chain, s),
                  lambda: grid_residual(chain, s))
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             for call in calls:
                 with pytest.raises(NumericalError, match="^a chain's output sample is not finite$"):
                     call()
@@ -588,6 +590,58 @@ class TestFactorWeight:
         for call in (annihilates, chain_apply):
             with pytest.raises(NumericalError, match=_OVERFLOW):
                 call(chain, f)
+
+    def test_subnormal_multiplier_answer_is_order_free(self):
+        # a's multiplier is about -1.0e304 and b's about -1.1e-317, a
+        # subnormal: the plain product overflows in order a, b and passes
+        # through a subnormal in order b, a; the scaled product does neither
+        f = ExponentialSum(((1e5, FrequencyVector(-700.0, 0.0)),))
+        a = (FrequencyVector(700.0, 0.0), IntegerStep(1, 0))
+        b = (FrequencyVector(-700.0 + 1e-13, 0.0), IntegerStep(1, 0))
+        chains = (AnnihilatorChain((a, b)), AnnihilatorChain((b, a)))
+        assert [annihilates(chain, f) for chain in chains] == [True, True]
+        (c_ab, m_ab), = chain_apply(chains[0], f).terms
+        (c_ba, m_ba), = chain_apply(chains[1], f).terms
+        assert m_ab == m_ba == f.terms[0][1]
+        assert cmath.isfinite(c_ab) and cmath.isfinite(c_ba)
+        assert abs(c_ab - c_ba) <= 4 * math.ulp(max(abs(c_ab), abs(c_ba)))
+
+    def test_running_overflow_with_a_finite_product_is_kept(self):
+        # 1e300 times the step factor's multiplier e^230 - 1 passes the float
+        # range, and the direction factor's 1e-200 brings it back: the plain
+        # product overflowed in one order only
+        f = ExponentialSum(((1e300, FrequencyVector(230.0, 0.0)),))
+        step = (FrequencyVector(0.0, 0.0), IntegerStep(1, 0))
+        direction = (FrequencyVector(230.0, -1e-200), Direction(0.0, 1.0))
+        want = 1e300 * (1e-200 * (cmath.exp(230.0) - 1.0))
+        for factors in ((step, direction), (direction, step)):
+            chain = AnnihilatorChain(factors)
+            (c, _), = chain_apply(chain, f).terms
+            assert abs(c - want) <= 4 * math.ulp(abs(want))
+            assert annihilates(chain, f) is True
+
+    def test_in_range_products_keep_their_bits(self):
+        # scaling by powers of two is exact, so a product whose running value
+        # stays normal is the plain product c * w1 * w2 * ..., bit for bit
+        rng = SplitMix64(41)
+        compared = 0
+        for _ in range(200):
+            g = random_frequency_vector(rng)
+            f = ExponentialSum(tuple((rng.uniform(-3, 3), m) for m in symmetric_set(g)))
+            f = f + ExponentialSum(((rng.uniform(0.5, 2), random_frequency_vector(rng)),))
+            factors = tuple(
+                (random_frequency_vector(rng), IntegerStep(1 + rng.below(2), rng.below(3) - 1))
+                for _ in range(1 + rng.below(4))
+            )
+            got = _coeff_map(chain_apply(AnnihilatorChain(factors), f))
+            for c, m in f.terms:
+                ws = [cmath.exp(m.dot(s.dx, s.dy)) - cmath.exp(gam.dot(s.dx, s.dy)) for gam, s in factors]
+                if 0 not in ws:
+                    want = math.prod(ws, start=c)
+                    got_c = got[m.as_pair()]
+                    assert (_bits(got_c.real), _bits(got_c.imag)) == (_bits(want.real), _bits(want.imag))
+                    compared += 1
+        assert compared > 1000
 
     def test_infinite_coefficient_is_never_annihilated(self):
         # an exactly-zero multiplier annihilates only a finite coefficient:
@@ -769,7 +823,7 @@ def _random_distinct_set(rng, n):
                 if math.hypot(abs(d1), abs(d2)) < 0.1:
                     ok = False
         if ok:
-            return FrequencySet(tuple(members))
+            return tuple(members)
 
 
 class TestDiscreteCharacterization:

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from expann.expspace import ExponentialSum, FrequencySet, FrequencyVector, sample, symmetric_set
+from expann.expspace import ExponentialSum, FrequencyVector, sample, symmetric_set
 from expann.operators import (
     AnnihilatorChain,
     Direction,
@@ -120,7 +120,7 @@ class TestExhaustiveCheck:
     def test_agrees_with_literal_scan(self):
         # small enough to scan every tuple through the chain machinery
         g = FrequencyVector(0.6, 0.0)
-        gam = FrequencySet((g, -g))
+        gam = (g, -g)
         steps = [
             IntegerStep(dx, dy)
             for dx in (-1, 0, 1)
