@@ -39,6 +39,8 @@ EXIT_INPUT = 2
 EXIT_INCONSISTENT = 3
 EXIT_NUMERICAL = 4
 
+_OUTPUT_BLOCK = 1 << 16  # characters of output text encoded at a time
+
 
 def _read(path: str) -> str:
     try:
@@ -47,6 +49,14 @@ def _read(path: str) -> str:
         raise InputError(f"cannot read {path}: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:
         raise InputError(f"cannot read {path}: invalid UTF-8 at byte {exc.start}") from exc
+
+
+def _print_blocks(text: str) -> None:
+    """``print(text)`` a block at a time: print encodes the whole text at
+    once, a second full copy of it."""
+    for start in range(0, len(text), _OUTPUT_BLOCK):
+        sys.stdout.write(text[start:start + _OUTPUT_BLOCK])
+    sys.stdout.write("\n")
 
 
 def _parse_rate(token: str) -> Frequency:
@@ -66,7 +76,7 @@ def cmd_sample(args) -> int:
         grid = sample(f, args.level, tuple(args.origin), args.width, args.height)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    print(jsonio.dump_grid(grid))
+    _print_blocks(jsonio.dump_grid(grid))
     return EXIT_OK
 
 
@@ -117,8 +127,10 @@ def cmd_annihilate(args) -> int:
         raise InputError(f"--extra-step: {exc}") from exc
     chain = reduced_chain_for_symmetric_set(g, axis, extra)
     out_grid = chain_apply(chain, grid)
+    sup = grid.max_abs()
+    del grid  # the input is not needed once its sup is read
     doc = {
-        "residual": _residual(out_grid.values, grid.max_abs()),
+        "residual": _residual(out_grid.values, sup),
         "axis": args.axis,
         "gamma": [g.g1.value, g.g2.value],
         "extra_step": [extra.dx, extra.dy],
@@ -154,7 +166,7 @@ def cmd_refine(args) -> int:
     text = jsonio.dump_series(data, level + args.rounds, origin)
     if args.auto:
         print(f"detected frequency: {jsonio.dumps(g.value)}", file=sys.stderr)
-    print(text)
+    _print_blocks(text)
     return EXIT_OK
 
 

@@ -34,6 +34,7 @@ from __future__ import annotations
 import enum
 import math
 import operator as _op
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -55,6 +56,13 @@ __all__ = [
 
 DEFAULT_TOL_IM = 1e-9
 DEFAULT_TOL_RES = 1e-8
+# Detection's arrays hold differences of at most 2 sup, six-point sums and
+# doubled denominators of at most 4 sup, and residual terms of at most
+# 4 (|c| + 1) sup, so none overflows while sup, or (|c| + 1) sup before a
+# residual, is at most this bound; only past it does ``_axis`` enter
+# ``np.errstate``, so that an overflow leaves inf or NaN to the tests that
+# refuse it instead of a numpy warning.
+_SUP_BOUND = sys.float_info.max / 8
 
 
 class StencilDirectionSet:
@@ -206,7 +214,9 @@ class _Decision(NamedTuple):
     error: NumericalError | None = None
 
 
-def _axis(diffs: _Differences, alpha, e, steps, mode: str, scale: float) -> _Decision:
+def _axis(
+    diffs: _Differences, alpha, e, steps, mode: str, scale: float, guarded: bool = False
+) -> _Decision:
     """Axis e's decision at alpha, at physical step ``scale``: its cosh
     estimate, the rate ``cosh_to_frequency`` gives it (or its refusal), and
     its annihilator residual: num - 2c den = D(b + 2e) - 2c D(b + e) + D(b) of
@@ -214,7 +224,11 @@ def _axis(diffs: _Differences, alpha, e, steps, mode: str, scale: float) -> _Dec
     or the plain difference along e for an axis taken as zero.  Single mode
     takes the quotient at alpha from the first step whose denominator there
     is non-zero and along which the window is not flat.  A refused estimate
-    has no residual taken."""
+    has no residual taken.  A sup past ``_SUP_BOUND``, or NaN, makes the whole
+    decision under ``np.errstate`` (``guarded``)."""
+    if not (guarded or diffs.sup <= _SUP_BOUND):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _axis(diffs, alpha, e, steps, mode, scale, True)
     est = None
     if mode == "single":
         i, j = alpha[0] - diffs.origin[0], alpha[1] - diffs.origin[1]
@@ -236,7 +250,13 @@ def _axis(diffs: _Differences, alpha, e, steps, mode: str, scale: float) -> _Dec
         rate = cosh_to_frequency(est.value, scale)
     except NumericalError as exc:
         return _Decision(est, None, math.nan, exc)
-    return _Decision(est, rate, _residual(kernel[0] - 2.0 * est.value.real * kernel[1], diffs.sup))
+    c2 = 2.0 * est.value.real  # an inf here fails the bound below
+    if (0.5 * abs(c2) + 1.0) * diffs.sup <= _SUP_BOUND:
+        out = kernel[0] - c2 * kernel[1]
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = kernel[0] - c2 * kernel[1]
+    return _Decision(est, rate, _residual(out, diffs.sup))
 
 
 def cosh_to_frequency(c: complex, scale: float) -> Frequency:

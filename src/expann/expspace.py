@@ -262,16 +262,20 @@ def _exp_sum(terms, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     the exact sum.  A non-finite value raises ``NumericalError``.
     """
     acc = np.zeros((y.size, x.size), dtype=np.complex128)
+    e = np.empty_like(acc)  # every term's exponent, exponential and product
     with np.errstate(all="ignore"):
         for c, f in terms:
             g1, g2 = f.as_pair()
-            arg = np.add.outer(g2 * y, g1 * x)
-            e = np.exp(arg)
+            np.add.outer(g2 * y, g1 * x, out=e)
+            band = None
             # a NaN exponent fails the test, but it makes the sum non-finite anyway
-            if arg.real.max() > _RESCALED[0]:
-                band = (arg.real > _RESCALED[0]) & (arg.real < _RESCALED[1])
-                e[band] = [_cmath_exp(z) for z in arg[band].tolist()]
-            acc += c * e
+            if e.real.max() > _RESCALED[0]:
+                band = (e.real > _RESCALED[0]) & (e.real < _RESCALED[1])
+                rescaled = [_cmath_exp(z) for z in e[band].tolist()]
+            np.exp(e, out=e)
+            if band is not None:
+                e[band] = rescaled
+            acc += np.multiply(c, e, out=e)
     if not np.isfinite(acc).all():
         raise NumericalError("a sample overflows the floating-point range")
     return acc

@@ -7,7 +7,9 @@ Series files: {"level": k, "origin": i, "values": [...]}
 
 A value is a plain number or an [re, im] pair.  Grid and series values load
 as float64 when every value in the file is a plain number, and as complex128
-otherwise; a sum's values load as complex.  Every byte expann writes comes
+otherwise; a sum's values load as complex.  The parsed JSON list of a
+grid's values is released before ``GridSamples`` copies their array, so the
+list and the copy are never held at once.  Every byte expann writes comes
 from one piece builder, ``_pieces``: ``dumps`` joins its pieces into one
 string, and ``write`` writes them to a stream or file unjoined, so a large
 grid's text is never copied whole.  Floats carry 17 significant digits, so
@@ -181,15 +183,21 @@ def _bulk_values(raw: list) -> np.ndarray | None:
     """raw as a flat float64 array, or complex128 if it holds an [re, im] pair,
     each kind of value (plain number, pair) converted by one numpy call; None
     unless every value is one that ``_parse_value`` accepts and every part
-    lies strictly inside the float range."""
-    is_pair = list(map(operator.is_, map(type, raw), repeat(list)))
-    pairs = list(compress(raw, is_pair))
-    plain = list(compress(raw, map(operator.not_, is_pair))) if pairs else raw
-    if not set(map(len, pairs)) <= {2}:
+    lies strictly inside the float range.  One pass reads the values' types,
+    and a per-value pair mask is built only when a pair is present."""
+    types = set(map(type, raw))
+    if not types - {list} <= _NUMBER_TYPES:
         return None
-    parts = list(chain.from_iterable(pairs))
-    if not set(map(type, chain(plain, parts))) <= _NUMBER_TYPES:
-        return None
+    plain, parts = raw, []
+    if list in types:
+        is_pair = list(map(operator.is_, map(type, raw), repeat(list)))
+        pairs = list(compress(raw, is_pair))
+        plain = list(compress(raw, map(operator.not_, is_pair)))
+        if not set(map(len, pairs)) <= {2}:
+            return None
+        parts = list(chain.from_iterable(pairs))
+        if not set(map(type, parts)) <= _NUMBER_TYPES:
+            return None
     try:
         numbers = np.array(plain, dtype=np.float64)
         pair_parts = np.array(parts, dtype=np.float64)
@@ -197,15 +205,22 @@ def _bulk_values(raw: list) -> np.ndarray | None:
         return None
     # NaN fails the comparison; a part at exactly the bound is left to the
     # per-value scan, which tells the largest float from an integer above it
-    if not ((np.abs(numbers) < _FLOAT_MAX).all() and (np.abs(pair_parts) < _FLOAT_MAX).all()):
+    if not (_inside_float_range(numbers) and _inside_float_range(pair_parts)):
         return None
-    if not pairs:
+    if list not in types:
         return numbers
     values = np.empty(len(raw), dtype=np.complex128)
     mask = np.array(is_pair, dtype=bool)
     values[~mask] = numbers
     values[mask] = pair_parts.view(np.complex128)
     return values
+
+
+def _inside_float_range(x: np.ndarray) -> bool:
+    """Whether every entry lies strictly inside (-DBL_MAX, DBL_MAX), read from
+    the extremes rather than from an ``np.abs`` copy; NaN fails."""
+    return -_FLOAT_MAX < np.minimum.reduce(x, None, initial=0.0) and (
+        np.maximum.reduce(x, None, initial=0.0) < _FLOAT_MAX)
 
 
 def _parse_values(raw: list, what: str) -> np.ndarray:
@@ -262,6 +277,7 @@ def load_grid(text: str) -> GridSamples:
     if not isinstance(raw, list):
         raise InputError("grid file: field 'values' must be an array")
     values = _parse_values(raw, "grid file")
+    del doc, raw  # the parsed values go before GridSamples copies the array
     try:
         return GridSamples(level, (origin[0], origin[1]), width, height, values)
     except ValueError as exc:

@@ -174,7 +174,9 @@ def _apply_factors(factors, values, spacing: float):
             if not isinstance(step, IntegerStep):
                 raise TypeError("differential factors cannot act on grid samples")
             shifted, base, (c1, r1) = _step_shift(out, step.dx, step.dy)
-            out, c, r = shifted - _weight(gamma, step, spacing) * base, c + c1, r + r1
+            # shifted - w * base, subtracted into the product's own buffer
+            t = _weight(gamma, step, spacing) * base
+            out, c, r = np.subtract(shifted, t, out=t), c + c1, r + r1
     if not np.logical_and.reduce(np.isfinite(out), None):
         raise NumericalError("a chain's output sample is not finite")
     return out, (c, r)

@@ -12,8 +12,16 @@ import pytest
 
 from expann import cli, expspace
 from expann.cli import build_parser, main
-from expann.expspace import ExponentialSum, FrequencyVector, GridSamples, sample, symmetric_set
-from expann.jsonio import dump_grid, dump_series, dump_sum, load_grid, load_sum
+from expann.expspace import (
+    ExponentialSum,
+    Frequency,
+    FrequencyVector,
+    GridSamples,
+    sample,
+    symmetric_set,
+)
+from expann.jsonio import dump_grid, dump_series, dump_sum, load_grid, load_series, load_sum
+from expann.subdivision import refine_rounds
 
 
 def run(capsys, *argv):
@@ -627,6 +635,30 @@ def run_process(*argv, preexec_fn=None):
     return subprocess.run([sys.executable, "-m", "expann.cli", *argv], env=env,
                           capture_output=True, text=True, preexec_fn=preexec_fn,
                           timeout=60)
+
+
+@pytest.mark.parametrize("command", ["sample", "refine"])
+def test_blockwise_output_keeps_every_byte(tmp_path, command):
+    # each text spans several of the blocks that stdout is written in
+    if command == "sample":
+        path, f = symmetric_sum_file(tmp_path, FrequencyVector(0.8, 0.3j))
+        argv = ("sample", path, "--level", "2", "--origin", "-3", "-3",
+                "--width", "128", "--height", "64")
+        want = dump_grid(sample(f, 2, (-3, -3), 128, 64))
+    else:
+        text = dump_series([1 + 2 * math.cos(0.8 * z) for z in range(40)], 0, 0)
+        path = write(tmp_path, "series.json", text)
+        argv = ("refine", path, "--rounds", "8", "--gamma", "0.8i")
+        values, level, origin = load_series(text)
+        refined = refine_rounds(values, Frequency(0.8j), level, 8)
+        want = dump_series(refined, level + 8, (origin + 2) * 2**8 - 2)
+    assert len(want) > 2 * cli._OUTPUT_BLOCK
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
+    done = subprocess.run([sys.executable, "-m", "expann.cli", *argv], env=env,
+                          capture_output=True, timeout=60)
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert done.stdout == (want + "\n").encode("utf-8")
 
 
 def test_numpy_warnings_stay_off_stderr(tmp_path):

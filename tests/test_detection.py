@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -620,6 +621,24 @@ class TestDetectUnivariate:
             detect_univariate([-1e308, 1e308, 1.5e308, 1.5e308], 0, 1)
         assert type(info.value.__cause__) is ValueError
         assert str(info.value.__cause__) == "frequency must be finite, got (inf+0j)"
+
+    def test_overflowing_differences_refuse_without_a_warning(self):
+        # sup 1.5e308 passes DBL_MAX/8, so the differences, one of which
+        # overflows, run under np.errstate: the refusal, not numpy's warning
+        want = r"^cosh estimate inf: frequency must be finite, got \(inf\+0j\)$"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match=want):
+                detect_univariate([-1e308, 1e308, 1.5e308, 1.5e308], 0, 1)
+
+    def test_overflowing_residual_on_a_small_sup_refuses_without_a_warning(self):
+        # sup 4 clears the bound, but the estimate c ~ 7.5e307 makes (|c| + 1) sup
+        # pass it, so the residual runs under np.errstate and reads inf
+        want = r"^rate \(709\.6016737502741\+0j\) leaves annihilator residual inf above 1\.000e-08$"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match=want):
+                detect_univariate([-1.0, 1e-308, 3e-308, 2.0, 4.0], 0, 1)
 
     def test_estimate_not_above_minus_one_is_refused(self):
         with pytest.raises(NumericalError, match=r"^cosh estimate -1\.0 is not above -1$") as info:
