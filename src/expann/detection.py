@@ -153,8 +153,10 @@ def _flat(diffs: _Differences, step: IntegerStep, probe=None) -> bool:
     difference of D the call holds (D's first by default), says "not flat"
     alone when the larger of its |re| and |im| over sup exceeds DEFAULT_TOL_RES:
     that is at most max|D| as numpy rounds it, and division by sup keeps order."""
-    d = diffs[step]
-    p = complex((d.item(0) if d.size else 0.0) if probe is None else probe)
+    if probe is None:
+        d = diffs[step]
+        probe = d.item(0) if d.size else 0.0
+    p = complex(probe)
     if diffs.sup and max(abs(p.real), abs(p.imag)) / diffs.sup > DEFAULT_TOL_RES:
         return False
     return diffs.residual(step) <= DEFAULT_TOL_RES
@@ -269,8 +271,11 @@ def cosh_to_frequency(c: complex, scale: float) -> Frequency:
     nonnegative real rates, values in (-1, 1) to imaginary rates, and
     ``Frequency`` alone judges the rate: one that overflows, or an imaginary
     one on or beyond i*pi, raises ``NumericalError`` with its message after
-    the estimate's.
+    the estimate's.  A scale that is not positive and finite, NaN included,
+    raises ``InputError``.
     """
+    if not 0.0 < scale < math.inf:
+        raise InputError(f"scale must be positive and finite, got {scale}")
     c = complex(c)
     if abs(c.imag) > DEFAULT_TOL_IM * (1.0 + abs(c)):
         raise NumericalError(f"cosh estimate {c} has a non-real part")

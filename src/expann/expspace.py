@@ -12,7 +12,7 @@ from __future__ import annotations
 import cmath
 import math
 import operator as _op
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,16 +42,15 @@ def _check_window(level: int, width: int, height: int) -> tuple[int, int, int]:
     return level, width, height
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Frequency:
     """A single admissible exponent rate: real, or imaginary in i(-pi, pi)."""
 
     value: complex
 
-    def __post_init__(self) -> None:
+    def __init__(self, value: complex) -> None:
         # + 0j turns a -0.0 part into +0.0: equal frequencies have one representation
-        v = complex(self.value) + 0j
-        object.__setattr__(self, "value", v)
+        v = complex(value) + 0j
         if not cmath.isfinite(v):
             raise ValueError(f"frequency must be finite, got {v}")
         if v.imag != 0.0:
@@ -59,6 +58,7 @@ class Frequency:
                 raise ValueError(f"frequency must be real or purely imaginary, got {v}")
             if not -math.pi < v.imag < math.pi:
                 raise ValueError(f"imaginary frequency must lie in i(-pi, pi), got {v}")
+        object.__setattr__(self, "value", v)
 
     def in_restricted_domain(self) -> bool:
         """True for the non-redundant half: real >= 0, or imaginary in i(0, pi)."""
@@ -74,7 +74,7 @@ class Frequency:
         return Frequency(self.value.conjugate())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class FrequencyVector:
     """A pair of admissible exponent rates, one per grid axis; each may be
     given as a ``Frequency`` or as a number."""
@@ -82,10 +82,9 @@ class FrequencyVector:
     g1: Frequency
     g2: Frequency
 
-    def __post_init__(self) -> None:
-        g1, g2 = self.g1, self.g2
-        object.__setattr__(self, "g1", g1 if isinstance(g1, Frequency) else Frequency(complex(g1)))
-        object.__setattr__(self, "g2", g2 if isinstance(g2, Frequency) else Frequency(complex(g2)))
+    def __init__(self, g1: Frequency | complex, g2: Frequency | complex) -> None:
+        object.__setattr__(self, "g1", g1 if isinstance(g1, Frequency) else Frequency(g1))
+        object.__setattr__(self, "g2", g2 if isinstance(g2, Frequency) else Frequency(g2))
 
     def as_pair(self) -> tuple[complex, complex]:
         return (self.g1.value, self.g2.value)
@@ -129,7 +128,7 @@ def _canonical_terms(
     return tuple(out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ExponentialSum:
     """A finite sum  sum_l c_l * exp(g_l . z)  in canonical form.
 
@@ -140,10 +139,10 @@ class ExponentialSum:
     equal.
     """
 
-    terms: tuple[tuple[complex, FrequencyVector], ...] = field(default=())
+    terms: tuple[tuple[complex, FrequencyVector], ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "terms", _canonical_terms(self.terms))
+    def __init__(self, terms=()) -> None:
+        object.__setattr__(self, "terms", _canonical_terms(terms))
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -170,11 +169,17 @@ class ExponentialSum:
     __rmul__ = __mul__
 
 
+_SAMPLE_DTYPES = (np.dtype(np.float64), np.dtype(np.complex128))
+
+
 def _sample_array(values) -> np.ndarray:
     """values as an array of float64 when they are real (float, int or bool),
-    of complex128 otherwise, so real data is computed on in real arithmetic."""
+    of complex128 otherwise, so real data is computed on in real arithmetic.
+    An array already of either type is returned as it is."""
     arr = np.asarray(values)
-    return arr.astype(np.float64 if arr.dtype.kind in "biuf" else np.complex128, copy=False)
+    if arr.dtype in _SAMPLE_DTYPES:
+        return arr
+    return arr.astype(np.float64 if arr.dtype.kind in "biuf" else np.complex128)
 
 
 def _series(values) -> np.ndarray:
@@ -188,7 +193,7 @@ def _series(values) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class GridSamples:
     """Samples of a function on the dyadic grid 2^-level * Z^2, stored as a
     read-only float64 array for real input (float, int or bool) and as
@@ -205,14 +210,16 @@ class GridSamples:
     height: int
     values: np.ndarray
 
-    def __post_init__(self) -> None:
-        level, width, height = _check_window(self.level, self.width, self.height)
-        arr = _sample_array(self.values)
+    def __init__(
+        self, level: int, origin: tuple[int, int], width: int, height: int, values
+    ) -> None:
+        level, width, height = _check_window(level, width, height)
+        arr = _sample_array(values)
         if arr.size != width * height:
             raise ValueError(f"expected {width * height} values, got {arr.size}")
         arr = arr.reshape(height, width).copy()
         arr.flags.writeable = False
-        o1, o2 = map(_op.index, self.origin)
+        o1, o2 = map(_op.index, origin)
         fields = {"level": level, "origin": (o1, o2), "width": width, "height": height, "values": arr}
         for name, v in fields.items():
             object.__setattr__(self, name, v)

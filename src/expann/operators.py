@@ -39,22 +39,22 @@ __all__ = [
 ZERO_COEFF_REL_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Direction:
     """A unit direction in the plane."""
 
     x: float
     y: float
 
-    def __post_init__(self) -> None:
-        m = math.hypot(self.x, self.y)
+    def __init__(self, x: float, y: float) -> None:
+        m = math.hypot(x, y)
         if m == 0.0:
             raise ValueError("direction must be nonzero")
-        object.__setattr__(self, "x", self.x / m)
-        object.__setattr__(self, "y", self.y / m)
+        object.__setattr__(self, "x", x / m)
+        object.__setattr__(self, "y", y / m)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class IntegerStep:
     """A nonzero integer step vector tv.  Its hash, the dataclass's hash of
     (dx, dy), is taken once: steps key the per-call difference tables."""
@@ -62,12 +62,13 @@ class IntegerStep:
     dx: int
     dy: int
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "dx", _op.index(self.dx))
-        object.__setattr__(self, "dy", _op.index(self.dy))
-        if self.dx == 0 and self.dy == 0:
+    def __init__(self, dx: int, dy: int) -> None:
+        dx, dy = _op.index(dx), _op.index(dy)
+        if dx == 0 and dy == 0:
             raise ValueError("step must be nonzero")
-        object.__setattr__(self, "_hash", hash((self.dx, self.dy)))
+        object.__setattr__(self, "dx", dx)
+        object.__setattr__(self, "dy", dy)
+        object.__setattr__(self, "_hash", hash((dx, dy)))
 
     def __hash__(self) -> int:
         return self._hash
@@ -76,7 +77,7 @@ class IntegerStep:
 Factor = tuple[FrequencyVector, "IntegerStep | Direction"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class AnnihilatorChain:
     """An ordered product of difference or differential factors.
 
@@ -88,8 +89,8 @@ class AnnihilatorChain:
 
     factors: tuple[Factor, ...]
 
-    def __post_init__(self) -> None:
-        factors = tuple((g, s) for g, s in self.factors)
+    def __init__(self, factors: tuple[Factor, ...]) -> None:
+        factors = tuple((g, s) for g, s in factors)
         if not factors:
             raise ValueError("chain must have at least one factor")
         for g, s in factors:

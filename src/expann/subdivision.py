@@ -35,9 +35,10 @@ __all__ = [
 
 def refine_parameter(c: complex) -> complex:
     """Advance the rule driver one level: c_{k+1} = sqrt((c_k + 1)/2),
-    principal root (positive for every admissible rate)."""
+    principal root (positive for every admissible rate).  A real part not
+    above -1, NaN included, raises ``NumericalError``."""
     c = complex(c)
-    if c.real <= -1.0:
+    if not c.real > -1.0:
         raise NumericalError(f"cosh value {c} is not above -1")
     return cmath.sqrt((c + 1.0) / 2.0)
 
@@ -53,10 +54,11 @@ def synthesize_rule(c_half: complex) -> tuple[complex, complex]:
     factor (c - 1) with its right-hand side; cancelling it leaves
     8c(c + 1) w = -1, so w = -1/(8c(c + 1)) and u = 1/2 - w, exact through
     the polynomial limit c = 1 and singular only at c in {0, -1}.  The
-    weights, which ``refine`` reads, are floats when ``c_half`` is real.
+    weights, which ``refine`` reads, are floats when ``c_half`` is real.  A
+    c near 0 or -1, or not finite, raises ``NumericalError``.
     """
     c = complex(c_half)
-    if abs(c) <= 1e-12 or abs(c + 1.0) <= 1e-12:
+    if not 1e-12 < abs(c) < math.inf or abs(c + 1.0) <= 1e-12:
         raise NumericalError(f"insertion weights undefined at cosh value {c}")
     c = c.real if c.imag == 0.0 else c
     w = -1.0 / (8.0 * c * (c + 1.0))

@@ -234,6 +234,14 @@ class TestCoshToFrequency:
                            r"must lie in i\(-pi, pi\), got 5.3811316835870615j$"):
             cosh_to_frequency(-0.9, 0.5)
 
+    @pytest.mark.parametrize("scale", [0.0, -0.0, -1.0, math.inf, math.nan])
+    @pytest.mark.parametrize("c", [1.5, 0.5])
+    def test_rejects_scale_not_positive_and_finite(self, c, scale):
+        # zero divided, a negative scale flipped the rate's sign, and an
+        # infinite one returned zero for every estimate
+        with pytest.raises(InputError, match="^scale must be positive and finite, got "):
+            cosh_to_frequency(c, scale)
+
     @pytest.mark.parametrize(
         "c, scale, rate",
         [(math.inf, 1.0, math.inf), (-0.9, 0.5, complex(0.0, math.acos(-0.9) / 0.5))],

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import importlib
 import json
 import pkgutil
@@ -153,3 +154,17 @@ def test_one_constructor_per_public_type():
                     if isinstance(v, (classmethod, staticmethod))
                 }
     assert found == set()
+
+
+def test_no_dataclass_stores_a_field_twice():
+    # a generated __init__ stores every field, so a __post_init__ that
+    # normalizes one would store it again: a dataclass that normalizes or
+    # validates has its own __init__ and no __post_init__
+    found = []
+    for name in MODULES:
+        for value in vars(importlib.import_module(name)).values():
+            if (isinstance(value, type) and value.__module__ == name
+                    and dataclasses.is_dataclass(value)):
+                found.append(value.__qualname__)
+                assert "__post_init__" not in vars(value), value.__qualname__
+    assert {"Frequency", "GridSamples", "IntegerStep", "CoshEstimate"} <= set(found)

@@ -1,5 +1,9 @@
 import cmath
+import copy
+import dataclasses
+import inspect
 import math
+import pickle
 from collections import Counter
 
 import numpy as np
@@ -16,6 +20,7 @@ from expann.expspace import (
     sample,
     symmetric_set,
 )
+from expann.operators import AnnihilatorChain, Direction, IntegerStep
 
 real_rates = st.floats(-3, 3, allow_nan=False, allow_infinity=False)
 imag_rates = st.floats(-3.1, 3.1, allow_nan=False, allow_infinity=False).filter(
@@ -104,6 +109,177 @@ class TestExponentialSum:
         g1 = FrequencyVector(1.0, 0.0)
         g2 = FrequencyVector(0.0, 0.5j)
         assert ExponentialSum(((1, g1), (2, g2))) == ExponentialSum(((2, g2), (1, g1)))
+
+
+# Each value type that normalizes or validates its fields, built from fixed
+# arguments, with its pinned repr: the normalized values, and so the hash and
+# repr, do not depend on how a constructor stores its fields.
+_BUILT = {
+    "real": (lambda: Frequency(1.2), "Frequency(value=(1.2+0j))"),
+    "imaginary": (lambda: Frequency(0.5j), "Frequency(value=0.5j)"),
+    "negative-zero": (lambda: Frequency(-0.0), "Frequency(value=0j)"),
+    "negative-zero-imag": (lambda: Frequency(complex(0.5, -0.0)), "Frequency(value=(0.5+0j))"),
+    "vector": (
+        lambda: FrequencyVector(0.8, 0.3j),
+        "FrequencyVector(g1=Frequency(value=(0.8+0j)), g2=Frequency(value=0.3j))",
+    ),
+    "vector-mixed": (
+        lambda: FrequencyVector(Frequency(-0.4), 2),
+        "FrequencyVector(g1=Frequency(value=(-0.4+0j)), g2=Frequency(value=(2+0j)))",
+    ),
+    "step": (lambda: IntegerStep(1, -2), "IntegerStep(dx=1, dy=-2)"),
+    "step-bool": (lambda: IntegerStep(True, 0), "IntegerStep(dx=1, dy=0)"),
+    "direction": (lambda: Direction(3.0, 4.0), "Direction(x=0.6, y=0.8)"),
+    "direction-int": (lambda: Direction(-1, 0), "Direction(x=-1.0, y=0.0)"),
+    "chain": (
+        lambda: AnnihilatorChain([(FrequencyVector(0.8, 0.3j), IntegerStep(1, 0))]),
+        "AnnihilatorChain(factors=((FrequencyVector(g1=Frequency(value=(0.8+0j)), "
+        "g2=Frequency(value=0.3j)), IntegerStep(dx=1, dy=0)),))",
+    ),
+    "sum": (
+        lambda: ExponentialSum(
+            ((2, FrequencyVector(0.8, 0)), (1j, FrequencyVector(0, 0)), (-2, FrequencyVector(0.8, 0)))
+        ),
+        "ExponentialSum(terms=((1j, FrequencyVector(g1=Frequency(value=0j), "
+        "g2=Frequency(value=0j))),))",
+    ),
+    "empty-sum": (lambda: ExponentialSum(), "ExponentialSum(terms=())"),
+    "grid": (
+        lambda: GridSamples(1, (-1, 2), 2, 1, [3, 4]),
+        "GridSamples(level=1, origin=(-1, 2), width=2, height=1, values=array([[3., 4.]]))",
+    ),
+}
+
+# expann's own constructor errors, message for message
+_REFUSED = {
+    "nan": (lambda: Frequency(math.nan), ValueError, "frequency must be finite, got (nan+0j)"),
+    "oblique": (
+        lambda: Frequency(complex(0.1, 0.2)), ValueError,
+        "frequency must be real or purely imaginary, got (0.1+0.2j)",
+    ),
+    "beyond-pi": (
+        lambda: Frequency(4j), ValueError, "imaginary frequency must lie in i(-pi, pi), got 4j"
+    ),
+    "vector-beyond-pi": (
+        lambda: FrequencyVector(1, 4j), ValueError,
+        "imaginary frequency must lie in i(-pi, pi), got 4j",
+    ),
+    "zero-step": (lambda: IntegerStep(0, 0), ValueError, "step must be nonzero"),
+    "zero-direction": (lambda: Direction(0, 0.0), ValueError, "direction must be nonzero"),
+    "empty-chain": (lambda: AnnihilatorChain(()), ValueError, "chain must have at least one factor"),
+    "chain-rate": (
+        lambda: AnnihilatorChain([(0.8, IntegerStep(1, 0))]), TypeError,
+        "chain factor frequency must be a FrequencyVector",
+    ),
+    "chain-step": (
+        lambda: AnnihilatorChain([(FrequencyVector(0, 0), (1, 0))]), TypeError,
+        "chain factor step must be IntegerStep or Direction",
+    ),
+    "sum-term": (
+        lambda: ExponentialSum(((1.0, 0.8),)), TypeError, "a term's frequency must be a FrequencyVector"
+    ),
+    "grid-size": (
+        lambda: GridSamples(0, (0, 0), 2, 2, [1.0, 2.0, 3.0]), ValueError, "expected 4 values, got 3"
+    ),
+    "grid-level": (
+        lambda: GridSamples(-1, (0, 0), 1, 1, [1.0]), ValueError, "level must lie in 0..1074, got -1"
+    ),
+    "grid-window": (
+        lambda: GridSamples(0, (0, 0), 0, 1, []), ValueError, "window must be at least 1x1"
+    ),
+}
+
+
+def _field_values(obj) -> tuple:
+    return tuple(getattr(obj, f.name) for f in dataclasses.fields(obj))
+
+
+class TestOneStorePerField:
+    @pytest.mark.parametrize("name", sorted(_BUILT))
+    def test_value_hash_and_repr_kept(self, name):
+        build, text = _BUILT[name]
+        obj = build()
+        assert repr(obj) == text
+        params = list(inspect.signature(type(obj)).parameters)
+        assert params == [f.name for f in dataclasses.fields(obj)]
+        if isinstance(obj, GridSamples):  # compared and hashed by identity
+            assert obj == obj and obj != build() and hash(obj) == object.__hash__(obj)
+            return
+        assert obj == build() and hash(obj) == hash(build())
+        assert hash(obj) == hash(_field_values(obj))
+
+    @pytest.mark.parametrize("name", sorted(_BUILT))
+    def test_replace_round_trips(self, name):
+        obj = _BUILT[name][0]()
+        twin = dataclasses.replace(obj)
+        assert repr(twin) == repr(obj)
+        assert type(twin) is type(obj)
+        if not isinstance(obj, GridSamples):
+            assert twin == obj
+
+    @pytest.mark.parametrize("name", sorted(_BUILT))
+    def test_copy_and_pickle_round_trip(self, name):
+        obj = _BUILT[name][0]()
+        for twin in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
+            assert type(twin) is type(obj) and repr(twin) == repr(obj)
+            if not isinstance(obj, GridSamples):
+                assert twin == obj and hash(twin) == hash(obj)
+
+    def test_replace_normalizes_and_validates(self):
+        assert dataclasses.replace(Frequency(1.2), value=complex(-0.0, 0.5)).value.real.hex() == "0x0.0p+0"
+        assert dataclasses.replace(IntegerStep(1, 2), dy=0) == IntegerStep(1, 0)
+        with pytest.raises(ValueError, match="^step must be nonzero$"):
+            dataclasses.replace(IntegerStep(1, 0), dx=0)
+        grid = dataclasses.replace(_BUILT["grid"][0](), level=3, values=[5, 6])
+        assert grid.level == 3 and grid.values.tolist() == [[5.0, 6.0]]
+        assert not grid.values.flags.writeable
+
+    @pytest.mark.parametrize("name", sorted(_REFUSED))
+    def test_error_messages_kept(self, name):
+        build, kind, message = _REFUSED[name]
+        with pytest.raises(kind) as exc:
+            build()
+        assert type(exc.value) is kind and str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "value", [-0.0, complex(-0.0, -0.0), complex(0.5, -0.0), complex(-0.0, 0.5), -0.0j]
+    )
+    def test_negative_zero_parts_stored_positive(self, value):
+        v = Frequency(value).value
+        assert math.copysign(1.0, v.real) == 1.0 and math.copysign(1.0, v.imag) == 1.0
+
+
+class TestSampleArray:
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_array_of_a_sample_type_passes_through(self, dtype):
+        base = np.arange(12.0).reshape(3, 4).astype(dtype)
+        for arr in (base, base[:, ::2], base.T, base[1]):
+            assert expspace._sample_array(arr) is arr
+
+    @pytest.mark.parametrize(
+        "values, dtype",
+        [
+            ([1.5, -2.0, 3.25], np.float64),
+            ([1, -2, 3], np.float64),
+            ([True, False], np.float64),
+            (7, np.float64),
+            (np.arange(5, dtype=np.int32), np.float64),
+            (np.array([True, False]), np.float64),
+            (np.array([0.1, -2.7, 1e30], dtype=np.float32), np.float64),
+            (np.array([0.1 + 2j, -3.3j], dtype=np.complex64), np.complex128),
+            ([1 + 2j, 3.0], np.complex128),
+            (np.arange(4.0, dtype=">f8"), np.float64),
+        ],
+        ids=["floats", "ints", "bools", "scalar", "int32", "bool-array", "float32",
+             "complex64", "complex-list", "big-endian"],
+    )
+    def test_other_inputs_convert_bitwise(self, values, dtype):
+        arr = expspace._sample_array(values)
+        want = np.asarray(values).astype(dtype)
+        assert arr.dtype == np.dtype(dtype)
+        assert arr.shape == want.shape and arr.tobytes() == want.tobytes()
+        if isinstance(values, np.ndarray):
+            assert not np.shares_memory(arr, values)
 
 
 class TestEvaluate:

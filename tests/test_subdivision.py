@@ -107,6 +107,11 @@ class TestRefineParameter:
             nxt = refine_parameter(c)
             assert abs(2 * nxt * nxt - 1 - c) <= 1e-14 * (1 + abs(c))
 
+    @pytest.mark.parametrize("c", [math.nan, complex(math.nan, 0.0), complex(math.nan, 1.0)])
+    def test_rejects_nan(self, c):
+        with pytest.raises(NumericalError, match="is not above -1"):
+            refine_parameter(c)
+
 
 class TestSynthesizeRule:
     def test_classical_four_point_weights(self):
@@ -114,6 +119,20 @@ class TestSynthesizeRule:
         assert outer == -1.0 / 16.0
         assert inner == 9.0 / 16.0
         assert type(outer) is float and type(inner) is float
+
+    @pytest.mark.parametrize(
+        "c", [math.nan, math.inf, -math.inf, complex(math.nan, 0.0), complex(0.5, math.inf)]
+    )
+    def test_rejects_non_finite(self, c):
+        # NaN gave NaN weights and inf the weights (-0.0, 0.5), in silence
+        with pytest.raises(NumericalError, match="^insertion weights undefined at cosh value "):
+            synthesize_rule(c)
+
+    def test_refinement_refuses_a_non_finite_parameter(self):
+        with pytest.raises(NumericalError, match=r"^insertion weights undefined at cosh value \(nan\+0j\)$"):
+            refine(np.arange(6.0), math.nan)
+        with pytest.raises(NumericalError):
+            refine_rounds(np.arange(6.0), complex(math.nan, 0.0), 0, 1)
 
     def test_polynomial_limit(self):
         outer, inner = synthesize_rule(1.0 + 1e-10)
