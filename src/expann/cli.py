@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import contextlib
+import gc
 import os
 import re
 import sys
@@ -262,14 +263,22 @@ def main(argv=None) -> int:
         code, text = EXIT_NUMERICAL, f"numerical failure: {exc}"
     except OSError as exc:  # _read and --output wrap their own: stdout's, or the rate line's
         code, text = EXIT_INPUT, f"error: cannot write to standard output: {exc.strerror}"
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # so exit's flush succeeds
+        with contextlib.suppress(OSError):  # a stdout with no descriptor is left as it is
+            fd, null = sys.stdout.fileno(), os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, fd)  # so exit's flush succeeds
+            os.close(null)
     with contextlib.suppress(OSError):  # a stderr that fails loses the message, not the code
         print(text, file=sys.stderr)
     return code
 
 
 def entry() -> None:
-    sys.exit(main())
+    """Run ``main`` and exit with its code, freezing the heap first so that the
+    interpreter's exit-time collections skip every object it holds. ``main`` does not
+    freeze, since objects that an in-process caller froze would never be reclaimed."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

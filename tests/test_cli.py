@@ -1,4 +1,7 @@
 import argparse
+import errno
+import gc
+import io
 import json
 import math
 import os
@@ -628,11 +631,15 @@ def test_readme_documents_every_option():
     assert options == set()
 
 
+def process_env():
+    """The environment of a child interpreter: this tree's expann, one BLAS thread."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    return {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
+
+
 def run_process(*argv, preexec_fn=None):
     """expann as its own process; its stderr shows what pytest would capture."""
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
-    return subprocess.run([sys.executable, "-m", "expann.cli", *argv], env=env,
+    return subprocess.run([sys.executable, "-m", "expann.cli", *argv], env=process_env(),
                           capture_output=True, text=True, preexec_fn=preexec_fn,
                           timeout=60)
 
@@ -653,9 +660,7 @@ def test_blockwise_output_keeps_every_byte(tmp_path, command):
         refined = refine_rounds(values, Frequency(0.8j), level, 8)
         want = dump_series(refined, level + 8, (origin + 2) * 2**8 - 2)
     assert len(want) > 2 * cli._OUTPUT_BLOCK
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
-    done = subprocess.run([sys.executable, "-m", "expann.cli", *argv], env=env,
+    done = subprocess.run([sys.executable, "-m", "expann.cli", *argv], env=process_env(),
                           capture_output=True, timeout=60)
     assert (done.returncode, done.stderr) == (0, b"")
     assert done.stdout == (want + "\n").encode("utf-8")
@@ -687,9 +692,8 @@ def test_closed_stdout_exits_2(tmp_path, argv, sink, unbuffered):
     # to /dev/full fails, so the child's first write to stdout fails;
     # buffered, that write is the final flush
     path = write(tmp_path, "series.json", _SERIES)
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    env.update(PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
+    env = process_env()
+    env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
     if sink == "pipe":
@@ -722,15 +726,85 @@ def test_unwritable_stderr_keeps_a_documented_exit_code(tmp_path, series, code):
     # keeps its code, and refine --auto, whose rate line goes to stderr before
     # anything is written to stdout, fails as an unwritable output does
     path = write(tmp_path, "series.json", series) if series else str(tmp_path / "missing.json")
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
     err = os.open("/dev/full", os.O_WRONLY)
     try:
         done = subprocess.run([sys.executable, "-m", "expann.cli", "refine", path, "--auto"],
-                              env=env, stdout=subprocess.PIPE, stderr=err, text=True, timeout=60)
+                              env=process_env(), stdout=subprocess.PIPE, stderr=err, text=True,
+                              timeout=60)
     finally:
         os.close(err)
     assert (done.returncode, done.stdout) == (code, "")
+
+
+_POWERS_GRID = json.dumps({"level": 0, "origin": [0, 0], "width": 6, "height": 6,
+                           "values": [(-2.0) ** (k % 6) for k in range(36)]})
+
+
+@pytest.mark.parametrize(
+    "text, argv, code",
+    [(None, _GENERATE, 0), (None, ("detect", "@"), 2),
+     (_POWERS_GRID, ("detect", "@", "--alpha", "2", "2"), 3),
+     (_HUGE_SERIES, ("refine", "@", "--auto"), 4)],
+    ids=["ok", "input-error", "inconsistent", "numerical-failure"],
+)
+def test_process_prints_what_main_prints(tmp_path, capsys, text, argv, code):
+    # no text: a file that does not exist
+    path = str(tmp_path / "missing.json") if text is None else write(tmp_path, "input.json", text)
+    args = [path if a == "@" else a for a in argv]
+    done = run_process(*args)
+    assert done.returncode == code
+    assert (done.returncode, done.stdout, done.stderr) == run(capsys, *args)
+
+
+def test_main_leaves_the_heap_unfrozen(capsys):
+    # tests, the benchmark's replay and embedders call main in process
+    before = gc.get_freeze_count()
+    assert run(capsys, *_GENERATE)[0] == 0
+    assert gc.get_freeze_count() == before
+
+
+def test_entry_freezes_once_after_main(monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 3)
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+    with pytest.raises(SystemExit) as exc:
+        cli.entry()
+    assert (calls, exc.value.code) == (["main", "freeze"], 3)
+
+
+_EPIPE = os.strerror(errno.EPIPE)
+
+
+class _ClosedPipeOutput(io.StringIO):
+    """An in-process stdout whose every write fails as a closed pipe's does."""
+
+    def write(self, text):
+        raise OSError(errno.EPIPE, _EPIPE)
+
+    def flush(self):
+        raise OSError(errno.EPIPE, _EPIPE)
+
+
+def test_failing_stdout_without_descriptor_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdout", _ClosedPipeOutput())
+    assert main(list(_GENERATE)) == 2
+    assert capsys.readouterr().err == f"error: cannot write to standard output: {_EPIPE}\n"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_failing_stdout_handler_closes_what_it_opens(capsys, monkeypatch):
+    fd = os.open(os.devnull, os.O_WRONLY)
+    output = _ClosedPipeOutput()
+    output.fileno = lambda: fd
+    monkeypatch.setattr(sys, "stdout", output)
+    try:
+        before = os.listdir("/proc/self/fd")
+        code = main(list(_GENERATE))
+        after = os.listdir("/proc/self/fd")
+    finally:
+        os.close(fd)
+    assert (code, after) == (2, before)
+    assert capsys.readouterr().err == f"error: cannot write to standard output: {_EPIPE}\n"
 
 
 def test_window_beyond_memory_exits_2(tmp_path):
@@ -764,11 +838,9 @@ def run_under_address_cap(headroom_mib, *argv):
     pytest.importorskip("resource")
     if not os.path.exists("/proc/self/statm"):
         pytest.skip("needs /proc/self/statm to size the address-space cap")
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
     return subprocess.run(
         [sys.executable, "-c", _UNDER_ADDRESS_CAP, str(headroom_mib), *argv],
-        env=env, capture_output=True, text=True, timeout=60,
+        env=process_env(), capture_output=True, text=True, timeout=60,
     )
 
 
