@@ -173,7 +173,7 @@ def _median(x: np.ndarray) -> float | complex:
     return x[k].item() if x.size % 2 else (x[k - 1].item() + x[k].item()) / 2
 
 
-def _robust_estimate(kernels, e) -> tuple:
+def _robust_estimate(kernels, e, sup: float) -> tuple:
     """Median of the quotient over every base point and step with a non-zero
     denominator, with the first step that has one and its kernel, which gives
     the residual; ``(None, None)`` when no denominator is non-zero.
@@ -181,25 +181,35 @@ def _robust_estimate(kernels, e) -> tuple:
     is not flat, in fallback order, and is not empty.  The joined numerators
     and denominators, masked first only when some denominator is exactly zero,
     are fresh arrays this call owns: the denominators are doubled and the
-    numerators divided by them in place, in the samples' own arithmetic, and
-    ``_median`` partitions the quotients where they lie.  A complex median
-    keeps its imaginary part for ``cosh_to_frequency`` to judge, as single
-    mode's quotient does.  A real part of -0.0 is reported as +0.0."""
+    numerators divided by them in place, in the samples' own arithmetic
+    (under ``np.errstate`` only where the bound below lets a quotient
+    overflow: ``cosh_to_frequency`` refuses an inf median as it refuses
+    single mode's quotient), and ``_median`` partitions the quotients where
+    they lie.  A complex median keeps its imaginary part for
+    ``cosh_to_frequency`` to judge, as single mode's quotient does.  A real
+    part of -0.0 is reported as +0.0."""
     num = np.concatenate([k[0] for _, k in kernels], axis=None)
     den = np.concatenate([k[1] for _, k in kernels], axis=None)
-    nonzero = den.size and np.logical_and.reduce(den, None)
+    low = den.size and np.fmin.reduce(np.absolute(den), None)  # NaN only when all are
     for step, kernel in kernels:
         # when every denominator is non-zero, the first step with one is the
         # first whose kernel is not empty
-        if (kernel[1].size if nonzero else kernel[1].any()):
+        if (kernel[1].size if low != 0 else kernel[1].any()):
             break
     else:
         return None, None
-    if not nonzero:
+    if low == 0:
         keep = den != 0
         num, den = num[keep], den[keep]
     den *= 2.0
-    num /= den
+    # |num| <= 4 sup and |2 den| >= 2 low: while sup and 1 are both at most
+    # low * _SUP_BOUND, no quotient overflows, nor the reciprocal that
+    # complex division takes (low times it could overflow, so divide sup)
+    if low >= 1.0 / _SUP_BOUND and sup / _SUP_BOUND <= low:
+        num /= den
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            num /= den
     return CoshEstimate(e, complex(_median(num)) + 0.0, step), kernel
 
 
@@ -244,7 +254,7 @@ def _axis(
                 break
     else:
         live = [(st, _six_point(diffs[st], e)) for st in steps if not _flat(diffs, st)]
-        est, kernel = _robust_estimate(live, e) if live else (None, None)
+        est, kernel = _robust_estimate(live, e, diffs.sup) if live else (None, None)
     if est is None:
         _step_shift(diffs.values, *e)  # raises when the plain difference along e does not fit
         return _Decision(None, Frequency(0.0), diffs.residual(_AXIS_STEPS[e]))
@@ -277,7 +287,11 @@ def cosh_to_frequency(c: complex, scale: float) -> Frequency:
     if not 0.0 < scale < math.inf:
         raise InputError(f"scale must be positive and finite, got {scale}")
     c = complex(c)
-    if abs(c.imag) > DEFAULT_TOL_IM * (1.0 + abs(c)):
+    try:
+        non_real = abs(c.imag) > DEFAULT_TOL_IM * (1.0 + abs(c))
+    except OverflowError:  # |c| passes the float range: compare the halves
+        non_real = 0.5 * abs(c.imag) > DEFAULT_TOL_IM * (0.5 + abs(0.5 * c))
+    if non_real:
         raise NumericalError(f"cosh estimate {c} has a non-real part")
     x = c.real
     if not x > -1.0:

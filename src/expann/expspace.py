@@ -148,7 +148,11 @@ class ExponentialSum:
         return not self.terms
 
     def max_coefficient(self) -> float:
-        return max((abs(c) for c, _ in self.terms), default=0.0)
+        """The largest coefficient modulus; inf when one passes the float range."""
+        try:
+            return max((abs(c) for c, _ in self.terms), default=0.0)
+        except OverflowError:  # finite parts whose modulus no float holds
+            return math.inf
 
     def evaluate(self, z) -> complex:
         """Value at the real point z; one point of the kernel ``sample`` uses."""

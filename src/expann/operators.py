@@ -1,11 +1,12 @@
 """Differential and finite-difference operators whose kernels are exponential spaces.
 
-Two actions are provided for each operator: an exact symbolic action on
-``ExponentialSum`` (a chain acts term by term, multiplying each coefficient
-by every factor's multiplier in list order, on mantissas scaled by powers of
-two so that the answer does not depend on that order; membership questions
-reduce to exact coefficient arithmetic) and a grid action on ``GridSamples``
-for the difference operators.  Both take one difference weight,
+An operator is an ``AnnihilatorChain`` of one factor, a product of them a
+chain of several, and ``chain_apply`` the one way to apply either: exactly
+on an ``ExponentialSum`` (term by term, each coefficient times every
+factor's multiplier in list order, on mantissas scaled by powers of two so
+that the answer does not depend on that order; membership questions reduce
+to exact coefficient arithmetic) and, for difference factors, on
+``GridSamples``.  Both actions take one difference weight,
 exp(gamma . h tv) at h = 1 on a sum and at the physical step h = 2^-k on a
 level-k grid, and raise ``NumericalError`` when it or a coefficient
 overflows, or an output sample is not finite.
@@ -16,6 +17,7 @@ from __future__ import annotations
 import cmath
 import math
 import operator as _op
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,9 +29,6 @@ __all__ = [
     "Direction",
     "IntegerStep",
     "AnnihilatorChain",
-    "diff_apply",
-    "delta_apply_sum",
-    "delta_apply_grid",
     "chain_apply",
     "annihilates",
     "grid_residual",
@@ -41,15 +40,22 @@ ZERO_COEFF_REL_TOL = 1e-12
 
 @dataclass(frozen=True, init=False)
 class Direction:
-    """A unit direction in the plane."""
+    """A unit direction in the plane.  A pair whose length is subnormal or past
+    the float range is scaled by a power of two, exactly, before it is
+    normalized; any other pair is divided by its ``math.hypot`` as it is."""
 
     x: float
     y: float
 
     def __init__(self, x: float, y: float) -> None:
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ValueError(f"direction must be finite, got ({x}, {y})")
         m = math.hypot(x, y)
         if m == 0.0:
             raise ValueError("direction must be nonzero")
+        if not sys.float_info.min <= m < math.inf:
+            z = _split(complex(x, y))[0]  # exact: the larger part to [1/2, 1)
+            x, y, m = z.real, z.imag, abs(z)
         object.__setattr__(self, "x", x / m)
         object.__setattr__(self, "y", y / m)
 
@@ -120,31 +126,6 @@ def _multiplier(gamma: FrequencyVector, s, m: FrequencyVector) -> complex:
     return _weight(m, s, 1.0) - _weight(gamma, s, 1.0)
 
 
-def diff_apply(
-    gamma: FrequencyVector, direction: Direction, f: ExponentialSum
-) -> ExponentialSum:
-    """Directional-derivative-minus-rate operator applied symbolically.
-
-    Each term c*exp(m.z) becomes c*((m - gamma).v)*exp(m.z); a term is
-    annihilated exactly when its frequency equals gamma.
-    """
-    if isinstance(direction, IntegerStep):
-        raise TypeError("a differential factor takes a Direction, not an IntegerStep")
-    return chain_apply(AnnihilatorChain(((gamma, direction),)), f)
-
-
-def delta_apply_sum(
-    gamma: FrequencyVector, step: IntegerStep, f: ExponentialSum
-) -> ExponentialSum:
-    """Difference operator F(z + tv) - exp(gamma.tv) F(z), symbolically.
-
-    Each term c*exp(m.z) becomes c*(exp(m.tv) - exp(gamma.tv))*exp(m.z).
-    """
-    if isinstance(step, Direction):
-        raise TypeError("a difference factor takes an IntegerStep, not a Direction")
-    return chain_apply(AnnihilatorChain(((gamma, step),)), f)
-
-
 def _window_shift(values, dx: int, dy: int):
     """Views of ``values`` (rows along the second index) at alpha + (dx, dy)
     and at alpha over every alpha where both exist, possibly none, and the
@@ -181,17 +162,6 @@ def _apply_factors(factors, values, spacing: float):
     if not np.logical_and.reduce(np.isfinite(out), None):
         raise NumericalError("a chain's output sample is not finite")
     return out, (c, r)
-
-
-def delta_apply_grid(
-    gamma: FrequencyVector, step: IntegerStep, s: GridSamples
-) -> GridSamples:
-    """Difference operator on grid samples.
-
-    Output at alpha is S(alpha + tv) - exp(gamma . (2^-k tv)) * S(alpha),
-    defined on the window where both lookups exist; the level is preserved.
-    """
-    return chain_apply(AnnihilatorChain(((gamma, step),)), s)
 
 
 def _split(z: complex) -> tuple[complex, int]:
@@ -254,9 +224,15 @@ def chain_apply(chain: AnnihilatorChain, data):
 def annihilates(chain: AnnihilatorChain, f: ExponentialSum) -> bool:
     """True when the chain maps f to zero, up to ZERO_COEFF_REL_TOL of f's
     largest coefficient (chains of a few factors lose at most ~3 digits).  A
-    coefficient that overflows is not zero, so it answers False."""
+    coefficient that overflows is not zero, so it answers False.  A modulus
+    past the float range is compared at half scale, where none overflows."""
     out, finite = _sum_output(chain, f)
-    return finite and out.max_coefficient() <= ZERO_COEFF_REL_TOL * f.max_coefficient()
+    if not finite:
+        return False
+    top, bound = out.max_coefficient(), f.max_coefficient()
+    if math.inf in (top, bound):  # both sums are finite here, so their halves fit
+        top, bound = (0.5 * out).max_coefficient(), (0.5 * f).max_coefficient()
+    return top <= ZERO_COEFF_REL_TOL * bound
 
 
 def _residual(out, sup: float) -> float:

@@ -58,7 +58,11 @@ def synthesize_rule(c_half: complex) -> tuple[complex, complex]:
     c near 0 or -1, or not finite, raises ``NumericalError``.
     """
     c = complex(c_half)
-    if not 1e-12 < abs(c) < math.inf or abs(c + 1.0) <= 1e-12:
+    try:
+        modulus = abs(c)
+    except OverflowError:  # finite parts, but a modulus past the float range
+        modulus = math.inf
+    if not 1e-12 < modulus < math.inf or abs(c + 1.0) <= 1e-12:
         raise NumericalError(f"insertion weights undefined at cosh value {c}")
     c = c.real if c.imag == 0.0 else c
     w = -1.0 / (8.0 * c * (c + 1.0))

@@ -21,11 +21,10 @@ from expann.expspace import (
 )
 from expann.jsonio import dump_series
 from expann.operators import (
+    AnnihilatorChain,
     Direction,
     IntegerStep,
-    delta_apply_grid,
-    delta_apply_sum,
-    diff_apply,
+    chain_apply,
     grid_residual,
     reduced_chain_for_symmetric_set,
 )
@@ -182,8 +181,8 @@ def test_criterion_5_axis_symmetry_identities():
         s = sample(f, rng.below(3), (-2, -2), 6, 6)
         gm = g.mirror()
         for ga, gb, step in ((g, gm, ex), (g, -gm, ey), (-g, -gm, ex), (-g, gm, ey)):
-            a = delta_apply_grid(ga, step, s)
-            b = delta_apply_grid(gb, step, s)
+            a = chain_apply(AnnihilatorChain(((ga, step),)), s)
+            b = chain_apply(AnnihilatorChain(((gb, step),)), s)
             ok &= bool(np.array_equal(a.values, b.values))
     report(5, "axis symmetry identities, bitwise", ok)
 
@@ -203,8 +202,9 @@ def test_criterion_6_commutativity():
                 for _ in range(4)
             )
         )
-        ab = delta_apply_sum(ga, sa, delta_apply_sum(gb, sb, f))
-        ba = delta_apply_sum(gb, sb, delta_apply_sum(ga, sa, f))
+        a, b = AnnihilatorChain(((ga, sa),)), AnnihilatorChain(((gb, sb),))
+        ab = chain_apply(a, chain_apply(b, f))
+        ba = chain_apply(b, chain_apply(a, f))
         ca = {g.as_pair(): c for c, g in ab.terms}
         cb = {g.as_pair(): c for c, g in ba.terms}
         scale = max(ab.max_coefficient(), ba.max_coefficient(), 1e-300)
@@ -227,7 +227,7 @@ def test_criterion_7_finite_difference_consistency():
         )
         v = Direction(rng.uniform(0.2, 1), rng.uniform(0.2, 1))
         z = (rng.uniform(-1, 1), rng.uniform(-1, 1))
-        sym = diff_apply(g, v, f).evaluate(z)
+        sym = chain_apply(AnnihilatorChain(((g, v),)), f).evaluate(z)
         gv = g.dot(v.x, v.y)
         errs = [
             abs(finite_difference_directional(f, z, v, h) - gv * f.evaluate(z) - sym)

@@ -675,6 +675,34 @@ def test_numpy_warnings_stay_off_stderr(tmp_path):
     assert line.startswith("numerical failure: ")
 
 
+# The cosh estimate is 1.3e308 + 1.3e308j: both parts are finite, but its
+# modulus passes DBL_MAX, where abs() raises OverflowError. It has a non-real
+# part, so refine exits 4 and detect reports Inconsistent, exit 3, with no
+# traceback (exit 1).
+_PAST_THE_RANGE_SERIES = '{"level": 0, "values": [0, 0, 0.5, [1.3e308, 1.3e308]]}'
+_PAST_THE_RANGE_GRID = ('{"level": 0, "origin": [0, 0], "width": 3, "height": 2, '
+                        '"values": [0, 0.5, [1.3e308, 1.3e308], 0, 0, 0]}')
+
+
+@pytest.mark.parametrize(
+    "text, argv, code",
+    [(_PAST_THE_RANGE_SERIES, ("refine", "@", "--auto"), 4),
+     (_PAST_THE_RANGE_GRID, ("detect", "@", "--alpha", "0", "0", "--mode", "single"), 3),
+     (_PAST_THE_RANGE_GRID, ("detect", "@", "--alpha", "0", "0", "--mode", "robust"), 3)],
+    ids=["refine-auto", "detect-single", "detect-robust"],
+)
+def test_cosh_modulus_past_the_float_range_exits_documented(tmp_path, text, argv, code):
+    path = write(tmp_path, "input.json", text)
+    done = run_process(*(path if a == "@" else a for a in argv))
+    assert done.returncode == code, done.stderr
+    reason = "cosh estimate (1.3e+308+1.3e+308j) has a non-real part"
+    if code == 4:
+        assert (done.stdout, done.stderr) == ("", f"numerical failure: {reason}\n")
+    else:
+        assert done.stderr == ""
+        assert json.loads(done.stdout)["reason"] == f"axis (1, 0): {reason}"
+
+
 _GENERATE, _REFINE = ("generate", "--seed", "0"), ("refine", "@", "--gamma", "0.5")
 _DEV_FULL = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
 

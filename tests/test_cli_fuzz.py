@@ -27,8 +27,10 @@ _pair = st.lists(_finite, min_size=2, max_size=2)
 # magnitudes where "%.17g" writes an exponent (from 1e17 up, and below 1e-4),
 # down to the subnormals
 _scaled = st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(-1074, 1000))
+# the two pairs last have finite parts, but a modulus past DBL_MAX
 _value = st.one_of(_finite, _pair, _scaled, st.lists(_scaled, min_size=2, max_size=2),
-                   st.sampled_from([1e308, -1e308, 0.0, -0.0, 5e-324, -1e-5, 1e17]))
+                   st.sampled_from([1e308, -1e308, 0.0, -0.0, 5e-324, -1e-5, 1e17,
+                                    [1.3e308, 1.3e308], [-1.7e308, 1.7e308]]))
 _junk = st.one_of(
     st.text(max_size=3),
     st.booleans(),

@@ -228,6 +228,14 @@ class TestCoshToFrequency:
         with pytest.raises(NumericalError, match="has a non-real part"):
             cosh_to_frequency(1.2 + 0.1j, 1.0)
 
+    def test_rejects_complex_with_a_modulus_past_the_float_range(self):
+        # abs() of the estimate overflows although both parts are finite;
+        # judged at half scale, its imaginary part is far above the
+        # bound, so it is not the real rate 710.3 that an inf modulus would give
+        want = r"^cosh estimate \(1\.5e\+308\+1\.5e\+308j\) has a non-real part$"
+        with pytest.raises(NumericalError, match=want):
+            cosh_to_frequency(complex(1.5e308, 1.5e308), 1.0)
+
     def test_rejects_rate_at_or_beyond_pi(self):
         # scale < 1 can push the imaginary branch out of the open domain
         with pytest.raises(NumericalError, match=r"^cosh estimate -0.9: imaginary frequency "
@@ -783,6 +791,65 @@ class TestNonFiniteResidual:
 #
 # detect() as it was computed one point at a time before the array kernel:
 # the quotient from value_at, the fallback loop and the per-point robust loop.
+
+
+def test_overflowing_robust_quotient_refuses_without_a_warning():
+    # a subnormal denominator overflows some quotients to inf: single mode
+    # refuses its own inf quotient, robust mode takes the median with no
+    # "overflow encountered in divide" warning and judges it as usual
+    r = [-1.0, 1e-320, 3e-320, 2.0, 4.0, 7.0]
+    s = GridSamples(0, (0, 0), 6, 3, r + [1.1 * v for v in r] + [1.3 * v for v in r])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        single, robust = (detect(s, (0, 1), mode) for mode in ("single", "robust"))
+    assert single.reason == "axis (1, 0): cosh estimate -inf is not above -1"
+    assert robust.classification is Classification.INCONSISTENT
+    assert robust.estimates[0].value == 1.125
+    assert robust.reason == "annihilator residual 4.396e-02 exceeds 1.000e-08"
+
+
+# From the least subnormal to past DBL_MAX / 2, where a difference overflows
+_MAGNITUDES = (0.0, 1e-320, 3e-320, 1e-308, 1e-5, 1.0, 2.0, 7.0, 1e17, 1e300, 1e308, 1.7e308)
+
+
+def _extreme_values(rng, n):
+    """n samples of the magnitudes above with random signs; some draws are
+    complex, and a few hold one NaN or infinity."""
+    v = rng.choice(_MAGNITUDES, n) * rng.choice([-1.0, 1.0], n)
+    if rng.random() < 0.3:
+        v = v + 1j * rng.choice(_MAGNITUDES, n) * rng.choice([-1.0, 1.0], n)
+    if rng.random() < 0.05:
+        v[rng.integers(n)] = rng.choice([math.nan, math.inf, -math.inf])
+    return v
+
+
+def test_extreme_magnitude_windows_report_or_refuse_without_a_warning():
+    # every call returns a report or raises one of the two documented kinds,
+    # with numpy's warnings as errors: no warning and no other exception
+    rng = np.random.default_rng(18)
+    outcomes = Counter()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(3000):
+            w, h = (int(k) for k in rng.integers(1, 7, 2))
+            values = _extreme_values(rng, w * h)
+            s = GridSamples(0, (0, 0), w, h, values)
+            alpha = (int(rng.integers(w)), int(rng.integers(h)))
+            for mode in ("single", "robust"):
+                try:
+                    outcomes[mode, detect(s, alpha, mode).classification] += 1
+                except (InputError, NumericalError):
+                    outcomes[mode, "refused"] += 1
+            if h == 1:
+                try:
+                    detect_univariate(values, 0, int(rng.integers(w)))
+                    outcomes["univariate", "rate"] += 1
+                except (InputError, NumericalError):
+                    outcomes["univariate", "refused"] += 1
+    # each call reaches reports and refusals both
+    for kind in ("single", "robust"):
+        assert outcomes[kind, Classification.INCONSISTENT] and outcomes[kind, "refused"], outcomes
+    assert outcomes["univariate", "rate"] and outcomes["univariate", "refused"], outcomes
 
 
 def _ref_diff(s, b, step):

@@ -87,6 +87,15 @@ class TestExponentialSum:
         assert len(f.terms) == 1
         assert f.terms[0][0] == 5.0
 
+    def test_max_coefficient_past_the_float_range_is_inf(self):
+        # abs() of a complex with finite parts overflows past DBL_MAX;
+        # inf is that modulus rounded, and a modulus that fits keeps its bits
+        g = FrequencyVector(0.5, 0.0)
+        big = ExponentialSum(((complex(1.5e308, 1.5e308), g), (1.0, FrequencyVector(0.0, 0.0))))
+        assert big.max_coefficient() == math.inf
+        near = ExponentialSum(((complex(1.2e308, 1.2e308), g),))
+        assert near.max_coefficient() == abs(complex(1.2e308, 1.2e308))
+
     def test_drops_zero_terms(self):
         g = FrequencyVector(1.0, 0.0)
         f = ExponentialSum(((2.0, g), (-2.0, g)))

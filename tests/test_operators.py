@@ -2,12 +2,13 @@ import cmath
 import copy
 import math
 import pickle
+import sys
 import warnings
 from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from expann import jsonio
 from expann.errors import InputError, NumericalError
@@ -24,9 +25,6 @@ from expann.operators import (
     IntegerStep,
     annihilates,
     chain_apply,
-    delta_apply_grid,
-    delta_apply_sum,
-    diff_apply,
     grid_residual,
     reduced_chain_for_symmetric_set,
 )
@@ -55,6 +53,31 @@ class TestDirection:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             Direction(0.0, 0.0)
+
+    @pytest.mark.parametrize("x, y", [(math.nan, 0.0), (math.inf, 0.0), (1.0, -math.inf)])
+    def test_rejects_a_non_finite_component(self, x, y):
+        # no unit vector has such a component: dividing by hypot would give
+        # (nan, nan) for (nan, 0) and (nan, 0.0) for (inf, 0)
+        with pytest.raises(ValueError, match="^direction must be finite, got "):
+            Direction(x, y)
+
+    @pytest.mark.parametrize(
+        "x, y", [(5e-324, 5e-324), (1e-310, -3e-310), (2.0**-1022, 2.0**-1022), (1.7e308, 1.7e308)],
+        ids=["least-subnormal", "subnormal", "least-normal-parts", "past-the-range"],
+    )
+    def test_extreme_pairs_normalize_to_unit_length(self, x, y):
+        # hypot(5e-324, 5e-324) rounds to 5e-324 and hypot(1.7e308, 1.7e308)
+        # overflows, so dividing by it would give (1.0, 1.0) and (0.0, 0.0)
+        d = Direction(x, y)
+        assert math.hypot(d.x, d.y) == pytest.approx(1.0, abs=1e-15)
+        assert d.y / d.x == pytest.approx(y / x, rel=1e-15) and d.x > 0.0
+
+    @given(st.floats(-1e300, 1e300), st.floats(-1e300, 1e300))
+    def test_normal_lengths_keep_their_bits(self, x, y):
+        m = math.hypot(x, y)
+        assume(sys.float_info.min <= m < math.inf)
+        d = Direction(x, y)
+        assert (_bits(d.x), _bits(d.y)) == (_bits(x / m), _bits(y / m))
 
     def test_perp(self):
         d = Direction(1.0, 0.0)
@@ -104,17 +127,16 @@ _S = sample(_F, 0, (0, 0), 4, 4)
 @pytest.mark.parametrize(
     "build",
     [
-        lambda: delta_apply_sum(_G, (1.5, 0), _F),
-        lambda: delta_apply_sum(_G, (1, 0), _F),
-        lambda: delta_apply_sum(_G, Direction(1.0, 0.0), _F),
-        lambda: delta_apply_grid(_G, (1.5, 0), _S),
-        lambda: delta_apply_grid(_G, (1, 0), _S),
+        lambda: chain_apply(AnnihilatorChain(((_G, (1.5, 0)),)), _F),
+        lambda: chain_apply(AnnihilatorChain(((_G, (1, 0)),)), _F),
+        lambda: chain_apply(AnnihilatorChain(((_G, (1.5, 0)),)), _S),
+        lambda: chain_apply(AnnihilatorChain(((_G, (1, 0)),)), _S),
         lambda: reduced_chain_for_symmetric_set(_G, (1, 0), (1.5, 0)),
         lambda: reduced_chain_for_symmetric_set(_G, (1, 0), (1, 1)),
         lambda: AnnihilatorChain(((_G, (1, 0)),)),
         lambda: ExponentialSum(((1.0, (0.8, 0.3)),)),
     ],
-    ids=["delta-sum-float", "delta-sum-int", "delta-sum-direction", "delta-grid-float",
+    ids=["delta-sum-float", "delta-sum-int", "delta-grid-float",
          "delta-grid-int", "extra-float", "extra-int", "chain-step-pair", "term-frequency"],
 )
 def test_tuple_forms_are_rejected(build):
@@ -125,19 +147,21 @@ def test_tuple_forms_are_rejected(build):
 
 
 class TestDiffApply:
+    """A differential factor: a one-factor chain that ``chain_apply`` applies to a sum."""
+
     def test_matching_rate_annihilates(self):
         g = FrequencyVector(0.7, 0.2j)
         f = ExponentialSum(((3.0, g),))
-        assert diff_apply(g, Direction(0.3, 0.9), f).is_zero()
+        assert chain_apply(AnnihilatorChain(((g, Direction(0.3, 0.9)),)), f).is_zero()
 
     def test_unit_axis(self):
         f = ExponentialSum(((1.0, FrequencyVector(1.0, 0.0)),))
-        out = diff_apply(FrequencyVector(0.0, 0.0), Direction(1.0, 0.0), f)
+        out = chain_apply(AnnihilatorChain(((FrequencyVector(0.0, 0.0), Direction(1.0, 0.0)),)), f)
         assert out.terms[0][0] == 1.0
 
     def test_diagonal(self):
         f = ExponentialSum(((1.0, FrequencyVector(1.0, 1.0)),))
-        out = diff_apply(FrequencyVector(0.0, 0.0), Direction(1.0, 1.0), f)
+        out = chain_apply(AnnihilatorChain(((FrequencyVector(0.0, 0.0), Direction(1.0, 1.0)),)), f)
         assert out.terms[0][0] == pytest.approx(1.4142135623730951, rel=1e-15)
 
     def test_scaling_invariance(self):
@@ -151,7 +175,7 @@ class TestDiffApply:
             wx, wy = rng.uniform(-3, 3), rng.uniform(0.1, 3)
             w = (mu.g1.value - g.g1.value) * wx + (mu.g2.value - g.g2.value) * wy
             raw = ExponentialSum(((c * w, mu),))
-            unit = diff_apply(g, Direction(wx, wy), f)
+            unit = chain_apply(AnnihilatorChain(((g, Direction(wx, wy)),)), f)
             scaled = (1.0 / math.hypot(wx, wy)) * raw
             assert _coeffs_close(unit, scaled, 1e-13)
 
@@ -159,8 +183,8 @@ class TestDiffApply:
         g = FrequencyVector(0.9, 0.4)
         f = ExponentialSum(((2.5, g),))
         v = Direction(2.0, 1.0)
-        assert diff_apply(g, v, f).is_zero()
-        assert diff_apply(g, Direction(-v.y, v.x), f).is_zero()
+        assert chain_apply(AnnihilatorChain(((g, v),)), f).is_zero()
+        assert chain_apply(AnnihilatorChain(((g, Direction(-v.y, v.x)),)), f).is_zero()
 
     def test_extra_terms_escape_single_factor(self):
         # among representable sums, only the pure g-exponential is killed by
@@ -174,39 +198,45 @@ class TestDiffApply:
             if mu.as_pair() == g.as_pair():
                 continue
             f = ExponentialSum(((1.0, g), (1.0, mu)))
-            both_zero = diff_apply(g, v, f).is_zero() and diff_apply(g, perp, f).is_zero()
+            both_zero = all(
+                chain_apply(AnnihilatorChain(((g, d),)), f).is_zero() for d in (v, perp)
+            )
             assert not both_zero
 
 
 class TestDeltaApplySum:
+    """A difference factor: a one-factor chain that ``chain_apply`` applies to a sum."""
+
     def test_matching_rate_annihilates(self):
         g = FrequencyVector(0.4, 1.1j)
         f = ExponentialSum(((2.0, g),))
-        assert delta_apply_sum(g, IntegerStep(2, -1), f).is_zero()
+        assert chain_apply(AnnihilatorChain(((g, IntegerStep(2, -1)),)), f).is_zero()
 
     def test_constant_term_weight(self):
         f = ExponentialSum(((1.0, FrequencyVector(0.0, 0.0)),))
-        out = delta_apply_sum(FrequencyVector(1.0, 0.0), IntegerStep(1, 0), f)
+        out = chain_apply(AnnihilatorChain(((FrequencyVector(1.0, 0.0), IntegerStep(1, 0)),)), f)
         assert out.terms[0][0] == pytest.approx(-1.718281828459045, rel=1e-15)
 
     def test_sinh_identity(self):
         f = ExponentialSum(((1.0, FrequencyVector(0.5, 0.0)),))
-        out = delta_apply_sum(FrequencyVector(-0.5, 0.0), IntegerStep(2, 0), f)
+        out = chain_apply(AnnihilatorChain(((FrequencyVector(-0.5, 0.0), IntegerStep(2, 0)),)), f)
         assert out.terms[0][0] == pytest.approx(2.3504023872876028, rel=1e-15)
 
 
 class TestDeltaApplyGrid:
+    """A difference factor: a one-factor chain that ``chain_apply`` applies to grid samples."""
+
     def test_constant_zero(self):
         f = ExponentialSum(((4.0, FrequencyVector(0.0, 0.0)),))
         s = sample(f, 0, (0, 0), 5, 5)
-        out = delta_apply_grid(FrequencyVector(0.0, 0.0), IntegerStep(1, 1), s)
+        out = chain_apply(AnnihilatorChain(((FrequencyVector(0.0, 0.0), IntegerStep(1, 1)),)), s)
         assert np.all(out.values == 0)
         assert out.width == 4 and out.height == 4
 
     def test_factor_identity(self):
         f = ExponentialSum(((1.0, FrequencyVector(0.6, 0.4)),))
         s = sample(f, 0, (0, 0), 4, 5)
-        out = delta_apply_grid(FrequencyVector(0.0, 0.0), IntegerStep(0, 1), s)
+        out = chain_apply(AnnihilatorChain(((FrequencyVector(0.0, 0.0), IntegerStep(0, 1)),)), s)
         factor = math.exp(0.4) - 1.0
         for y in range(out.origin[1], out.origin[1] + out.height):
             for x in range(out.origin[0], out.origin[0] + out.width):
@@ -218,12 +248,12 @@ class TestDeltaApplyGrid:
         f = ExponentialSum(((1.0, g),))
         s = sample(f, 1, (-2, -2), 6, 6)
         for tv in [(1, 0), (0, 1), (2, -1)]:
-            out = delta_apply_grid(g, IntegerStep(*tv), s)
+            out = chain_apply(AnnihilatorChain(((g, IntegerStep(*tv)),)), s)
             assert out.max_abs() <= 1e-13 * s.max_abs()
 
     def test_negative_step_window(self):
         s = sample(ExponentialSum(((1.0, FrequencyVector(0.2, 0.0)),)), 0, (0, 0), 4, 4)
-        out = delta_apply_grid(FrequencyVector(0.0, 0.0), IntegerStep(-1, -2), s)
+        out = chain_apply(AnnihilatorChain(((FrequencyVector(0.0, 0.0), IntegerStep(-1, -2)),)), s)
         assert out.origin == (1, 2)
         assert out.width == 3 and out.height == 2
         assert out.value_at((1, 2)) == pytest.approx(s.value_at((0, 0)) - s.value_at((1, 2)))
@@ -231,14 +261,14 @@ class TestDeltaApplyGrid:
     def test_empty_window(self):
         s = sample(ExponentialSum(((1.0, FrequencyVector(0.0, 0.0)),)), 0, (0, 0), 3, 3)
         with pytest.raises(InputError, match=r"^step \(3, 0\) exhausts a 3x3 window$"):
-            delta_apply_grid(FrequencyVector(0.0, 0.0), IntegerStep(3, 0), s)
+            chain_apply(AnnihilatorChain(((FrequencyVector(0.0, 0.0), IntegerStep(3, 0)),)), s)
 
     def test_level_scaling(self):
         # at level k the weight uses the physical step 2^-k tv
         g = FrequencyVector(1.2, 0.0)
         f = ExponentialSum(((1.0, g),))
         s = sample(f, 2, (0, 0), 5, 2)
-        out = delta_apply_grid(g, IntegerStep(1, 0), s)
+        out = chain_apply(AnnihilatorChain(((g, IntegerStep(1, 0)),)), s)
         assert out.max_abs() <= 1e-14 * s.max_abs()
 
 
@@ -391,7 +421,7 @@ def _bits(x: float) -> int:
 
 
 class TestArrayKernelMatchesFactorLoop:
-    """``chain_apply``, ``delta_apply_grid`` and ``grid_residual`` run every
+    """``chain_apply`` and ``grid_residual`` run every
     factor on the raw sample array; the per-factor loop is the reference."""
 
     def test_chains_bitwise(self):
@@ -425,9 +455,9 @@ class TestArrayKernelMatchesFactorLoop:
                 want = _reference_chain(((g, step),), s)
             except InputError:
                 with pytest.raises(InputError, match="exhausts a"):
-                    delta_apply_grid(g, step, s)
+                    chain_apply(AnnihilatorChain(((g, step),)), s)
                 continue
-            assert _same_grid(delta_apply_grid(g, step, s), want)
+            assert _same_grid(chain_apply(AnnihilatorChain(((g, step),)), s), want)
             compared += 1
         assert compared > 200
 
@@ -471,8 +501,7 @@ class TestArrayKernelMatchesFactorLoop:
         g, step = FrequencyVector(0.5, 0.0), IntegerStep(1, 0)
         s = GridSamples(0, (0, 0), 3, 1, [1e308, -1e308, 1e308])
         chain = AnnihilatorChain(((g, step),))
-        calls = (lambda: delta_apply_grid(g, step, s), lambda: chain_apply(chain, s),
-                 lambda: grid_residual(chain, s))
+        calls = (lambda: chain_apply(chain, s), lambda: grid_residual(chain, s))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for call in calls:
@@ -542,8 +571,6 @@ class TestFactorWeight:
         for call in (annihilates, chain_apply):
             with pytest.raises(NumericalError, match=_OVERFLOW):
                 call(chain, _HALF)
-        with pytest.raises(NumericalError, match=_OVERFLOW):
-            delta_apply_sum(g, step, _HALF)
 
     def test_overflowing_coefficient_raises_on_sums(self):
         # finite weights can still carry a coefficient past the float range;
@@ -555,10 +582,9 @@ class TestFactorWeight:
         single, triple = AnnihilatorChain(((zero, step),)), AnnihilatorChain(((zero, step),) * 3)
         huge = ExponentialSum(((1e308, FrequencyVector(1000.0, 0.0)),))
         calls = (
-            lambda: delta_apply_sum(zero, step, big),  # (inf+0j)
-            lambda: chain_apply(single, big),
+            lambda: chain_apply(single, big),  # (inf+0j)
             lambda: chain_apply(triple, one),  # (inf+nanj)
-            lambda: diff_apply(zero, Direction(1.0, 0.0), huge),
+            lambda: chain_apply(AnnihilatorChain(((zero, Direction(1.0, 0.0)),)), huge),
         )
         for call in calls:
             with pytest.raises(NumericalError, match="^a coefficient overflows the floating-point range$"):
@@ -566,7 +592,7 @@ class TestFactorWeight:
         assert annihilates(single, big) is False
         assert annihilates(triple, one) is False
         # a finite output near the top of the range still passes
-        near = delta_apply_sum(zero, step, ExponentialSum(((1e-10, FrequencyVector(700.0, 0.0)),)))
+        near = chain_apply(single, ExponentialSum(((1e-10, FrequencyVector(700.0, 0.0)),)))
         assert all(cmath.isfinite(c) for c, _ in near.terms)
 
     @pytest.mark.parametrize("order", [1, -1], ids=["as-written", "reversed"])
@@ -643,6 +669,17 @@ class TestFactorWeight:
                     compared += 1
         assert compared > 1000
 
+    def test_coefficient_modulus_past_the_float_range(self):
+        # both parts of f's coefficient are finite, but abs() of it overflows;
+        # annihilates compares at half scale, so an output of modulus 6.3e307
+        # is not zero and an empty one is
+        f = ExponentialSum(((complex(1.5e308, 1.5e308), FrequencyVector(0.5, 0.0)),))
+        kept = AnnihilatorChain(((FrequencyVector(0.3, 0.0), IntegerStep(1, 0)),))
+        (c, _), = chain_apply(kept, f).terms
+        assert c.real == c.imag == pytest.approx(4.48e307, rel=1e-3)
+        assert annihilates(kept, f) is False
+        assert annihilates(AnnihilatorChain(((FrequencyVector(0.5, 0.0), IntegerStep(1, 0)),)), f) is True
+
     def test_infinite_coefficient_is_never_annihilated(self):
         # an exactly-zero multiplier annihilates only a finite coefficient:
         # inf times zero is NaN, and f's own bound, inf, must not pass it
@@ -654,34 +691,28 @@ class TestFactorWeight:
                 chain_apply(chain, f)
 
     def test_step_past_the_float_range(self):
+        chain = AnnihilatorChain(((FrequencyVector(0.5, 0.0), IntegerStep(10**400, 0)),))
         with pytest.raises(NumericalError, match=_OVERFLOW):
-            delta_apply_sum(FrequencyVector(0.5, 0.0), IntegerStep(10**400, 0), _HALF)
+            chain_apply(chain, _HALF)
 
     def test_infinite_exponent(self):
         # rate 1e308 times step 2 is an infinite exponent, whose inf weight
         # cmath.exp returns without raising; an infinite imaginary exponent
         # has no value at all
-        big = FrequencyVector(1e308, 0.0)
-        with pytest.raises(NumericalError, match=_OVERFLOW):
-            delta_apply_sum(big, IntegerStep(2, 0), _HALF)
-        with pytest.raises(NumericalError, match=_OVERFLOW):
-            delta_apply_grid(big, IntegerStep(2, 0), GridSamples(0, (0, 0), 3, 1, [1, 2, 3]))
+        big = AnnihilatorChain(((FrequencyVector(1e308, 0.0), IntegerStep(2, 0)),))
+        for data in (_HALF, GridSamples(0, (0, 0), 3, 1, [1, 2, 3])):
+            with pytest.raises(NumericalError, match=_OVERFLOW):
+                chain_apply(big, data)
         wave = ExponentialSum(((1.0, FrequencyVector(0.0, 1j)),))
+        wide = AnnihilatorChain(((FrequencyVector(0.0, 3j), IntegerStep(0, 10**308)),))
         with pytest.raises(NumericalError, match=_OVERFLOW):
-            delta_apply_sum(FrequencyVector(0.0, 3j), IntegerStep(0, 10**308), wave)
+            chain_apply(wide, wave)
 
     def test_weights_match_cmath(self):
         g, m, step = FrequencyVector(0.4, 1.1j), FrequencyVector(-0.3, 0.2), IntegerStep(2, -1)
-        out = delta_apply_sum(g, step, ExponentialSum(((1.5, m),)))
+        out = chain_apply(AnnihilatorChain(((g, step),)), ExponentialSum(((1.5, m),)))
         want = 1.5 * (cmath.exp(m.dot(2.0, -1.0)) - cmath.exp(g.dot(2.0, -1.0)))
         assert out.terms == ((want, m),)
-
-    def test_diff_apply_takes_a_direction(self):
-        g = FrequencyVector(0.5, 0.0)
-        with pytest.raises(TypeError, match="^a differential factor takes a Direction, not an "):
-            diff_apply(g, IntegerStep(1, 0), _HALF)
-        with pytest.raises(TypeError, match="^differential factors cannot act on grid samples$"):
-            diff_apply(g, Direction(1.0, 0.0), GridSamples(0, (0, 0), 2, 1, [1, 2]))
 
 
 class TestGridResidual:
@@ -773,8 +804,8 @@ class TestSymmetryIdentities:
                 (-g, gm, ey),
             ]
             for ga, gb, step in pairs:
-                out_a = delta_apply_grid(ga, step, s)
-                out_b = delta_apply_grid(gb, step, s)
+                out_a = chain_apply(AnnihilatorChain(((ga, step),)), s)
+                out_b = chain_apply(AnnihilatorChain(((gb, step),)), s)
                 assert np.array_equal(out_a.values, out_b.values)
 
 
@@ -793,8 +824,9 @@ class TestCommutativity:
                     for _ in range(4)
                 )
             )
-            ab = delta_apply_sum(ga, sa, delta_apply_sum(gb, sb, f))
-            ba = delta_apply_sum(gb, sb, delta_apply_sum(ga, sa, f))
+            a, b = AnnihilatorChain(((ga, sa),)), AnnihilatorChain(((gb, sb),))
+            ab = chain_apply(a, chain_apply(b, f))
+            ba = chain_apply(b, chain_apply(a, f))
             assert _coeffs_close(ab, ba, 1e-13)
 
     def test_diff_and_delta_commute(self):
@@ -807,8 +839,9 @@ class TestCommutativity:
             f = ExponentialSum(
                 tuple((rng.uniform(-3, 3), random_frequency_vector(rng)) for _ in range(3))
             )
-            ab = diff_apply(g, d, delta_apply_sum(mu, step, f))
-            ba = delta_apply_sum(mu, step, diff_apply(g, d, f))
+            diff, delta = AnnihilatorChain(((g, d),)), AnnihilatorChain(((mu, step),))
+            ab = chain_apply(diff, chain_apply(delta, f))
+            ba = chain_apply(delta, chain_apply(diff, f))
             assert _coeffs_close(ab, ba, 1e-13)
 
 
@@ -896,7 +929,7 @@ class TestFiniteDifferenceLimit:
             )
             v = Direction(rng.uniform(0.2, 1), rng.uniform(0.2, 1))
             z = (rng.uniform(-1, 1), rng.uniform(-1, 1))
-            sym = diff_apply(g, v, f).evaluate(z)
+            sym = chain_apply(AnnihilatorChain(((g, v),)), f).evaluate(z)
             gv = g.dot(v.x, v.y)
             errs = []
             for h in (1e-2, 5e-3, 2.5e-3):
@@ -936,8 +969,7 @@ def test_symbolic_calls_return_or_raise_a_documented_error(terms, factors, facto
     calls = (
         lambda: chain_apply(chain, f),
         lambda: annihilates(chain, f),
-        lambda: delta_apply_sum(*factor, f),
-        lambda: diff_apply(*factor, f),
+        lambda: chain_apply(AnnihilatorChain((factor,)), f),
     )
     for call in calls:
         try:

@@ -87,9 +87,9 @@ class TestFiniteDifference:
         )
         v = Direction(0.6, 0.8)
         z = (0.3, -0.2)
-        from expann.operators import diff_apply
+        from expann.operators import AnnihilatorChain, chain_apply
 
-        exact = diff_apply(FrequencyVector(0.0, 0.0), v, f).evaluate(z)
+        exact = chain_apply(AnnihilatorChain(((FrequencyVector(0.0, 0.0), v),)), f).evaluate(z)
         e1 = abs(finite_difference_directional(f, z, v, 1e-3) - exact)
         e2 = abs(finite_difference_directional(f, z, v, 5e-4) - exact)
         assert 1.8 <= e1 / e2 <= 2.2

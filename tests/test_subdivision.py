@@ -128,6 +128,13 @@ class TestSynthesizeRule:
         with pytest.raises(NumericalError, match="^insertion weights undefined at cosh value "):
             synthesize_rule(c)
 
+    def test_rejects_a_modulus_past_the_float_range(self):
+        # abs() of a complex with finite parts overflows past DBL_MAX, and no
+        # weights exist at a cosh value that large
+        want = r"^insertion weights undefined at cosh value \(1\.5e\+308\+1\.5e\+308j\)$"
+        with pytest.raises(NumericalError, match=want):
+            synthesize_rule(complex(1.5e308, 1.5e308))
+
     def test_refinement_refuses_a_non_finite_parameter(self):
         with pytest.raises(NumericalError, match=r"^insertion weights undefined at cosh value \(nan\+0j\)$"):
             refine(np.arange(6.0), math.nan)
