@@ -714,6 +714,22 @@ class TestFactorWeight:
         want = 1.5 * (cmath.exp(m.dot(2.0, -1.0)) - cmath.exp(g.dot(2.0, -1.0)))
         assert out.terms == ((want, m),)
 
+    def test_diff_apply_takes_a_direction(self):
+        # a factor's step type picks its kind: a Direction makes a
+        # differential factor, (mu - g) . v, which acts on sums only; an
+        # IntegerStep makes a difference factor, e^mu - e^g
+        g = FrequencyVector(0.5, 0.0)
+        mu = FrequencyVector(0.75, 0.0)
+        f = ExponentialSum(((1.0, mu),))
+        (c, m), = chain_apply(AnnihilatorChain(((g, Direction(1.0, 0.0)),)), f).terms
+        assert (c, m) == (0.25, mu)
+        (c, m), = chain_apply(AnnihilatorChain(((g, IntegerStep(1, 0)),)), f).terms
+        assert (c, m) == (cmath.exp(0.75) - cmath.exp(0.5), mu)
+        with pytest.raises(TypeError, match="^differential factors cannot act on grid samples$"):
+            chain_apply(
+                AnnihilatorChain(((g, Direction(1.0, 0.0)),)), GridSamples(0, (0, 0), 2, 1, [1, 2])
+            )
+
 
 class TestGridResidual:
     def test_member_small(self):
