@@ -83,13 +83,16 @@ DEFAULT_STENCILS = StencilDirectionSet()
 _AXES = tuple((e, DEFAULT_STENCILS.for_axis(e)) for e in _AXIS_STEPS)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CoshEstimate:
     """One axis's cosh value and the step of the six-point stencils it came from."""
 
     axis: tuple[int, int]
     value: complex
     step_used: IntegerStep
+
+    def __init__(self, axis: tuple[int, int], value: complex, step_used: IntegerStep) -> None:
+        self.__dict__.update(axis=axis, value=value, step_used=step_used)
 
 
 class Classification(enum.Enum):
@@ -98,7 +101,7 @@ class Classification(enum.Enum):
     INCONSISTENT = "Inconsistent"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class DetectionReport:
     """Outcome of frequency detection at one base point."""
 
@@ -107,6 +110,19 @@ class DetectionReport:
     estimates: tuple[CoshEstimate, ...]
     residual: float
     reason: str = ""
+
+    def __init__(
+        self,
+        classification: Classification,
+        frequency: FrequencyVector | None,
+        estimates: tuple[CoshEstimate, ...],
+        residual: float,
+        reason: str = "",
+    ) -> None:
+        self.__dict__.update(
+            classification=classification, frequency=frequency, estimates=estimates,
+            residual=residual, reason=reason,
+        )
 
 
 class _Differences(dict):

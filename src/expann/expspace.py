@@ -58,7 +58,7 @@ class Frequency:
                 raise ValueError(f"frequency must be real or purely imaginary, got {v}")
             if not -math.pi < v.imag < math.pi:
                 raise ValueError(f"imaginary frequency must lie in i(-pi, pi), got {v}")
-        object.__setattr__(self, "value", v)
+        self.__dict__["value"] = v
 
     def in_restricted_domain(self) -> bool:
         """True for the non-redundant half: real >= 0, or imaginary in i(0, pi)."""
@@ -83,8 +83,10 @@ class FrequencyVector:
     g2: Frequency
 
     def __init__(self, g1: Frequency | complex, g2: Frequency | complex) -> None:
-        object.__setattr__(self, "g1", g1 if isinstance(g1, Frequency) else Frequency(g1))
-        object.__setattr__(self, "g2", g2 if isinstance(g2, Frequency) else Frequency(g2))
+        self.__dict__.update(
+            g1=g1 if isinstance(g1, Frequency) else Frequency(g1),
+            g2=g2 if isinstance(g2, Frequency) else Frequency(g2),
+        )
 
     def as_pair(self) -> tuple[complex, complex]:
         return (self.g1.value, self.g2.value)
@@ -142,7 +144,7 @@ class ExponentialSum:
     terms: tuple[tuple[complex, FrequencyVector], ...]
 
     def __init__(self, terms=()) -> None:
-        object.__setattr__(self, "terms", _canonical_terms(terms))
+        self.__dict__["terms"] = _canonical_terms(terms)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -224,9 +226,7 @@ class GridSamples:
         arr = arr.reshape(height, width).copy()
         arr.flags.writeable = False
         o1, o2 = map(_op.index, origin)
-        fields = {"level": level, "origin": (o1, o2), "width": width, "height": height, "values": arr}
-        for name, v in fields.items():
-            object.__setattr__(self, name, v)
+        self.__dict__.update(level=level, origin=(o1, o2), width=width, height=height, values=arr)
 
     @property
     def spacing(self) -> float:

@@ -56,8 +56,7 @@ class Direction:
         if not sys.float_info.min <= m < math.inf:
             z = _split(complex(x, y))[0]  # exact: the larger part to [1/2, 1)
             x, y, m = z.real, z.imag, abs(z)
-        object.__setattr__(self, "x", x / m)
-        object.__setattr__(self, "y", y / m)
+        self.__dict__.update(x=x / m, y=y / m)
 
 
 @dataclass(frozen=True, init=False)
@@ -72,9 +71,7 @@ class IntegerStep:
         dx, dy = _op.index(dx), _op.index(dy)
         if dx == 0 and dy == 0:
             raise ValueError("step must be nonzero")
-        object.__setattr__(self, "dx", dx)
-        object.__setattr__(self, "dy", dy)
-        object.__setattr__(self, "_hash", hash((dx, dy)))
+        self.__dict__.update(dx=dx, dy=dy, _hash=hash((dx, dy)))
 
     def __hash__(self) -> int:
         return self._hash
@@ -104,7 +101,7 @@ class AnnihilatorChain:
                 raise TypeError("chain factor frequency must be a FrequencyVector")
             if not isinstance(s, (IntegerStep, Direction)):
                 raise TypeError("chain factor step must be IntegerStep or Direction")
-        object.__setattr__(self, "factors", factors)
+        self.__dict__["factors"] = factors
 
 
 def _weight(gamma: FrequencyVector, step: IntegerStep, spacing: float) -> complex:

@@ -7,7 +7,11 @@ weights follow from two exactness conditions (constants and the symmetric
 exponential pair), whose solution has the closed form w = -1/(8c(c + 1)),
 u = 1/2 - w per level (Dyn, Levin & Luzzatto, Found. Comput. Math. 3, 2003).
 A real or imaginary rate gives a real c_k and real weights, so real data is
-refined in real arithmetic, as ``expspace`` keeps real samples real.
+refined in real arithmetic, as ``expspace`` keeps real samples real, and
+``refine_rounds`` carries such a c_k as a float: ``refine_parameter`` and
+``synthesize_rule`` compute on a float with ``math``, to the bits of the
+complex path.  A round turns n samples into 2n - 5, so more than one round
+needs at least 5.
 ``refine`` applies the four-point formula to array slices, from the pair of
 weights ``synthesize_rule`` returns.
 """
@@ -21,7 +25,7 @@ import operator as _op
 import numpy as np
 
 from .detection import detect_univariate
-from .errors import NumericalError
+from .errors import InputError, NumericalError
 from .expspace import Frequency, _check_window, _series
 
 __all__ = [
@@ -33,17 +37,25 @@ __all__ = [
 ]
 
 
-def refine_parameter(c: complex) -> complex:
+def refine_parameter(c: float | complex) -> float | complex:
     """Advance the rule driver one level: c_{k+1} = sqrt((c_k + 1)/2),
-    principal root (positive for every admissible rate).  A real part not
-    above -1, NaN included, raises ``NumericalError``."""
+    principal root (positive for every admissible rate).  A Python float
+    gives a float, with ``math``: (c + 1)/2 is at least 2^-54 for every float
+    c above -1, far above the subnormal range where ``cmath.sqrt`` rescales,
+    so its root's real part has ``math.sqrt``'s bits.  A real part not above
+    -1, NaN included, raises ``NumericalError``, naming the value in complex
+    form."""
+    if type(c) is float:
+        if not c > -1.0:
+            raise NumericalError(f"cosh value {complex(c)} is not above -1")
+        return math.sqrt((c + 1.0) / 2.0)
     c = complex(c)
     if not c.real > -1.0:
         raise NumericalError(f"cosh value {c} is not above -1")
     return cmath.sqrt((c + 1.0) / 2.0)
 
 
-def synthesize_rule(c_half: complex) -> tuple[complex, complex]:
+def synthesize_rule(c_half: float | complex) -> tuple[float, float] | tuple[complex, complex]:
     """Insertion weights (outer, inner) exact on constants and on the
     exponential pair, where ``c_half`` is the cosh of the rate at the
     half-step of insertion; the rule weighs four samples (outer, inner,
@@ -54,9 +66,16 @@ def synthesize_rule(c_half: complex) -> tuple[complex, complex]:
     factor (c - 1) with its right-hand side; cancelling it leaves
     8c(c + 1) w = -1, so w = -1/(8c(c + 1)) and u = 1/2 - w, exact through
     the polynomial limit c = 1 and singular only at c in {0, -1}.  The
-    weights, which ``refine`` reads, are floats when ``c_half`` is real.  A
-    c near 0 or -1, or not finite, raises ``NumericalError``.
+    weights, which ``refine`` reads, are floats when ``c_half`` is real, and
+    a Python float is used as it is, with no complex form.  A c near 0 or
+    -1, or not finite, raises ``NumericalError``, naming c in complex form.
     """
+    if type(c_half) is float:
+        c = c_half
+        if not 1e-12 < abs(c) < math.inf or abs(c + 1.0) <= 1e-12:
+            raise NumericalError(f"insertion weights undefined at cosh value {complex(c)}")
+        w = -1.0 / (8.0 * c * (c + 1.0))
+        return w, 0.5 - w
     c = complex(c_half)
     try:
         modulus = abs(c)
@@ -92,8 +111,15 @@ def refine(values, c_half: complex) -> np.ndarray:
 def refine_rounds(values, g: Frequency | complex, level: int, rounds: int):
     """Refine data at ``level`` ``rounds`` times with the rules of rate g,
     starting from the level parameter c_level = cosh(2^-level * g).  The
-    series is checked once, zero rounds included; a level outside
-    0..MAX_LEVEL or a negative round count is a ``ValueError``."""
+    series is checked once, zero rounds included: a round turns n samples
+    into 2n - 5, so more than one round needs at least 5.  A level outside
+    0..MAX_LEVEL or a negative round count is a ``ValueError``.
+
+    A c_level with zero imaginary part, as every ``Frequency`` rate gives, is
+    carried as a float when its real part lies in (-1, inf): every later
+    parameter is then a positive float that no refusal meets, and the rounds
+    take the bits of the complex path.  Any other c_level stays complex, so
+    a refusal names it as the complex path does."""
     level = _check_window(level, 1, 1)[0]
     if _op.index(rounds) < 0:
         raise ValueError(f"rounds must be non-negative, got {rounds}")
@@ -102,8 +128,12 @@ def refine_rounds(values, g: Frequency | complex, level: int, rounds: int):
         c = cmath.cosh(math.ldexp(1.0, -level) * rate)
     except OverflowError as exc:
         raise NumericalError(f"cosh of rate {rate} overflows at level {level}") from exc
+    if c.imag == 0.0 and -1.0 < c.real < math.inf:
+        c = c.real
     # short data is an input error even where c is not above -1
     values = _series(values)
+    if rounds > 1 and values.size < 5:  # 4 samples refine to 3
+        raise InputError(f"need at least 5 samples for {rounds} rounds, got {values.size}")
     for _ in range(rounds):
         c = refine_parameter(c)
         values = refine(values, c)

@@ -13,6 +13,14 @@ older numpy, whose functions are Python wrappers, makes some of these C
 calls from its own frames, so it can only lower the C count.  A change
 that adds calls on these paths raises its bound here on purpose.
 
+Both counts can rise while the work falls.  A dataclass-generated
+``__init__`` runs in a ``<string>`` frame, which is not counted, and the
+profiler reports no ``c_call`` for ``object.__setattr__``, a slot wrapper.
+So when each frozen value came to store its fields in one write, giving
+``CoshEstimate`` and ``DetectionReport`` their own ``__init__`` added a
+Python call per object, and each ``__dict__.update`` that stores several
+fields at once added a C call where one ``setattr`` per field had added none.
+
 Run as a script, this prints each operation's counts.
 """
 
@@ -30,8 +38,8 @@ from expann.subdivision import auto_refine
 PACKAGE = os.path.dirname(os.path.abspath(expann.__file__)) + os.sep
 
 # Python calls and C calls per operation, at most
-BUDGET = {"detect-single": 25, "detect-robust": 47, "auto_refine": 39}
-C_BUDGET = {"detect-single": 26, "detect-robust": 42, "auto_refine": 47}
+BUDGET = {"detect-single": 28, "detect-robust": 50, "auto_refine": 40}
+C_BUDGET = {"detect-single": 30, "detect-robust": 46, "auto_refine": 48}
 
 
 def _expann_calls(fn) -> tuple[int, int]:

@@ -335,6 +335,15 @@ class TestRefine:
             code, out, err = run(capsys, "refine", path, *how)
             assert (code, out, err) == (2, "", "error: need at least 4 samples, got 0\n")
 
+    def test_four_samples_for_two_rounds_name_the_input(self, tmp_path, capsys):
+        # the first round turns 4 samples into 3; the refusal names the file's 4
+        path = write(tmp_path, "series.json", dump_series([1.0, 2.0, 3.0, 4.0], 0, 0))
+        for how in (("--gamma", "0.3"), ("--auto",)):
+            code, out, err = run(capsys, "refine", path, "--rounds", "2", *how)
+            assert (code, out, err) == (2, "", "error: need at least 5 samples for 2 rounds, got 4\n")
+        code, out, err = run(capsys, "refine", path, "--rounds", "1", "--gamma", "0.3")
+        assert (code, err) == (0, "") and len(json.loads(out)["values"]) == 3
+
     def test_gamma_near_i_pi(self, tmp_path, capsys):
         # the insertion weights are about 8.2e3 here; their sum rounds off by
         # more than 1e-12 but within their own rounding

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from expann import expspace
+from expann.detection import Classification, CoshEstimate, DetectionReport
 from expann.errors import InputError, NumericalError
 from expann.expspace import (
     ExponentialSum,
@@ -120,9 +121,9 @@ class TestExponentialSum:
         assert ExponentialSum(((1, g1), (2, g2))) == ExponentialSum(((2, g2), (1, g1)))
 
 
-# Each value type that normalizes or validates its fields, built from fixed
-# arguments, with its pinned repr: the normalized values, and so the hash and
-# repr, do not depend on how a constructor stores its fields.
+# Each value type with its own __init__, built from fixed arguments, with its
+# pinned repr: the normalized values, and so the hash and repr, do not depend
+# on how a constructor stores its fields.
 _BUILT = {
     "real": (lambda: Frequency(1.2), "Frequency(value=(1.2+0j))"),
     "imaginary": (lambda: Frequency(0.5j), "Frequency(value=0.5j)"),
@@ -156,6 +157,29 @@ _BUILT = {
     "grid": (
         lambda: GridSamples(1, (-1, 2), 2, 1, [3, 4]),
         "GridSamples(level=1, origin=(-1, 2), width=2, height=1, values=array([[3., 4.]]))",
+    ),
+    "estimate": (
+        lambda: CoshEstimate((1, 0), 1.25 + 0j, IntegerStep(0, 1)),
+        "CoshEstimate(axis=(1, 0), value=(1.25+0j), step_used=IntegerStep(dx=0, dy=1))",
+    ),
+    "report": (  # reason keeps its default
+        lambda: DetectionReport(
+            Classification.FREQUENCY, FrequencyVector(0.8, 0.3j),
+            (CoshEstimate((1, 0), 1.25 + 0j, IntegerStep(0, 1)),), 1e-12,
+        ),
+        "DetectionReport(classification=<Classification.FREQUENCY: 'Frequency'>, "
+        "frequency=FrequencyVector(g1=Frequency(value=(0.8+0j)), g2=Frequency(value=0.3j)), "
+        "estimates=(CoshEstimate(axis=(1, 0), value=(1.25+0j), step_used=IntegerStep(dx=0, dy=1)),), "
+        "residual=1e-12, reason='')",
+    ),
+    "report-refused": (
+        lambda: DetectionReport(
+            Classification.INCONSISTENT, None, (), 0.5,
+            reason="annihilator residual 5.000e-01 exceeds 1.000e-08",
+        ),
+        "DetectionReport(classification=<Classification.INCONSISTENT: 'Inconsistent'>, "
+        "frequency=None, estimates=(), residual=0.5, "
+        "reason='annihilator residual 5.000e-01 exceeds 1.000e-08')",
     ),
 }
 

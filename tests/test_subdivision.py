@@ -59,6 +59,34 @@ class TestLevelParameter:
         with pytest.raises(InputError, match="need at least 4 samples"):
             refine_rounds([1.0, 2.0, 3.0], 3.14159265j, 0, 1)
 
+    def test_more_than_one_round_needs_five_samples(self):
+        # 4 samples refine to 3, which a second round cannot read: the
+        # refusal names the caller's length, not the first round's output
+        want = "^need at least 5 samples for 2 rounds, got 4$"
+        with pytest.raises(InputError, match=want):
+            refine_rounds([1, 2, 3, 4], 0.3, 0, 2)
+        with pytest.raises(InputError, match=want):
+            auto_refine([1.0, 2.0, 3.0, 4.0], 0, 2)
+        assert refine_rounds([1, 2, 3, 4], 0.3, 0, 1).size == 3
+        assert refine_rounds([1, 2, 3, 4, 5], 0.3, 0, 3).size == 5
+
+    def test_real_driver_stays_real(self, monkeypatch):
+        # every Frequency rate gives a real c_k, which each round receives as a float
+        seen = []
+        step = subdivision.refine
+        monkeypatch.setattr(subdivision, "refine", lambda v, c: seen.append(type(c)) or step(v, c))
+        for g in (0.8, 2.0j, expspace.Frequency(-1.5j), 0.0):
+            refine_rounds(_VALS, g, 1, 3)
+        assert seen == [float] * 12
+        refine_rounds(_VALS, 0.3 + 0.2j, 1, 2)
+        assert seen[12:] == [complex] * 2
+
+    def test_a_refused_driver_keeps_its_complex_form(self):
+        # cosh(-3.14159265i) rounds to -1 - 0i, which stays complex, sign and all
+        rate = expspace.Frequency(-3.14159265j)
+        with pytest.raises(NumericalError, match=r"^cosh value \(-1-0j\) is not above -1$"):
+            refine_rounds(_VALS, rate, 0, 1)
+
     def test_overflow(self):
         with pytest.raises(NumericalError, match="^cosh of rate"):
             refine_rounds(_VALS, 800.0, 0, 1)
@@ -111,6 +139,72 @@ class TestRefineParameter:
     def test_rejects_nan(self, c):
         with pytest.raises(NumericalError, match="is not above -1"):
             refine_parameter(c)
+
+
+def _outcome(call, c):
+    """What call(c) gives: a tuple of the hex forms of its floats (the real
+    parts of a complex), or the type and message of the error it raises."""
+    try:
+        out = call(c)
+    except NumericalError as exc:
+        return type(exc), str(exc)
+    return tuple(complex(x).real.hex() for x in (out if isinstance(out, tuple) else (out,)))
+
+
+class TestFloatDriver:
+    """On a float, ``refine_parameter`` and ``synthesize_rule`` compute with
+    ``math`` and return floats, bit for bit the real parts of the complex
+    path's results, and refuse with its messages."""
+
+    @staticmethod
+    def _sweep():
+        rng = np.random.default_rng(41)
+        bits = rng.integers(0, 2**63, 20000, dtype=np.uint64, endpoint=True).view(np.float64)
+        parts = [
+            bits[(bits > -1.0) & (bits < 1e308)],  # every binade, subnormals included
+            rng.uniform(-1.0, 1.0, 10000),
+            -1.0 + np.ldexp(rng.uniform(0.5, 1.0, 2000), rng.integers(-53, 0, 2000)),
+            10.0 ** rng.uniform(0.0, 308.0, 10000),
+        ]
+        c = np.concatenate(parts)
+        return [-1.0 + 2.0**-53, 1.0, 1e308, *c[c > -1.0].tolist()]
+
+    def test_float_driver_is_the_complex_driver(self):
+        sweep = self._sweep()
+        assert len(sweep) > 30000 and all(type(c) is float and -1.0 < c <= 1e308 for c in sweep)
+        for c in sweep:
+            root = refine_parameter(c)
+            assert type(root) is float
+            assert _outcome(refine_parameter, c) == _outcome(refine_parameter, complex(c))
+            rule = _outcome(synthesize_rule, c)
+            assert rule == _outcome(synthesize_rule, complex(c))
+            if type(rule[0]) is str:
+                assert all(type(w) is float for w in synthesize_rule(c))
+            # the weights of the next level, from the float root and the complex one
+            assert _outcome(synthesize_rule, root) == _outcome(
+                synthesize_rule, refine_parameter(complex(c)))
+
+    @pytest.mark.parametrize(
+        "c, root, weights",
+        [
+            (math.nan, "cosh value (nan+0j) is not above -1",
+             "insertion weights undefined at cosh value (nan+0j)"),
+            (-1.0, "cosh value (-1+0j) is not above -1",
+             "insertion weights undefined at cosh value (-1+0j)"),
+            (0.0, None, "insertion weights undefined at cosh value 0j"),
+            (math.inf, None, "insertion weights undefined at cosh value (inf+0j)"),
+        ],
+        ids=["nan", "minus-one", "zero", "inf"],
+    )
+    def test_refusals_keep_their_messages(self, c, root, weights):
+        if root is None:
+            assert type(refine_parameter(c)) is float
+            assert _outcome(refine_parameter, c) == _outcome(refine_parameter, complex(c))
+        else:
+            with pytest.raises(NumericalError, match=f"^{re.escape(root)}$"):
+                refine_parameter(c)
+        with pytest.raises(NumericalError, match=f"^{re.escape(weights)}$"):
+            synthesize_rule(c)
 
 
 class TestSynthesizeRule:
