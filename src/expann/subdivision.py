@@ -6,12 +6,10 @@ half-argument recursion c_{k+1} = sqrt((c_k + 1) / 2).  The inserted-point
 weights follow from two exactness conditions (constants and the symmetric
 exponential pair), whose solution has the closed form w = -1/(8c(c + 1)),
 u = 1/2 - w per level (Dyn, Levin & Luzzatto, Found. Comput. Math. 3, 2003).
-A real or imaginary rate gives a real c_k and real weights, so real data is
-refined in real arithmetic, as ``expspace`` keeps real samples real, and
-``refine_rounds`` carries such a c_k as a float: ``refine_parameter`` and
-``synthesize_rule`` compute on a float with ``math``, to the bits of the
-complex path.  A round turns n samples into 2n - 5, so more than one round
-needs at least 5.
+A rate is a ``Frequency``, real or imaginary, so every c_k is real: the
+driver is a float, the weights are floats, and real data is refined in real
+arithmetic, as ``expspace`` keeps real samples real.  A round turns n samples
+into 2n - 5, so more than one round needs at least 5.
 ``refine`` applies the four-point formula to array slices, from the pair of
 weights ``synthesize_rule`` returns.
 """
@@ -37,25 +35,22 @@ __all__ = [
 ]
 
 
-def refine_parameter(c: float | complex) -> float | complex:
-    """Advance the rule driver one level: c_{k+1} = sqrt((c_k + 1)/2),
-    principal root (positive for every admissible rate).  A Python float
-    gives a float, with ``math``: (c + 1)/2 is at least 2^-54 for every float
-    c above -1, far above the subnormal range where ``cmath.sqrt`` rescales,
-    so its root's real part has ``math.sqrt``'s bits.  A real part not above
-    -1, NaN included, raises ``NumericalError``, naming the value in complex
-    form."""
-    if type(c) is float:
-        if not c > -1.0:
-            raise NumericalError(f"cosh value {complex(c)} is not above -1")
-        return math.sqrt((c + 1.0) / 2.0)
-    c = complex(c)
-    if not c.real > -1.0:
-        raise NumericalError(f"cosh value {c} is not above -1")
-    return cmath.sqrt((c + 1.0) / 2.0)
+def refine_parameter(c: float) -> float:
+    """Advance the rule driver one level: c_{k+1} = sqrt((c_k + 1)/2), the
+    positive root.  A driver not above -1, NaN included, raises
+    ``NumericalError``, naming the value in complex form; a complex driver
+    raises ``TypeError``."""
+    # numpy's complex too, whose float() drops the imaginary part; unlike
+    # isinstance, the __mro__ test is no C call on the per-round path
+    if complex in type(c).__mro__:
+        raise TypeError(f"a cosh value must be real, got {c}")
+    c = float(c)
+    if not c > -1.0:
+        raise NumericalError(f"cosh value {complex(c)} is not above -1")
+    return math.sqrt((c + 1.0) / 2.0)
 
 
-def synthesize_rule(c_half: float | complex) -> tuple[float, float] | tuple[complex, complex]:
+def synthesize_rule(c_half: float) -> tuple[float, float]:
     """Insertion weights (outer, inner) exact on constants and on the
     exponential pair, where ``c_half`` is the cosh of the rate at the
     half-step of insertion; the rule weighs four samples (outer, inner,
@@ -65,30 +60,20 @@ def synthesize_rule(c_half: float | complex) -> tuple[float, float] | tuple[comp
     c = cosh(x).  The second condition minus c times the first shares a
     factor (c - 1) with its right-hand side; cancelling it leaves
     8c(c + 1) w = -1, so w = -1/(8c(c + 1)) and u = 1/2 - w, exact through
-    the polynomial limit c = 1 and singular only at c in {0, -1}.  The
-    weights, which ``refine`` reads, are floats when ``c_half`` is real, and
-    a Python float is used as it is, with no complex form.  A c near 0 or
-    -1, or not finite, raises ``NumericalError``, naming c in complex form.
+    the polynomial limit c = 1 and singular only at c in {0, -1}.  A c near
+    0 or -1, or not finite, raises ``NumericalError``, naming c in complex
+    form; a complex c raises ``TypeError``.
     """
-    if type(c_half) is float:
-        c = c_half
-        if not 1e-12 < abs(c) < math.inf or abs(c + 1.0) <= 1e-12:
-            raise NumericalError(f"insertion weights undefined at cosh value {complex(c)}")
-        w = -1.0 / (8.0 * c * (c + 1.0))
-        return w, 0.5 - w
-    c = complex(c_half)
-    try:
-        modulus = abs(c)
-    except OverflowError:  # finite parts, but a modulus past the float range
-        modulus = math.inf
-    if not 1e-12 < modulus < math.inf or abs(c + 1.0) <= 1e-12:
-        raise NumericalError(f"insertion weights undefined at cosh value {c}")
-    c = c.real if c.imag == 0.0 else c
+    if complex in type(c_half).__mro__:
+        raise TypeError(f"a cosh value must be real, got {c_half}")
+    c = float(c_half)
+    if not 1e-12 < abs(c) < math.inf or abs(c + 1.0) <= 1e-12:
+        raise NumericalError(f"insertion weights undefined at cosh value {complex(c)}")
     w = -1.0 / (8.0 * c * (c + 1.0))
     return w, 0.5 - w
 
 
-def refine(values, c_half: complex) -> np.ndarray:
+def refine(values, c_half: float) -> np.ndarray:
     """One step of binary interpolatory refinement, inserting with the rule
     of the level parameter ``c_half`` = c_{k+1} of the finer level.
 
@@ -111,25 +96,19 @@ def refine(values, c_half: complex) -> np.ndarray:
 def refine_rounds(values, g: Frequency | complex, level: int, rounds: int):
     """Refine data at ``level`` ``rounds`` times with the rules of rate g,
     starting from the level parameter c_level = cosh(2^-level * g).  The
-    series is checked once, zero rounds included: a round turns n samples
-    into 2n - 5, so more than one round needs at least 5.  A level outside
-    0..MAX_LEVEL or a negative round count is a ``ValueError``.
-
-    A c_level with zero imaginary part, as every ``Frequency`` rate gives, is
-    carried as a float when its real part lies in (-1, inf): every later
-    parameter is then a positive float that no refusal meets, and the rounds
-    take the bits of the complex path.  Any other c_level stays complex, so
-    a refusal names it as the complex path does."""
+    rate goes through ``Frequency`` unless it is one, and the series is
+    checked once, zero rounds included: a round turns n samples into 2n - 5,
+    so more than one round needs at least 5.  A level outside 0..MAX_LEVEL or
+    a negative round count is a ``ValueError``."""
     level = _check_window(level, 1, 1)[0]
     if _op.index(rounds) < 0:
         raise ValueError(f"rounds must be non-negative, got {rounds}")
-    rate = g.value if isinstance(g, Frequency) else complex(g)
+    rate = (g if isinstance(g, Frequency) else Frequency(g)).value
     try:
-        c = cmath.cosh(math.ldexp(1.0, -level) * rate)
+        # the real part alone: a real or imaginary rate leaves an imaginary part of +-0
+        c = cmath.cosh(math.ldexp(1.0, -level) * rate).real
     except OverflowError as exc:
         raise NumericalError(f"cosh of rate {rate} overflows at level {level}") from exc
-    if c.imag == 0.0 and -1.0 < c.real < math.inf:
-        c = c.real
     # short data is an input error even where c is not above -1
     values = _series(values)
     if rounds > 1 and values.size < 5:  # 4 samples refine to 3

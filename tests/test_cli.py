@@ -353,6 +353,12 @@ class TestRefine:
         assert (code, err) == (0, "")
         assert json.loads(out)["values"][0::2] == [2, 3, 4, 5]
 
+    def test_both_signs_of_i_pi_refuse_alike(self, tmp_path, capsys):
+        # cosh(+-3.14159265i) rounds to -1: one cosh value, one message
+        path = write(tmp_path, "series.json", dump_series([1, 2, 3, 4, 5, 6], 0, 0))
+        plus, minus = (run(capsys, "refine", path, f"--gamma={g}") for g in ("3.14159265i", "-3.14159265i"))
+        assert plus == minus == (4, "", "numerical failure: cosh value (-1+0j) is not above -1\n")
+
     def test_auto_on_series_with_small_difference_against_its_sup(
         self, tmp_path, capsys
     ):

@@ -1,12 +1,15 @@
 import ast
+import cmath
 import dataclasses
 import importlib
 import json
+import math
 import pkgutil
 import re
 import runpy
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import expann
@@ -129,6 +132,26 @@ def test_one_owner_of_the_factor_weight():
     assert exps == ["operators._weight"]
     assert callers == ["operators._apply_factors", "operators._multiplier"]
     assert not hasattr(operators, "_delta_weight")
+
+
+def test_one_arithmetic_path_in_refinement():
+    # every rate is a Frequency, so every rule driver is real: subdivision's
+    # one cmath call is refine_rounds' level-0 cosh, and the level step and
+    # the weights compute on a float and return floats
+    from expann.subdivision import refine_parameter, synthesize_rule
+
+    cmaths = [
+        scope for scope, _, call in _call_sites("subdivision")
+        if isinstance(call.func, ast.Attribute) and getattr(call.func.value, "id", None) == "cmath"
+    ]
+    assert cmaths == ["subdivision.refine_rounds"]
+    for rate in (0.0, 0.8, 40.0, 0.5j, 3.0j, -3.0j):
+        for level in (0, 3):
+            c = cmath.cosh(math.ldexp(1.0, -level) * rate).real
+            for driver in (c, np.float64(c)):
+                nxt = refine_parameter(driver)
+                assert type(nxt) is float
+                assert [type(w) for w in synthesize_rule(nxt)] == [float, float]
 
 
 def test_readme_library_example_runs(capsys):

@@ -30,13 +30,13 @@ class TestLevelParameter:
 
     def test_from_real_frequency(self):
         assert cmath.cosh(0.8).real == pytest.approx(1.3374349463048447, rel=1e-15)
-        for level, c in ((0, cmath.cosh(0.8)), (2, cmath.cosh(0.2))):
+        for level, c in ((0, cmath.cosh(0.8).real), (2, cmath.cosh(0.2).real)):
             expected = refine(_VALS, refine_parameter(c))
             assert np.array_equal(refine_rounds(_VALS, 0.8, level, 1), expected)
 
     def test_from_imaginary_frequency(self):
         assert cmath.cosh(2.0j).real == pytest.approx(-0.4161468365471424, rel=1e-14)
-        expected = refine(_VALS, refine_parameter(cmath.cosh(2.0j)))
+        expected = refine(_VALS, refine_parameter(cmath.cosh(2.0j).real))
         assert np.array_equal(refine_rounds(_VALS, 2.0j, 0, 1), expected)
 
     def test_each_parameter_computed_once(self, monkeypatch):
@@ -78,14 +78,21 @@ class TestLevelParameter:
         for g in (0.8, 2.0j, expspace.Frequency(-1.5j), 0.0):
             refine_rounds(_VALS, g, 1, 3)
         assert seen == [float] * 12
-        refine_rounds(_VALS, 0.3 + 0.2j, 1, 2)
-        assert seen[12:] == [complex] * 2
 
     def test_a_refused_driver_keeps_its_complex_form(self):
-        # cosh(-3.14159265i) rounds to -1 - 0i, which stays complex, sign and all
-        rate = expspace.Frequency(-3.14159265j)
-        with pytest.raises(NumericalError, match=r"^cosh value \(-1-0j\) is not above -1$"):
-            refine_rounds(_VALS, rate, 0, 1)
+        # cosh(+-3.14159265i) rounds to -1, named in complex form whatever
+        # the sign of the imaginary part cmath.cosh leaves
+        for g in (-3.14159265j, 3.14159265j):
+            with pytest.raises(NumericalError, match=r"^cosh value \(-1\+0j\) is not above -1$"):
+                refine_rounds(_VALS, expspace.Frequency(g), 0, 1)
+
+    @pytest.mark.parametrize("g", [0.3 + 0.2j, 4j, complex(math.nan, 0.0)])
+    def test_the_rate_is_a_frequency(self, g):
+        # a plain rate goes through Frequency, as FrequencyVector's does
+        with pytest.raises(ValueError) as want:
+            expspace.FrequencyVector(g, 0.0)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
+            refine_rounds(_VALS, g, 0, 1)
 
     def test_overflow(self):
         with pytest.raises(NumericalError, match="^cosh of rate"):
@@ -131,13 +138,22 @@ class TestRefineParameter:
             refine_parameter(-1.0)
 
     def test_doubling_inverse(self):
-        for c in [1.0, 1.5, 3.2, 0.3, -0.8, complex(0.9, 0.0)]:
+        for c in [1.0, 1.5, 3.2, 0.3, -0.8, np.float64(0.9)]:
             nxt = refine_parameter(c)
             assert abs(2 * nxt * nxt - 1 - c) <= 1e-14 * (1 + abs(c))
 
-    @pytest.mark.parametrize("c", [math.nan, complex(math.nan, 0.0), complex(math.nan, 1.0)])
+    @pytest.mark.parametrize("c", [math.nan])
     def test_rejects_nan(self, c):
         with pytest.raises(NumericalError, match="is not above -1"):
+            refine_parameter(c)
+
+    @pytest.mark.parametrize(
+        "c", [complex(math.nan, 0.0), complex(math.nan, 1.0), complex(math.inf), np.complex128(1.0)]
+    )
+    def test_rejects_a_complex_driver(self, c):
+        # every admissible rate gives a real driver; float() would pass
+        # numpy's complex with only a warning, and complex inf gave (inf+nanj)
+        with pytest.raises(TypeError, match=f"^a cosh value must be real, got {re.escape(str(c))}$"):
             refine_parameter(c)
 
 
@@ -151,10 +167,28 @@ def _outcome(call, c):
     return tuple(complex(x).real.hex() for x in (out if isinstance(out, tuple) else (out,)))
 
 
+# the complex driver that refinement computed on before every rate was a
+# Frequency: the reference the float driver is held to, bit for bit
+def _complex_root(c):
+    z = complex(c)
+    if not z.real > -1.0:
+        raise NumericalError(f"cosh value {z} is not above -1")
+    return cmath.sqrt((z + 1.0) / 2.0)
+
+
+def _complex_rule(c):
+    z = complex(c)
+    if not 1e-12 < abs(z) < math.inf or abs(z + 1.0) <= 1e-12:
+        raise NumericalError(f"insertion weights undefined at cosh value {z}")
+    z = z.real if z.imag == 0.0 else z  # 8z(z + 1) overflows to inf, not to inf+nanj
+    w = -1.0 / (8.0 * z * (z + 1.0))
+    return w, 0.5 - w
+
+
 class TestFloatDriver:
-    """On a float, ``refine_parameter`` and ``synthesize_rule`` compute with
-    ``math`` and return floats, bit for bit the real parts of the complex
-    path's results, and refuse with its messages."""
+    """``refine_parameter`` and ``synthesize_rule`` compute with ``math`` on a
+    float and return floats, bit for bit the real parts of the complex
+    driver's results, and refuse with its messages."""
 
     @staticmethod
     def _sweep():
@@ -175,14 +209,13 @@ class TestFloatDriver:
         for c in sweep:
             root = refine_parameter(c)
             assert type(root) is float
-            assert _outcome(refine_parameter, c) == _outcome(refine_parameter, complex(c))
+            assert _outcome(refine_parameter, c) == _outcome(_complex_root, c)
             rule = _outcome(synthesize_rule, c)
-            assert rule == _outcome(synthesize_rule, complex(c))
+            assert rule == _outcome(_complex_rule, c)
             if type(rule[0]) is str:
                 assert all(type(w) is float for w in synthesize_rule(c))
             # the weights of the next level, from the float root and the complex one
-            assert _outcome(synthesize_rule, root) == _outcome(
-                synthesize_rule, refine_parameter(complex(c)))
+            assert _outcome(synthesize_rule, root) == _outcome(_complex_rule, _complex_root(c))
 
     @pytest.mark.parametrize(
         "c, root, weights",
@@ -199,7 +232,7 @@ class TestFloatDriver:
     def test_refusals_keep_their_messages(self, c, root, weights):
         if root is None:
             assert type(refine_parameter(c)) is float
-            assert _outcome(refine_parameter, c) == _outcome(refine_parameter, complex(c))
+            assert _outcome(refine_parameter, c) == _outcome(_complex_root, c)
         else:
             with pytest.raises(NumericalError, match=f"^{re.escape(root)}$"):
                 refine_parameter(c)
@@ -214,25 +247,25 @@ class TestSynthesizeRule:
         assert inner == 9.0 / 16.0
         assert type(outer) is float and type(inner) is float
 
-    @pytest.mark.parametrize(
-        "c", [math.nan, math.inf, -math.inf, complex(math.nan, 0.0), complex(0.5, math.inf)]
-    )
+    @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite(self, c):
         # NaN gave NaN weights and inf the weights (-0.0, 0.5), in silence
         with pytest.raises(NumericalError, match="^insertion weights undefined at cosh value "):
             synthesize_rule(c)
 
-    def test_rejects_a_modulus_past_the_float_range(self):
-        # abs() of a complex with finite parts overflows past DBL_MAX, and no
-        # weights exist at a cosh value that large
-        want = r"^insertion weights undefined at cosh value \(1\.5e\+308\+1\.5e\+308j\)$"
-        with pytest.raises(NumericalError, match=want):
-            synthesize_rule(complex(1.5e308, 1.5e308))
+    @pytest.mark.parametrize(
+        "c",
+        [complex(math.nan, 0.0), complex(0.5, math.inf), complex(1.5e308, 1.5e308), np.complex128(1.0)],
+    )
+    def test_rejects_a_complex_driver(self, c):
+        with pytest.raises(TypeError, match=f"^a cosh value must be real, got {re.escape(str(c))}$"):
+            synthesize_rule(c)
 
     def test_refinement_refuses_a_non_finite_parameter(self):
         with pytest.raises(NumericalError, match=r"^insertion weights undefined at cosh value \(nan\+0j\)$"):
             refine(np.arange(6.0), math.nan)
-        with pytest.raises(NumericalError):
+        # a non-finite rate is not a Frequency
+        with pytest.raises(ValueError, match=r"^frequency must be finite, got \(nan\+0j\)$"):
             refine_rounds(np.arange(6.0), complex(math.nan, 0.0), 0, 1)
 
     def test_polynomial_limit(self):
@@ -270,7 +303,7 @@ class TestSynthesizeRule:
         eps = 2.0**-52
         for k in range(12000):
             rate = rng.uniform(0.0, 6.0) if k % 2 else 1j * rng.uniform(0.0, math.pi)
-            c = cmath.cosh(math.ldexp(1.0, -int(rng.integers(1, 14))) * rate)
+            c = cmath.cosh(math.ldexp(1.0, -int(rng.integers(1, 14))) * rate).real
             outer, inner = synthesize_rule(c)
             w, u = 2 * outer, 2 * inner
             assert abs(w + u - 1) <= 4 * eps * max(abs(w), abs(u))
@@ -284,7 +317,7 @@ class TestSynthesizeRule:
         eps = 2.0**-52
         rates = [3.141562135589793, *(math.pi - np.geomspace(1e-7, 1.0, 4000))]
         for rate in rates:
-            outer, inner = synthesize_rule(refine_parameter(cmath.cosh(1j * rate)))
+            outer, inner = synthesize_rule(refine_parameter(cmath.cosh(1j * rate).real))
             w, u = 2 * outer, 2 * inner
             assert abs(w + u - 1) <= 4 * eps * max(1.0, abs(w))
 
@@ -310,7 +343,7 @@ class TestRefine:
         out = refine(vals, 1.2)
         assert np.array_equal(out[0::2], vals[1:-1].astype(complex))
 
-    @pytest.mark.parametrize("c", [math.cosh(0.45), math.cos(1.2), cmath.cosh(0.3 + 0.2j)])
+    @pytest.mark.parametrize("c", [math.cosh(0.45), math.cos(1.2)])
     @pytest.mark.parametrize("vals", [_VALS, _VALS * (1 - 0.5j)], ids=["real", "complex"])
     def test_midpoints_are_the_rule_insert(self, vals, c):
         # refine's midpoints are the four-point formula on synthesize_rule's weights
@@ -322,10 +355,16 @@ class TestRefine:
         assert odd.dtype == expected.dtype
         assert np.array_equal(odd.view(np.uint64), expected.view(np.uint64))
 
+    @pytest.mark.parametrize("vals", [_VALS, _VALS * (1 - 0.5j)], ids=["real", "complex"])
+    def test_rejects_a_complex_driver(self, vals):
+        # through synthesize_rule, whatever the data
+        with pytest.raises(TypeError, match="^a cosh value must be real, got "):
+            refine(vals, cmath.cosh(0.3 + 0.2j))
+
     def test_hyperbolic_reproduction(self):
         f = hyperbolic(1.0, 1.0, 0.9)
         vals = [f(z) for z in range(8)]
-        out = refine(vals, cmath.cosh(0.45))
+        out = refine(vals, math.cosh(0.45))
         # output starts at position 1 with spacing 1/2
         expected = [f(1.0 + 0.5 * i) for i in range(out.size)]
         assert np.allclose(out, expected, rtol=1e-12)
@@ -335,7 +374,7 @@ class TestRefine:
         f = lambda z: 2.0 + math.cos(g * z)
         h = 0.5  # level 1 spacing
         vals = [f(i * h) for i in range(8)]
-        out = refine(vals, cmath.cosh(0.5j * g * h))
+        out = refine(vals, math.cos(0.5 * g * h))
         expected = [f((1.0 + 0.5 * i) * h) for i in range(out.size)]
         assert np.allclose(out, expected, rtol=1e-12)
 
@@ -343,7 +382,7 @@ class TestRefine:
         g = 0.75
         f = hyperbolic(0.8, 1.3, g)
         vals = np.array([f(z) for z in range(10)])
-        c = refine_parameter(cmath.cosh(g)).real
+        c = refine_parameter(math.cosh(g))
         out = refine(vals, c)
         res = out[:-3] - (2 * c + 1) * out[1:-2] + (2 * c + 1) * out[2:-1] - out[3:]
         assert np.max(np.abs(res)) <= 1e-11 * np.max(np.abs(out))
@@ -398,15 +437,15 @@ _SPANS = {
     2.0j: [1.0 + 2.0 * math.cos(2.0 * z) - math.sin(2.0 * z) for z in range(12)],
 }
 _CALLS = {
-    "refine": lambda f, g: refine(f, refine_parameter(cmath.cosh(g))),
+    "refine": lambda f, g: refine(f, refine_parameter(cmath.cosh(g).real)),
     "refine_rounds": lambda f, g: refine_rounds(f, g, 0, 3),
     "auto_refine": lambda f, g: auto_refine(f, 0, 3)[0],
 }
 
 
 class TestRealArithmetic:
-    """Real data with a real or imaginary rate is refined in float64, to the
-    bits of the same call on a complex128 copy; anything else stays complex."""
+    """Real data is refined in float64, to the bits of the same call on a
+    complex128 copy; complex data stays complex."""
 
     @pytest.mark.parametrize("g", list(_SPANS), ids=["real-rate", "imaginary-rate"])
     @pytest.mark.parametrize("call", list(_CALLS))
@@ -416,10 +455,6 @@ class TestRealArithmetic:
         assert (got.dtype, want.dtype) == (np.float64, np.complex128)
         assert np.array_equal(want.imag, np.zeros(want.size))
         assert np.array_equal(got.view(np.uint64), want.real.view(np.uint64))
-
-    def test_non_real_rate_gives_complex(self):
-        out = refine_rounds(_VALS, 0.3 + 0.2j, 0, 2)
-        assert out.dtype == np.complex128 and np.any(out.imag != 0)
 
     @pytest.mark.parametrize("call", list(_CALLS))
     def test_complex_data_stays_complex(self, call):
