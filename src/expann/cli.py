@@ -249,14 +249,13 @@ def main(argv=None) -> int:
     try:
         # a non-finite result already ends in exit 3 or 4; numpy's warnings add nothing
         with np.errstate(all="ignore"):
-            try:
-                code = args.func(args)
-                sys.stdout.flush()  # buffered output meets a closed or full stdout here
-                return code
-            except MemoryError as exc:
-                # each command builds all its output text before writing any,
-                # so stdout is still empty when that text does not fit
-                raise InputError("the input or its output does not fit in memory") from exc
+            code = args.func(args)
+            sys.stdout.flush()  # buffered output meets a closed or full stdout here
+            return code
+    except MemoryError:
+        # each command builds all its output text before writing any,
+        # so stdout is still empty when that text does not fit
+        code, text = EXIT_INPUT, "error: the input or its output does not fit in memory"
     except InputError as exc:
         code, text = EXIT_INPUT, f"error: {exc}"
     except NumericalError as exc:

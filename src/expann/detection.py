@@ -23,8 +23,9 @@ alone decides one axis from them, for both modes and the 1-D detector: its
 or zero for an axis taken as zero), a refusal as the ``NumericalError``
 itself, and the residual.  All of it runs in the samples' own arithmetic:
 real for real samples, complex otherwise.  Whole-array maxima and tests
-call numpy's reductions (``np.maximum.reduce``, ``np.logical_and.reduce``)
-without the array methods' Python wrappers.  The 1-D detector
+call numpy's reductions (``np.maximum.reduce``, and ``np.fmin.reduce`` of
+``np.absolute`` for robust mode's zero-denominator test) without the array
+methods' Python wrappers.  The 1-D detector
 ``detect_univariate`` is a view over the same routine: a series is a grid
 of one row, and its four-term relation is the quotient along x.
 """
@@ -36,16 +37,16 @@ import math
 import operator as _op
 import sys
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InputError, NumericalError
 from .expspace import Frequency, FrequencyVector, GridSamples, _check_window, _series
-from .operators import _AXIS_STEPS, IntegerStep, _axis_step, _residual, _step_shift
+from .operators import _AXIS_STEPS, IntegerStep, _residual, _step_shift
 
 __all__ = [
-    "StencilDirectionSet",
     "CoshEstimate",
     "Classification",
     "DetectionReport",
@@ -65,22 +66,15 @@ DEFAULT_TOL_RES = 1e-8
 _SUP_BOUND = sys.float_info.max / 8
 
 
-class StencilDirectionSet:
-    """Fallback step vectors per axis, drawn from the butterfly stencil union,
-    tried in list order.  No step -v: it reads v's stencils one step over,
-    with D, numerator and denominator negated, so it adds no quotient.  Each
-    step is one object, so per-call tables find it by identity."""
-
-    __slots__ = ()
-    set_x = (_AXIS_STEPS[0, 1], IntegerStep(1, 1))
-    set_y = (_AXIS_STEPS[1, 0], set_x[1])
-
-    def for_axis(self, e: tuple[int, int]) -> tuple[IntegerStep, ...]:
-        return self.set_x if _axis_step(e).dx else self.set_y
-
-
-DEFAULT_STENCILS = StencilDirectionSet()
-_AXES = tuple((e, DEFAULT_STENCILS.for_axis(e)) for e in _AXIS_STEPS)
+# Fallback steps per axis, from the butterfly stencil union, tried in order:
+# the transverse unit step, then the diagonal, one object per step, since
+# per-call tables find steps by identity.  No step -v: it reads v's stencils
+# one step over, negated, so it adds no quotient.
+_DIAGONAL = IntegerStep(1, 1)
+_FALLBACK = {(1, 0): (_AXIS_STEPS[0, 1], _DIAGONAL), (0, 1): (_AXIS_STEPS[1, 0], _DIAGONAL)}
+_AXES = tuple(_FALLBACK.items())
+# kept only for bench/run.py, which counts robust-mode stencils through it
+DEFAULT_STENCILS = SimpleNamespace(for_axis=_FALLBACK.__getitem__)
 
 
 @dataclass(frozen=True, init=False)
@@ -253,7 +247,8 @@ def _axis(
     takes the quotient at alpha from the first step whose denominator there
     is non-zero and along which the window is not flat.  A refused estimate
     has no residual taken.  A sup past ``_SUP_BOUND``, or NaN, makes the whole
-    decision under ``np.errstate`` (``guarded``)."""
+    decision under ``np.errstate`` (``guarded``), and so does an estimate
+    whose residual terms, of at most 4 (|c| + 1) sup, could pass it."""
     if not (guarded or diffs.sup <= _SUP_BOUND):
         with np.errstate(over="ignore", invalid="ignore"):
             return _axis(diffs, alpha, e, steps, mode, scale, True)
@@ -279,12 +274,10 @@ def _axis(
     except NumericalError as exc:
         return _Decision(est, None, math.nan, exc)
     c2 = 2.0 * est.value.real  # an inf here fails the bound below
-    if (0.5 * abs(c2) + 1.0) * diffs.sup <= _SUP_BOUND:
-        out = kernel[0] - c2 * kernel[1]
-    else:
+    if not (guarded or (0.5 * abs(c2) + 1.0) * diffs.sup <= _SUP_BOUND):
         with np.errstate(over="ignore", invalid="ignore"):
-            out = kernel[0] - c2 * kernel[1]
-    return _Decision(est, rate, _residual(out, diffs.sup))
+            return _axis(diffs, alpha, e, steps, mode, scale, True)
+    return _Decision(est, rate, _residual(kernel[0] - c2 * kernel[1], diffs.sup))
 
 
 def cosh_to_frequency(c: complex, scale: float) -> Frequency:
@@ -328,7 +321,7 @@ def detect(
     """Identify the frequency pair of grid data assumed to lie in a
     symmetric exponential family.
 
-    Per axis, the fallback steps of ``DEFAULT_STENCILS`` (one per
+    Per axis, the fallback steps of ``_FALLBACK`` (one per
     direction) are tried in order and the first stencil with a non-zero
     denominator wins ("single" mode); "robust" mode instead takes the
     median over all base points and steps.  Both modes pass over a step

@@ -28,7 +28,14 @@ from itertools import chain, compress, repeat
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .expspace import ExponentialSum, FrequencyVector, GridSamples, _check_window, _sample_array
+from .expspace import (
+    _SAMPLE_DTYPES,
+    ExponentialSum,
+    FrequencyVector,
+    GridSamples,
+    _check_window,
+    _sample_array,
+)
 
 __all__ = [
     "dumps",
@@ -51,7 +58,6 @@ _NUMBER_TYPES = frozenset((int, float))  # exact types: json reads true and fals
 _BLOCK = 4096
 _PLAIN, _PAIR = "%.17g", "[%.17g, %.17g]"  # the float branch's f"{x:.17g}"
 _PLAIN_BLOCK = ", ".join([_PLAIN] * _BLOCK)
-_ARRAY_DTYPES = (np.dtype(np.float64), np.dtype(np.complex128))
 
 
 def dumps(obj) -> str:
@@ -82,7 +88,7 @@ def _pieces(obj, out: list) -> list:
     """Append the JSON text of obj to out, in order, and return out; the
     owner of every output byte.  A sample array's text is one piece per
     block of values, so it is never joined unless ``dumps`` joins it."""
-    if isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype in _ARRAY_DTYPES:
+    if isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype in _SAMPLE_DTYPES:
         _array_pieces(obj, out)
     elif isinstance(obj, float):
         out.append(_number(obj))
@@ -149,12 +155,6 @@ def _array_pieces(values: np.ndarray, out: list) -> None:
             args = block.real
         out.append(fmt % tuple(args.tolist()))
     out.append("]")
-
-
-def _flat_values(values) -> np.ndarray:
-    """Grid and series values as the flat array ``_pieces`` writes: float64
-    for real values, as they are computed, and complex128 otherwise."""
-    return _sample_array(values).ravel()
 
 
 def _is_number(x) -> bool:
@@ -286,7 +286,7 @@ def load_grid(text: str) -> GridSamples:
 
 def grid_doc(s: GridSamples) -> dict:
     return {"level": s.level, "origin": list(s.origin), "width": s.width,
-            "height": s.height, "values": _flat_values(s.values)}
+            "height": s.height, "values": s.values.ravel()}
 
 
 def dump_grid(s: GridSamples) -> str:
@@ -340,4 +340,7 @@ def load_series(text: str) -> tuple[np.ndarray, int, int]:
 
 
 def dump_series(values, level: int, origin: int = 0) -> str:
-    return dumps({"level": level, "origin": origin, "values": _flat_values(values)})
+    """A series file that ``load_series`` reads: level and origin are checked
+    as ``GridSamples`` checks them, and the ints that gives are written."""
+    level, origin = _check_window(level, 1, 1)[0], operator.index(origin)
+    return dumps({"level": level, "origin": origin, "values": _sample_array(values).ravel()})

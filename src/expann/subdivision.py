@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 import operator as _op
 
 import numpy as np
@@ -35,16 +36,20 @@ __all__ = [
 ]
 
 
+def _real_driver(c) -> float:
+    """c as a float, or ``TypeError`` unless c is a ``numbers.Real`` (no complex,
+    string or bytes is); callers skip it for a float, so a round makes no call."""
+    if not isinstance(c, numbers.Real):
+        raise TypeError(f"a cosh value must be real, got {c}")
+    return float(c)
+
+
 def refine_parameter(c: float) -> float:
     """Advance the rule driver one level: c_{k+1} = sqrt((c_k + 1)/2), the
     positive root.  A driver not above -1, NaN included, raises
-    ``NumericalError``, naming the value in complex form; a complex driver
-    raises ``TypeError``."""
-    # numpy's complex too, whose float() drops the imaginary part; unlike
-    # isinstance, the __mro__ test is no C call on the per-round path
-    if complex in type(c).__mro__:
-        raise TypeError(f"a cosh value must be real, got {c}")
-    c = float(c)
+    ``NumericalError``, naming the value in complex form; a driver that is
+    not a real number raises ``TypeError``."""
+    c = c if type(c) is float else _real_driver(c)
     if not c > -1.0:
         raise NumericalError(f"cosh value {complex(c)} is not above -1")
     return math.sqrt((c + 1.0) / 2.0)
@@ -62,11 +67,9 @@ def synthesize_rule(c_half: float) -> tuple[float, float]:
     8c(c + 1) w = -1, so w = -1/(8c(c + 1)) and u = 1/2 - w, exact through
     the polynomial limit c = 1 and singular only at c in {0, -1}.  A c near
     0 or -1, or not finite, raises ``NumericalError``, naming c in complex
-    form; a complex c raises ``TypeError``.
+    form; a c that is not a real number raises ``TypeError``.
     """
-    if complex in type(c_half).__mro__:
-        raise TypeError(f"a cosh value must be real, got {c_half}")
-    c = float(c_half)
+    c = c_half if type(c_half) is float else _real_driver(c_half)
     if not 1e-12 < abs(c) < math.inf or abs(c + 1.0) <= 1e-12:
         raise NumericalError(f"insertion weights undefined at cosh value {complex(c)}")
     w = -1.0 / (8.0 * c * (c + 1.0))

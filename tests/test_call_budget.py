@@ -4,14 +4,18 @@ Much of an in-process operation's time is the fixed cost of each call, so
 the number of calls is a measure of its work that does not depend on the
 host's speed.  Only calls made from expann's code count: a Python call
 whose code lives in the expann package, and a C call (a ``c_call`` profile
-event: a builtin function or method, numpy's functions and array methods
-among them) made from a frame whose code lives there.  numpy's Python
-wrappers and the code that dataclasses and namedtuples generate differ
-between versions, expann's own functions do not.  The C count is what a
-no-op conversion such as an ``astype`` to the array's own type adds.  An
-older numpy, whose functions are Python wrappers, makes some of these C
-calls from its own frames, so it can only lower the C count.  A change
-that adds calls on these paths raises its bound here on purpose.
+event: a builtin function or method, array methods and ufunc methods such
+as ``np.maximum.reduce`` among them) made from a frame whose code lives
+there.  A call of a ufunc itself (``np.absolute``), of a dispatched numpy
+function such as ``np.concatenate``, or of one of numpy's Python helpers
+(``np.errstate``) raises no ``c_call`` event, so a change that adds a
+whole array pass through one of them can leave the C count unchanged.
+numpy's Python wrappers and the code that dataclasses and namedtuples
+generate differ between versions, expann's own functions do not.  The C
+count is what a no-op conversion such as an ``astype`` to the array's own
+type adds.  An older numpy, whose functions are Python wrappers, makes some
+of these C calls from its own frames, so it can only lower the C count.  A
+change that adds calls on these paths raises its bound here on purpose.
 
 Both counts can rise while the work falls.  A dataclass-generated
 ``__init__`` runs in a ``<string>`` frame, which is not counted, and the

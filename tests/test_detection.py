@@ -8,11 +8,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as hst
 
 from expann.detection import (
-    DEFAULT_STENCILS,
+    _FALLBACK,
     DEFAULT_TOL_RES,
     Classification,
     CoshEstimate,
-    StencilDirectionSet,
     _axis,
     _Differences,
     _flat,
@@ -32,6 +31,7 @@ from expann.expspace import (
     symmetric_set,
 )
 from expann.operators import (
+    _AXIS_STEPS,
     AnnihilatorChain,
     IntegerStep,
     _residual,
@@ -68,9 +68,13 @@ def _quotient(s, alpha, e, step):
 
 class TestStencilSets:
     def test_defaults_are_one_step_per_direction(self):
-        s = StencilDirectionSet()
-        assert s.for_axis((1, 0)) == (IntegerStep(0, 1), IntegerStep(1, 1))
-        assert s.for_axis((0, 1)) == (IntegerStep(1, 0), IntegerStep(1, 1))
+        assert _FALLBACK == {
+            (1, 0): (IntegerStep(0, 1), IntegerStep(1, 1)),
+            (0, 1): (IntegerStep(1, 0), IntegerStep(1, 1)),
+        }
+        # one object per step, since per-call tables find steps by identity
+        assert _FALLBACK[1, 0][0] is _AXIS_STEPS[0, 1] and _FALLBACK[0, 1][0] is _AXIS_STEPS[1, 0]
+        assert _FALLBACK[1, 0][1] is _FALLBACK[0, 1][1]
 
     def test_negated_step_reads_the_same_stencils_negated(self):
         # D along -v at b is -D along v at b - v, so the kernel for -v is
@@ -78,7 +82,7 @@ class TestStencilSets:
         # read every stencil twice.  D along v starts at the window's corner,
         # D along -v at offset v.  Detection takes no step -v, so D along -v
         # is built as operators' chains build a difference
-        steps = {st for e in ((1, 0), (0, 1)) for st in DEFAULT_STENCILS.for_axis(e)}
+        steps = {st for e in ((1, 0), (0, 1)) for st in _FALLBACK[e]}
         for s in _kernel_cases():
             diffs = _Differences(s.values, s.origin, s.max_abs())
             for v in steps:
@@ -110,12 +114,12 @@ class TestStencilSets:
                     diffs[IntegerStep(dx, dy)]
 
     def test_rejects_an_axis_that_is_not_a_unit_axis(self):
+        g = FrequencyVector(0.5, 0.2)
         with pytest.raises(ValueError, match=r"^axis must be \(1, 0\) or \(0, 1\)$"):
-            DEFAULT_STENCILS.for_axis((1, 1))
+            reduced_chain_for_symmetric_set(g, (1, 1), IntegerStep(1, 1))
 
     def test_members_inside_union(self):
-        s = StencilDirectionSet()
-        for v in s.set_x + s.set_y:
+        for v in _FALLBACK[1, 0] + _FALLBACK[0, 1]:
             assert (v.dx, v.dy) in BUTTERFLY_UNION_OFFSETS
 
     def test_union_has_fourteen_offsets(self):
@@ -149,7 +153,7 @@ class TestCoshFromStencil:
         # every step's denominator vanishes, so no step yields an estimate
         f = ExponentialSum(((3.0, FrequencyVector(0.0, 0.0)),))
         s = sample(f, 0, (-1, -1), 6, 6)
-        for step in StencilDirectionSet().set_x:
+        for step in _FALLBACK[1, 0]:
             assert _quotient(s, (0, 0), (1, 0), step) is None
 
     def test_out_of_window(self):
@@ -577,14 +581,13 @@ class TestFallbackCompleteness:
         # the values at the base point and one step from it coincide
         f = ExponentialSum(((4.2, FrequencyVector(0.0, 0.0)),))
         s = sample(f, 0, (-2, -2), 7, 7)
-        stencils = StencilDirectionSet()
         for e in [(1, 0), (0, 1)]:
-            for step in stencils.for_axis(e):
+            for step in _FALLBACK[e]:
                 assert _quotient(s, (0, 0), e, step) is None
             base = (0 + e[0], 0 + e[1])
             probe = [s.value_at(base)] + [
                 s.value_at((base[0] + st.dx, base[1] + st.dy))
-                for st in stencils.for_axis(e)
+                for st in _FALLBACK[e]
             ]
             assert max(abs(p - probe[0]) for p in probe) <= 1e-12 * s.max_abs()
 
@@ -935,7 +938,7 @@ def _ref_detect(s, alpha, mode):
     estimates, comps, axis_ests, counts = [], [], [], []
     for e in ((1, 0), (0, 1)):
         if mode == "single":
-            tried = (_ref_estimate(s, alpha, e, st) for st in DEFAULT_STENCILS.for_axis(e))
+            tried = (_ref_estimate(s, alpha, e, st) for st in _FALLBACK[e])
             est = next((t for t in tried if t is not None), None)
         else:
             steps = [IntegerStep(*p) for p in _REF_ROBUST_STEPS[e]]
@@ -1010,7 +1013,7 @@ def test_detect_matches_scalar_reference_bitwise(mode):
         assert abs(rep.residual - chain_residual) <= 1e-14
         for e, count in zip(((1, 0), (0, 1)), counts):
             diffs = _Differences(s.values, s.origin, s.max_abs())
-            steps = DEFAULT_STENCILS.for_axis(e)
+            steps = _FALLBACK[e]
             live = [_six_point(diffs[st], e) for st in steps if not _flat(diffs, st)]
             assert 2 * sum(int(np.sum(k[1] != 0)) for k in live) == count
     assert Classification.FREQUENCY in classes
@@ -1047,7 +1050,7 @@ def test_robust_masked_path_matches_scalar_reference_bitwise():
             assert abs(rep.residual - residual) <= 4 * math.ulp(residual)
         diffs = _Differences(s.values, s.origin, s.max_abs())
         for e in ((1, 0), (0, 1)):
-            dens = [_six_point(diffs[st], e)[1] for st in DEFAULT_STENCILS.for_axis(e) if not _flat(diffs, st)]
+            dens = [_six_point(diffs[st], e)[1] for st in _FALLBACK[e] if not _flat(diffs, st)]
             masked += any(d.any() for d in dens) and not all(d.all() for d in dens)
     assert masked >= 100, masked
     assert (rep.estimates[0].axis, rep.estimates[0].step_used) == ((1, 0), IntegerStep(1, 1))

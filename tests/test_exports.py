@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import expann
+from expann import detection
 from expann.detection import DEFAULT_STENCILS, Classification
 from expann.expspace import GridSamples
 
@@ -32,7 +33,7 @@ def test_star_import():
     assert set(expann.__all__) <= namespace.keys()
 
 
-def test_benchmark_names_resolve():
+def test_benchmark_names_resolve(monkeypatch):
     # the benchmark's tracer wraps these functions by name; a rename or a
     # deletion must fail here, not only in a traced benchmark run
     spans = runpy.run_path(str(Path(__file__).resolve().parents[1] / "bench" / "spans.py"))
@@ -44,6 +45,22 @@ def test_benchmark_names_resolve():
     ]
     assert missing == []
     assert callable(DEFAULT_STENCILS.for_axis) and isinstance(GridSamples, type)
+    # the benchmark counts robust-mode stencils from DEFAULT_STENCILS.for_axis,
+    # which must give, object for object, the steps detect tries per axis
+    tried, axis = [], detection._axis
+
+    def spy(diffs, alpha, e, steps, *rest):
+        tried.append((e, steps))
+        return axis(diffs, alpha, e, steps, *rest)
+
+    monkeypatch.setattr(detection, "_axis", spy)
+    values = np.cosh(0.3 * np.arange(6.0))[:, None] * np.cosh(0.2 * np.arange(6.0))
+    for mode in ("single", "robust"):
+        tried.clear()
+        detection.detect(GridSamples(0, (0, 0), 6, 6, values), (2, 2), mode)
+        assert [e for e, _ in tried] == [(1, 0), (0, 1)]
+        for e, steps in tried:
+            assert list(map(id, steps)) == list(map(id, DEFAULT_STENCILS.for_axis(e)))
 
 
 def test_ci_smoke_step_names_benchmark_entries():
@@ -152,6 +169,13 @@ def test_one_arithmetic_path_in_refinement():
                 nxt = refine_parameter(driver)
                 assert type(nxt) is float
                 assert [type(w) for w in synthesize_rule(nxt)] == [float, float]
+
+
+def test_one_owner_of_the_driver_rule():
+    # subdivision._real_driver alone refuses a driver that is not a real
+    # number, for the level step, the weights and, through them, refinement
+    raisers = [scope for scope, name, _ in _call_sites("subdivision") if name == "TypeError"]
+    assert raisers == ["subdivision._real_driver"]
 
 
 def test_readme_library_example_runs(capsys):

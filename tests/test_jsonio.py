@@ -114,6 +114,25 @@ def test_grid_sampled_at_level_true_writes_ints():
     assert text.startswith('{"level": 1, "origin": [0, 0], "width": 2, "height": 1, ')
 
 
+@pytest.mark.parametrize("level, origin, error", [
+    (-1, 0, ValueError), (2000, 0, ValueError), (1.5, 0, TypeError), (0, 0.5, TypeError),
+])
+def test_series_writer_refuses_what_the_loader_refuses(level, origin, error):
+    # dump_series checks level and origin as GridSamples does, so it writes
+    # no file that load_series refuses
+    with pytest.raises(error):
+        jsonio.dump_series([1.0, 2.0, 3.0, 4.0], level, origin)
+
+
+def test_series_writer_writes_numpy_integers_as_ints():
+    text = jsonio.dump_series([1.0, 2.0, 3.0, 4.0], np.int64(3), np.int64(-2))
+    assert text == jsonio.dump_series([1.0, 2.0, 3.0, 4.0], 3, -2)
+    assert text.startswith('{"level": 3, "origin": -2, ')
+    values, level, origin = jsonio.load_series(text)
+    assert (values.tolist(), level, origin) == ([1.0, 2.0, 3.0, 4.0], 3, -2)
+    assert type(level) is int and type(origin) is int
+
+
 def test_strided_array():
     arr = np.arange(12, dtype=np.complex128) * (1 + 0.5j)
     arr[::3] = arr[::3].real

@@ -22,6 +22,16 @@ def hyperbolic(a, b, g):
 
 
 _VALS = np.array([0.3, 1.7, -2.2, 0.9, 4.4, -0.1, 2.0])
+# drivers that are not real numbers: numpy's complex types that do not derive
+# from complex, whose float() drops the imaginary part with only a warning,
+# and numeric text, which float() parses; a refusal names the driver as an
+# f-string formats it, which for numpy's complex64 is not str()'s text
+_NOT_REAL = [np.complex64(0.9), np.clongdouble(0.9), "0.9", b"0.9"]
+
+
+def _driver_id(c):
+    """A ``_NOT_REAL`` row's type name as its test id; pytest's own id otherwise."""
+    return type(c).__name__ if any(c is x for x in _NOT_REAL) else None
 
 
 class TestLevelParameter:
@@ -148,12 +158,14 @@ class TestRefineParameter:
             refine_parameter(c)
 
     @pytest.mark.parametrize(
-        "c", [complex(math.nan, 0.0), complex(math.nan, 1.0), complex(math.inf), np.complex128(1.0)]
+        "c", [complex(math.nan, 0.0), complex(math.nan, 1.0), complex(math.inf), np.complex128(1.0),
+              *_NOT_REAL],
+        ids=_driver_id,
     )
     def test_rejects_a_complex_driver(self, c):
         # every admissible rate gives a real driver; float() would pass
         # numpy's complex with only a warning, and complex inf gave (inf+nanj)
-        with pytest.raises(TypeError, match=f"^a cosh value must be real, got {re.escape(str(c))}$"):
+        with pytest.raises(TypeError, match=f"^a cosh value must be real, got {re.escape(format(c))}$"):
             refine_parameter(c)
 
 
@@ -255,10 +267,12 @@ class TestSynthesizeRule:
 
     @pytest.mark.parametrize(
         "c",
-        [complex(math.nan, 0.0), complex(0.5, math.inf), complex(1.5e308, 1.5e308), np.complex128(1.0)],
+        [complex(math.nan, 0.0), complex(0.5, math.inf), complex(1.5e308, 1.5e308), np.complex128(1.0),
+         *_NOT_REAL],
+        ids=_driver_id,
     )
     def test_rejects_a_complex_driver(self, c):
-        with pytest.raises(TypeError, match=f"^a cosh value must be real, got {re.escape(str(c))}$"):
+        with pytest.raises(TypeError, match=f"^a cosh value must be real, got {re.escape(format(c))}$"):
             synthesize_rule(c)
 
     def test_refinement_refuses_a_non_finite_parameter(self):
@@ -358,8 +372,9 @@ class TestRefine:
     @pytest.mark.parametrize("vals", [_VALS, _VALS * (1 - 0.5j)], ids=["real", "complex"])
     def test_rejects_a_complex_driver(self, vals):
         # through synthesize_rule, whatever the data
-        with pytest.raises(TypeError, match="^a cosh value must be real, got "):
-            refine(vals, cmath.cosh(0.3 + 0.2j))
+        for c in [cmath.cosh(0.3 + 0.2j), *_NOT_REAL]:
+            with pytest.raises(TypeError, match=f"^a cosh value must be real, got {re.escape(format(c))}$"):
+                refine(vals, c)
 
     def test_hyperbolic_reproduction(self):
         f = hyperbolic(1.0, 1.0, 0.9)
